@@ -18,6 +18,7 @@ from .quiver import (
     conjugacy_class_of, resolve_ramification, is_connected_hopf_quiver,
     enumerate_paths,
 )
+from .linear import Lin
 from .coalgebra import (
     CoalgElement, TensorElement, comultiply, counit, degree,
     cycle_automorphism, chain_automorphism,
@@ -29,7 +30,7 @@ from .graded import (
 from .presentations import (
     CYCLE_GRADED, CYCLE_DEFORM, CYCLE_HALF, CHAIN_GRADED, CHAIN_Q1,
     CHAIN_ROOT, TYPE_ONE_CYCLE, TYPE_ONE_CHAIN, FAMILIES,
-    HopfFamilyDescriptor, PBWMonomial, AlgElement, RewriteSystem,
+    HopfFamilyDescriptor, PBWMonomial, RewriteSystem,
     cycle_graded, cycle_deform, cycle_half, chain_graded, chain_q1,
     chain_root, type_one_cycle, type_one_chain,
     presentation_of, normal_form, parse_word, multiply_alg,

@@ -25,7 +25,8 @@ from . import verifier as ver
 from .graded import GradedHopfParams, structure_table, verify_graded_bialgebra
 from .presentations import (
     FAMILIES, check_confluence, descriptor_from_dict, descriptor_to_dict,
-    normal_form, presentation_of, simple_pointed_catalog, structure_rows,
+    normal_form, pbw_rows, presentation_of, simple_pointed_catalog,
+    structure_rows,
 )
 from .quiver import (
     GroupSpec, build_hopf_quiver, is_connected_hopf_quiver,
@@ -218,7 +219,7 @@ def cmd_present_nf(args):
     if args.json:
         _emit(args, json.dumps({"descriptor": descriptor_to_dict(desc),
                                 "word": args.word,
-                                "normalForm": elt.to_rows()}, indent=2))
+                                "normalForm": pbw_rows(elt)}, indent=2))
     else:
         _emit(args, str(elt))
     return 0

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .linear import Lin
 from .quiver import Path
 
 __all__ = [
@@ -30,191 +31,22 @@ __all__ = [
 ]
 
 
-class CoalgElement:
-    """A linear combination of paths of one quiver kind."""
-
-    __slots__ = ("ctx", "kind", "terms")
-
-    def __init__(self, ctx, kind, terms=None):
-        self.ctx = ctx
-        self.kind = kind
-        clean = {}
-        if terms:
-            for path, coeff in terms.items():
-                if path.kind != kind:
-                    raise ValueError("mixed quiver kinds in one element")
-                if not coeff.is_zero():
-                    clean[path] = coeff
-        self.terms = clean
-
-    @classmethod
-    def from_path(cls, ctx, path, coeff=1):
-        return cls(ctx, path.kind, {path: ctx.scalar(coeff)})
-
-    @classmethod
-    def zero(cls, ctx, kind):
-        return cls(ctx, kind)
-
-    def is_zero(self):
-        return not self.terms
-
-    def coefficient(self, path):
-        return self.terms.get(path, self.ctx.zero())
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
-
-    def __add__(self, other):
-        self._check(other)
-        terms = dict(self.terms)
-        for path, coeff in other.terms.items():
-            terms[path] = terms.get(path, self.ctx.zero()) + coeff
-        return CoalgElement(self.ctx, self.kind, terms)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return CoalgElement(self.ctx, self.kind,
-                            {p: -c for p, c in self.terms.items()})
-
-    def scale(self, coeff):
-        c = self.ctx.scalar(coeff)
-        return CoalgElement(self.ctx, self.kind,
-                            {p: c * v for p, v in self.terms.items()})
-
-    def __rmul__(self, coeff):
-        return self.scale(coeff)
-
-    def __eq__(self, other):
-        if not isinstance(other, CoalgElement):
-            return NotImplemented
-        return self.kind == other.kind and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.kind, frozenset(self.terms.items())))
-
-    def _check(self, other):
-        if self.kind != other.kind:
-            raise ValueError("elements live on different quivers")
-
-    def map_paths(self, image):
-        """Linear extension of a path -> CoalgElement map."""
-        out = CoalgElement.zero(self.ctx, self.kind)
-        for path, coeff in self.terms.items():
-            out = out + image(path).scale(coeff)
-        return out
-
-    def to_dict(self):
-        return {
-            "kind": list(self.kind),
-            "terms": [
-                {"coeff": str(c), "source": p.source, "length": p.length}
-                for p, c in self.sorted_terms()
-            ],
-        }
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for path, coeff in self.sorted_terms():
-            if coeff == 1:
-                parts.append(str(path))
-            else:
-                parts.append(f"{coeff} * {path}")
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return f"CoalgElement({self})"
-
-
-class TensorElement:
-    """A linear combination of path pairs; the target of comultiply."""
-
-    __slots__ = ("ctx", "kind", "terms")
-
-    def __init__(self, ctx, kind, terms=None):
-        self.ctx = ctx
-        self.kind = kind
-        clean = {}
-        if terms:
-            for pair, coeff in terms.items():
-                if not coeff.is_zero():
-                    clean[pair] = coeff
-        self.terms = clean
-
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for pair, coeff in other.terms.items():
-            terms[pair] = terms.get(pair, self.ctx.zero()) + coeff
-        return TensorElement(self.ctx, self.kind, terms)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return TensorElement(self.ctx, self.kind,
-                             {p: -c for p, c in self.terms.items()})
-
-    def scale(self, coeff):
-        c = self.ctx.scalar(coeff)
-        return TensorElement(self.ctx, self.kind,
-                             {p: c * v for p, v in self.terms.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return self.kind == other.kind and self.terms == other.terms
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(),
-                      key=lambda kv: (kv[0][0].sort_key(), kv[0][1].sort_key()))
-
-    def map_factors(self, left, right):
-        """Apply linear maps to the two tensor factors."""
-        out = TensorElement(self.ctx, self.kind)
-        for (pl, pr), coeff in self.terms.items():
-            el = left(pl)
-            er = right(pr)
-            acc = {}
-            for ql, cl in el.terms.items():
-                for qr, cr in er.terms.items():
-                    key = (ql, qr)
-                    add = coeff * cl * cr
-                    acc[key] = acc.get(key, self.ctx.zero()) + add
-            out = out + TensorElement(self.ctx, self.kind, acc)
-        return out
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for (pl, pr), coeff in self.sorted_terms():
-            body = f"{pl} (x) {pr}"
-            parts.append(body if coeff == 1 else f"{coeff} * {body}")
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return f"TensorElement({self})"
+CoalgElement = TensorElement = Lin  # paths, and pairs of paths: one type
 
 
 # -- structure maps ----------------------------------------------------------
 
 def comultiply(x):
     """Deconcatenation: delta(p_i^l) = sum_t p_{i+t}^{l-t} (x) p_i^t."""
-    out = TensorElement(x.ctx, x.kind)
     acc = {}
+    zero = x.ctx.zero()
     for path, coeff in x.terms.items():
         for t in range(path.length + 1):
             left = Path(path.kind, path.source + t, path.length - t)
             right = Path(path.kind, path.source, t)
             key = (left, right)
-            acc[key] = acc.get(key, x.ctx.zero()) + coeff
-    return out + TensorElement(x.ctx, x.kind, acc)
+            acc[key] = acc.get(key, zero) + coeff
+    return Lin(x.ctx, (x.space, x.space), acc)
 
 
 def counit(x):
@@ -235,6 +67,14 @@ def degree(x):
 
 # -- coalgebra automorphisms ---------------------------------------------------
 
+def _paths(ctx, kind, *terms):
+    """The sum of c * p_i^l over (i, l, c) triples."""
+    out = Lin(ctx, kind)
+    for i, l, c in terms:
+        out.add_term(Path(kind, i, l), ctx.scalar(c))
+    return out
+
+
 def _cycle_correction(n, d, j, ctx, path):
     """One application of the degree-lowering coderivation behind the
     cycle automorphism at offset j (unit deformation scalar).
@@ -244,41 +84,36 @@ def _cycle_correction(n, d, j, ctx, path):
     congruences read modulo n.  When d = 0 (mod n) the defining
     correction vanishes identically and the coderivation is zero.
     """
-    i, l = path.source, path.length
-    zero = CoalgElement.zero(ctx, path.kind)
+    i, l, kind = path.source, path.length, path.kind
     if l < d or d % n == 0:
-        return zero
+        return Lin(ctx, kind)
     if l == d:
         if (i - j) % n == 0:
-            return CoalgElement.from_path(ctx, Path(path.kind, j, 0)) \
-                - CoalgElement.from_path(ctx, Path(path.kind, j + d, 0))
-        return zero
+            return _paths(ctx, kind, (j, 0, 1), (j + d, 0, -1))
+        return Lin(ctx, kind)
     if (i - j) % n == 0:
-        out = -CoalgElement.from_path(ctx, Path(path.kind, j + d, l - d))
         if (l - d) % n == 0:
-            out = out + CoalgElement.from_path(ctx, Path(path.kind, j, l - d))
-        return out
+            return _paths(ctx, kind, (j + d, l - d, -1), (j, l - d, 1))
+        return _paths(ctx, kind, (j + d, l - d, -1))
     if (i + l - j - d) % n == 0:
-        return CoalgElement.from_path(ctx, Path(path.kind, i, l - d))
-    return zero
+        return _paths(ctx, kind, (i, l - d, 1))
+    return Lin(ctx, kind)
 
 
 def _chain_correction(d, ctx, path):
     """Chain coderivation: congruences become exact index equalities."""
-    i, l = path.source, path.length
-    zero = CoalgElement.zero(ctx, path.kind)
+    i, l, kind = path.source, path.length, path.kind
     if l < d:
-        return zero
+        return Lin(ctx, kind)
     if l == d:
         if i == 0:
-            return CoalgElement.from_path(ctx, Path(path.kind, 0, 0)) \
-                - CoalgElement.from_path(ctx, Path(path.kind, d, 0))
-        return zero
+            return _paths(ctx, kind, (0, 0, 1), (d, 0, -1))
+        return Lin(ctx, kind)
     if i == 0:
-        return -CoalgElement.from_path(ctx, Path(path.kind, d, l - d))
+        return _paths(ctx, kind, (d, l - d, -1))
     if i + l == d:
-        return CoalgElement.from_path(ctx, Path(path.kind, i, l - d))
-    return zero
+        return _paths(ctx, kind, (i, l - d, 1))
+    return Lin(ctx, kind)
 
 
 def _exp_correction(x, lam, step):
@@ -288,17 +123,17 @@ def _exp_correction(x, lam, step):
     are coalgebra automorphisms, with exp(-lam G) the exact inverse.
     Where G^2 = 0 (no index wrap-around) this is just id + lam G.
     """
-    out = x
+    out = Lin(x.ctx, x.space).add_scaled(x)
     term = x
     k = 0
     factor = x.ctx.one()
     while True:
-        term = term.map_paths(step)
+        term = term.map_terms(step)
         if term.is_zero():
             return out
         k += 1
         factor = factor * lam
-        out = out + term.scale(factor * Fraction(1, math.factorial(k)))
+        out.add_scaled(term, factor * Fraction(1, math.factorial(k)))
 
 
 def cycle_automorphism(n, d, lam, j, x):
@@ -313,7 +148,7 @@ def cycle_automorphism(n, d, lam, j, x):
     """
     if d <= 1:
         raise ValueError("cycle automorphism requires degree d > 1")
-    if x.kind[0] != "cycle" or x.kind[1] != n:
+    if x.space != ("cycle", n):
         raise ValueError("element does not live on the given cycle")
     ctx = x.ctx
     lam = ctx.scalar(lam)
@@ -334,7 +169,7 @@ def chain_automorphism(d, lam, x):
     """
     if d < 1:
         raise ValueError("chain automorphism requires degree d >= 1")
-    if x.kind[0] != "chain":
+    if x.space != ("chain",):
         raise ValueError("element does not live on the chain")
     ctx = x.ctx
     lam = ctx.scalar(lam)

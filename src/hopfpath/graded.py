@@ -14,10 +14,11 @@ verifier doubles as the oracle for every product identity used later.
 
 from __future__ import annotations
 
-from .coalgebra import CoalgElement, TensorElement, comultiply, counit
-from .quiver import Path, cycle_kind, chain_kind
+from .coalgebra import comultiply, counit
+from .linear import Lin
+from .quiver import Path, chain_kind, cycle_kind, enumerate_paths
 from .report import VerificationReport
-from .scalars import order, q_factorial
+from .scalars import gauss_binom_row, order, q_factorial
 
 __all__ = [
     "GradedHopfParams",
@@ -49,8 +50,8 @@ class GradedHopfParams:
                 raise ValueError("chain multiplication needs a nonzero q")
         else:
             raise ValueError(f"unknown quiver kind {kind!r}")
-        self._qpow = {0: self.ctx.one()}
-        self._binom_rows = [[self.ctx.one()]]
+        self._qpow = {}
+        self._binom_rows = {}
         self._pair_cache = {}
 
     @classmethod
@@ -62,23 +63,16 @@ class GradedHopfParams:
         return cls(chain_kind(), q)
 
     def q_power(self, e):
-        if e not in self._qpow:
-            if e > 0:
-                self._qpow[e] = self.q_power(e - 1) * self.q
-            else:
-                self._qpow[e] = self.q_power(e + 1) * self.q.inverse()
-        return self._qpow[e]
+        out = self._qpow.get(e)
+        if out is None:
+            out = self._qpow[e] = self.q ** e
+        return out
 
     def binom(self, n, k):
-        while len(self._binom_rows) <= n:
-            m = len(self._binom_rows)
-            prev = self._binom_rows[-1]
-            row = [self.ctx.one()]
-            for t in range(1, m):
-                row.append(prev[t - 1] + self.q_power(t) * prev[t])
-            row.append(self.ctx.one())
-            self._binom_rows.append(row)
-        return self._binom_rows[n][k]
+        row = self._binom_rows.get(n)
+        if row is None:
+            row = self._binom_rows[n] = gauss_binom_row(n, self.q)
+        return row[k]
 
     def __repr__(self):
         return f"GradedHopfParams({self.kind}, q={self.q})"
@@ -106,15 +100,13 @@ def multiply_paths(params, a, b):
         if p.kind != params.kind:
             raise ValueError("path does not match the multiplication parameters")
     out = _mul_path_raw(params, a, b)
-    if out is None:
-        return CoalgElement.zero(params.ctx, params.kind)
-    path, coeff = out
-    return CoalgElement(params.ctx, params.kind, {path: coeff})
+    return Lin(params.ctx, params.kind,
+               None if out is None else {out[0]: out[1]})
 
 
 def multiply(params, x, y):
     """Bilinear extension of the path product."""
-    if x.kind != params.kind or y.kind != params.kind:
+    if x.space != params.kind or y.space != params.kind:
         raise ValueError("element does not match the multiplication parameters")
     acc = {}
     zero = params.ctx.zero()
@@ -125,12 +117,12 @@ def multiply(params, x, y):
                 continue
             path, coeff = out
             acc[path] = acc.get(path, zero) + ca * cb * coeff
-    return CoalgElement(params.ctx, params.kind, acc)
+    return Lin(params.ctx, params.kind, acc)
 
 
 def unit(params):
     """The vertex at index 0 is the multiplicative unit."""
-    return CoalgElement.from_path(params.ctx, Path(params.kind, 0, 0))
+    return Lin.from_path(params.ctx, Path(params.kind, 0, 0))
 
 
 def tensor_multiply(params, tx, ty):
@@ -155,7 +147,7 @@ def tensor_multiply(params, tx, ty):
             rp, rc = right
             key = (lp, rp)
             acc[key] = acc.get(key, zero) + (ca * cb) * (lc * rc)
-    return TensorElement(params.ctx, params.kind, acc)
+    return Lin(params.ctx, (params.kind, params.kind), acc)
 
 
 def power_formula_check(params, l, j):
@@ -172,35 +164,23 @@ def power_formula_check(params, l, j):
     if d < 2:
         raise ValueError("divided-power laws need a nontrivial root of unity")
     ctx = params.ctx
-    p = CoalgElement.from_path(ctx, Path(params.kind, 0, d))
+    p = Lin.from_path(ctx, Path(params.kind, 0, d))
     power = unit(params)
     for _ in range(l):
         power = multiply(params, power, p)
     factorial = 1
     for t in range(2, l + 1):
         factorial *= t
-    expected = CoalgElement.from_path(ctx, Path(params.kind, 0, d * l), factorial)
+    expected = Lin.from_path(ctx, Path(params.kind, 0, d * l), factorial)
     if power != expected:
         return False
-    a = CoalgElement.from_path(ctx, Path(params.kind, 0, 1))
-    lhs = CoalgElement.from_path(ctx, Path(params.kind, 0, d * l))
+    a = Lin.from_path(ctx, Path(params.kind, 0, 1))
+    lhs = Lin.from_path(ctx, Path(params.kind, 0, d * l))
     for _ in range(j):
         lhs = multiply(params, lhs, a)
-    rhs = CoalgElement.from_path(ctx, Path(params.kind, 0, j + d * l),
-                                 q_factorial(j, params.q))
+    rhs = Lin.from_path(ctx, Path(params.kind, 0, j + d * l),
+                        q_factorial(j, params.q))
     return lhs == rhs
-
-
-def _basis(params, max_len, window=None):
-    if params.kind[0] == "cycle":
-        n = params.kind[1]
-        return [Path(params.kind, i, l)
-                for l in range(max_len + 1) for i in range(n)]
-    if window is None:
-        window = (-max_len, max_len)
-    lo, hi = window
-    return [Path(params.kind, i, l)
-            for l in range(max_len + 1) for i in range(lo, hi + 1)]
 
 
 def verify_graded_bialgebra(params, max_len, assoc_len=None, window=None):
@@ -217,9 +197,10 @@ def verify_graded_bialgebra(params, max_len, assoc_len=None, window=None):
         assoc_len = max(2, max_len - 1)
     rep = VerificationReport(f"graded bialgebra on {_kind_name(params.kind)}, "
                              f"q = {params.q}")
-    basis = _basis(params, max_len, window)
+    basis = enumerate_paths(params.kind, max_len,
+                            window or (-max_len, max_len))
     one = unit(params)
-    elems = {p: CoalgElement.from_path(params.ctx, p) for p in basis}
+    elems = {p: Lin.from_path(params.ctx, p) for p in basis}
     deltas = {p: comultiply(elems[p]) for p in basis}
     counits = {p: counit(elems[p]) for p in basis}
 
@@ -270,7 +251,8 @@ def verify_graded_bialgebra(params, max_len, assoc_len=None, window=None):
 
 def structure_table(params, max_len, window=None):
     """Structure constants of the graded product on bounded paths."""
-    basis = _basis(params, max_len, window)
+    basis = enumerate_paths(params.kind, max_len,
+                            window or (-max_len, max_len))
     rows = []
     for a in basis:
         for b in basis:

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from .coalgebra import CoalgElement
+from .linear import Lin
 from .quiver import Path, chain_kind, cycle_kind
 from .report import VerificationReport
 from .scalars import cyclotomic_context, order, q_factorial, q_int, root_of_unity
@@ -32,12 +32,12 @@ __all__ = [
     "CYCLE_GRADED", "CYCLE_DEFORM", "CYCLE_HALF", "CHAIN_GRADED",
     "CHAIN_Q1", "CHAIN_ROOT", "TYPE_ONE_CYCLE", "TYPE_ONE_CHAIN",
     "FAMILIES",
-    "HopfFamilyDescriptor", "PBWMonomial", "AlgElement", "RewriteSystem",
+    "HopfFamilyDescriptor", "PBWMonomial", "RewriteSystem",
     "cycle_graded", "cycle_deform", "cycle_half", "chain_graded",
     "chain_q1", "chain_root", "type_one_cycle", "type_one_chain",
     "presentation_of", "normal_form", "parse_word", "multiply_alg",
     "check_confluence", "resolution_difference", "structure_rows",
-    "pbw_to_path", "path_to_pbw", "pbw_image", "path_preimage",
+    "pbw_to_path", "path_to_pbw", "pbw_image", "path_preimage", "pbw_rows",
     "classify_iso", "simple_pointed_catalog",
     "descriptor_to_dict", "descriptor_from_dict",
 ]
@@ -281,6 +281,8 @@ class RewriteSystem:
                     raise ValueError(
                         f"rule {lhs!r} does not decrease the word order at {w!r}")
             self.rules.append((lhs, terms))
+        self.letters = frozenset("".join(
+            lhs + "".join(w for w, _ in rhs) for lhs, rhs in self.rules))
         self._nf = {}
 
     # -- word order ---------------------------------------------------------
@@ -325,6 +327,10 @@ class RewriteSystem:
             match = self._find_match(w)
             if match is None:
                 mono = self._parse_normal_word(w)
+                if mono is None:
+                    raise AssertionError(
+                        f"irreducible word {w!r} is not in PBW shape "
+                        f"(incomplete rule set for {self.name})")
                 self._nf[w] = {mono: self.ctx.one()}
                 stack.pop()
                 continue
@@ -346,47 +352,50 @@ class RewriteSystem:
         return self._nf[word], steps
 
     def _parse_normal_word(self, word):
+        """The PBW monomial spelled by ``word``, or None when the word is
+        not of the shape p^k a^j h^i with the a- and h-powers reduced (and
+        no p at all when p carries no weight)."""
         m = re.fullmatch(r"(p*)(a*)(h*|H*)", word)
         if not m:
-            raise AssertionError(
-                f"irreducible word {word!r} is not in PBW shape "
-                f"(incomplete rule set for {self.name})")
+            return None
         k = len(m.group(1))
         j = len(m.group(2))
         tail = m.group(3)
         i = len(tail) if not tail or tail[0] == "h" else -len(tail)
-        if self.a_bound is not None and j >= self.a_bound:
-            raise AssertionError(f"unreduced a-power in {word!r}")
-        if self.h_order is not None and i >= self.h_order:
-            raise AssertionError(f"unreduced h-power in {word!r}")
+        if (self.a_bound is not None and j >= self.a_bound) \
+                or (self.h_order is not None and i >= self.h_order) \
+                or (self.p_weight == 0 and k):
+            return None
         return PBWMonomial(k, j, i)
 
     # -- elements -----------------------------------------------------------
 
-    def element(self, terms):
-        return AlgElement(self, terms)
-
     def zero_element(self):
-        return AlgElement(self, {})
+        return Lin(self.ctx, self)
 
     def one(self):
-        return AlgElement(self, {PBWMonomial(0, 0, 0): self.ctx.one()})
+        return self.monomial(PBWMonomial(0, 0, 0))
 
     def monomial(self, mono, coeff=1):
-        return AlgElement(self, {mono: self.ctx.scalar(coeff)})
+        return Lin(self.ctx, self, {mono: self.ctx.scalar(coeff)})
 
     def generator(self, sym):
-        terms, _ = self.reduce_word(sym)
-        return AlgElement(self, terms)
+        return self.normal_form(sym)
 
     def normal_form(self, word, coeff=1):
+        """coeff times the normal form of ``word``; a letter that no
+        rule mentions is not a generator and raises ValueError."""
+        stray = set(word) - self.letters
+        if stray:
+            raise ValueError(f"letter {min(stray)!r} is not a generator "
+                             f"of {self.name}")
         terms, _ = self.reduce_word(word)
-        out = AlgElement(self, dict(terms))
+        out = Lin(self.ctx, self, terms)
         c = self.ctx.scalar(coeff)
-        return out if c == self.ctx.one() else out.scale(c)
+        return out if c == 1 else out.scale(c)
 
     def multiply(self, x, y):
-        if x.system is not self or y.system is not self:
+        if x.space is not self or y.space is not self:
             raise ValueError("elements belong to a different presentation")
         acc = {}
         zero = self.ctx.zero()
@@ -397,103 +406,13 @@ class RewriteSystem:
                 c = ca * cb
                 for m, v in terms.items():
                     acc[m] = acc.get(m, zero) + c * v
-        return AlgElement(self, acc)
+        return Lin(self.ctx, self, acc)
 
     def monomial_weight(self, mono):
         return mono.k * self.p_weight + mono.j
 
     def __repr__(self):
         return f"RewriteSystem({self.name}, {len(self.rules)} rules)"
-
-
-class AlgElement:
-    """A linear combination of PBW monomials over one presentation."""
-
-    __slots__ = ("system", "terms")
-
-    def __init__(self, system, terms):
-        self.system = system
-        self.terms = {m: c for m, c in terms.items() if not c.is_zero()}
-
-    def is_zero(self):
-        return not self.terms
-
-    def coefficient(self, mono):
-        return self.terms.get(mono, self.system.ctx.zero())
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
-
-    def weight(self):
-        if not self.terms:
-            return None
-        return max(self.system.monomial_weight(m) for m in self.terms)
-
-    def weight_part(self, w):
-        """The sub-sum of terms of exact weight w."""
-        return AlgElement(self.system, {
-            m: c for m, c in self.terms.items()
-            if self.system.monomial_weight(m) == w})
-
-    def __add__(self, other):
-        self._check(other)
-        terms = dict(self.terms)
-        zero = self.system.ctx.zero()
-        for m, c in other.terms.items():
-            terms[m] = terms.get(m, zero) + c
-        return AlgElement(self.system, terms)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return AlgElement(self.system, {m: -c for m, c in self.terms.items()})
-
-    def scale(self, coeff):
-        c = self.system.ctx.scalar(coeff)
-        return AlgElement(self.system, {m: c * v for m, v in self.terms.items()})
-
-    def __rmul__(self, coeff):
-        return self.scale(coeff)
-
-    def __mul__(self, other):
-        if isinstance(other, AlgElement):
-            return self.system.multiply(self, other)
-        return self.scale(other)
-
-    def __eq__(self, other):
-        if not isinstance(other, AlgElement):
-            return NotImplemented
-        return self.system is other.system and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((id(self.system), frozenset(self.terms.items())))
-
-    def _check(self, other):
-        if self.system is not other.system:
-            raise ValueError("elements belong to different presentations")
-
-    def to_rows(self):
-        return [{"coeff": str(c), "k": m.k, "j": m.j, "i": m.i}
-                for m, c in self.sorted_terms()]
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for m, c in self.sorted_terms():
-            if c == 1:
-                parts.append(str(m))
-            else:
-                body = str(m)
-                coeff = str(c)
-                if ("+" in coeff[1:]) or ("-" in coeff[1:]):
-                    coeff = f"({coeff})"
-                parts.append(coeff if body == "1" else f"{coeff} * {body}")
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return f"AlgElement({self})"
 
 
 # -- presentations of the classified families ---------------------------------
@@ -598,7 +517,7 @@ def parse_word(text):
 
 
 def normal_form(system_or_desc, word, coeff=1):
-    """Unique normal form of a free word, as an AlgElement."""
+    """Unique normal form of a free word, as an element of the presentation."""
     rs = system_or_desc
     if isinstance(system_or_desc, HopfFamilyDescriptor):
         rs = presentation_of(system_or_desc)
@@ -627,7 +546,7 @@ def _resolve_at(rs, word, pos, ridx):
         terms, _ = rs.reduce_word(prefix + rword + suffix)
         for m, c in terms.items():
             acc[m] = acc.get(m, zero) + rcoeff * c
-    return AlgElement(rs, acc)
+    return Lin(rs.ctx, rs, acc)
 
 
 def resolution_difference(rs, word, left, right):
@@ -691,7 +610,7 @@ def check_confluence(rs, degree_bound=None):
             for letters in product(alphabet, repeat=length):
                 word = "".join(letters)
                 reducible = rs._find_match(word) is not None
-                if reducible == _is_normal_shape(rs, word):
+                if reducible == (rs._parse_normal_word(word) is not None):
                     bad = word
                     break
             if bad:
@@ -699,21 +618,6 @@ def check_confluence(rs, degree_bound=None):
         rep.add("irreducible words are exactly the PBW words "
                 f"(length <= {max_len})", bad is None, bad or "")
     return rep
-
-
-def _is_normal_shape(rs, word):
-    m = re.fullmatch(r"(p*)(a*)(h*|H*)", word)
-    if not m:
-        return False
-    if rs.a_bound is not None and len(m.group(2)) >= rs.a_bound:
-        return False
-    tail = m.group(3)
-    i = len(tail) if not tail or tail[0] == "h" else -len(tail)
-    if rs.h_order is not None and i >= rs.h_order:
-        return False
-    if rs.p_weight == 0 and m.group(1):
-        return False
-    return True
 
 
 def _pbw_monomials(desc, weight_bound, i_values=None):
@@ -761,11 +665,11 @@ def pbw_to_path(desc, mono):
     kind = _path_kind(desc)
     if desc.family not in (CYCLE_GRADED, CHAIN_GRADED):
         if mono.k == 0 and mono.j == 0:
-            return CoalgElement.from_path(ctx, Path(kind, mono.i, 0))
+            return Lin.from_path(ctx, Path(kind, mono.i, 0))
         if mono == PBWMonomial(0, 1, 0):
-            return CoalgElement.from_path(ctx, Path(kind, 0, 1))
+            return Lin.from_path(ctx, Path(kind, 0, 1))
         if mono == PBWMonomial(1, 0, 0):
-            return CoalgElement.from_path(ctx, Path(kind, 0, desc.p_length))
+            return Lin.from_path(ctx, Path(kind, 0, desc.p_length))
         raise ValueError(
             "identification is generator-level only for deformed families")
     d = desc.d
@@ -776,7 +680,7 @@ def pbw_to_path(desc, mono):
             raise ValueError("this family has no divided-power generator")
         length = mono.j
     coeff = math.factorial(mono.k) * q_factorial(mono.j, desc.q)
-    return CoalgElement.from_path(ctx, Path(kind, mono.i, length), coeff)
+    return Lin.from_path(ctx, Path(kind, mono.i, length), coeff)
 
 
 def path_to_pbw(desc, path):
@@ -797,20 +701,20 @@ def path_to_pbw(desc, path):
 
 
 def pbw_image(desc, x):
-    """Linear extension of pbw_to_path to an AlgElement."""
-    out = CoalgElement.zero(desc.ctx, _path_kind(desc))
-    for mono, c in x.terms.items():
-        out = out + pbw_to_path(desc, mono).scale(c)
-    return out
+    """Linear extension of pbw_to_path to an element of the presentation."""
+    return x.map_terms(lambda mono: pbw_to_path(desc, mono), _path_kind(desc))
 
 
 def path_preimage(desc, elt):
-    """Linear extension of path_to_pbw to a CoalgElement."""
-    rs = presentation_of(desc)
-    out = rs.zero_element()
-    for path, c in elt.terms.items():
-        out = out + path_to_pbw(desc, path).scale(c)
-    return out
+    """Linear extension of path_to_pbw to a path element."""
+    return elt.map_terms(lambda path: path_to_pbw(desc, path),
+                         presentation_of(desc))
+
+
+def pbw_rows(x):
+    """The JSON rows {coeff, k, j, i} of an element, in (k, j, i) order."""
+    return [{"coeff": str(c), "k": m.k, "j": m.j, "i": m.i}
+            for m, c in x.sorted_terms()]
 
 
 def structure_rows(desc, weight_bound):
@@ -829,7 +733,7 @@ def structure_rows(desc, weight_bound):
                 continue
             prod = rs.multiply(rs.monomial(x), rs.monomial(y))
             rows.append({"left": str(x), "right": str(y),
-                         "result": prod.to_rows()})
+                         "result": pbw_rows(prod)})
     return rows
 
 

@@ -18,6 +18,7 @@ zero at the classified parameter values and nonzero otherwise.
 from __future__ import annotations
 
 from .graded import GradedHopfParams, multiply as graded_multiply
+from .linear import Lin
 from .presentations import (
     CHAIN_Q1, CYCLE_DEFORM, CYCLE_GRADED, CYCLE_HALF, TYPE_ONE_CYCLE,
     PBWMonomial, RewriteSystem,
@@ -41,86 +42,7 @@ __all__ = [
 ]
 
 
-class TensorAlg:
-    """An element of the tensor square, in PBW coordinates.
-
-    The product is component-wise; the relation-coproduct checks are
-    the arbiter for that reading of the tensor-square algebra.
-    """
-
-    __slots__ = ("system", "terms")
-
-    def __init__(self, system, terms):
-        self.system = system
-        self.terms = {pair: c for pair, c in terms.items() if not c.is_zero()}
-
-    @classmethod
-    def zero(cls, system):
-        return cls(system, {})
-
-    def __add__(self, other):
-        if self.system is not other.system:
-            raise ValueError("tensor elements over different presentations")
-        terms = dict(self.terms)
-        zero = self.system.ctx.zero()
-        for pair, c in other.terms.items():
-            terms[pair] = terms.get(pair, zero) + c
-        return TensorAlg(self.system, terms)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return TensorAlg(self.system, {p: -c for p, c in self.terms.items()})
-
-    def scale(self, coeff):
-        c = self.system.ctx.scalar(coeff)
-        return TensorAlg(self.system, {p: c * v for p, v in self.terms.items()})
-
-    def __mul__(self, other):
-        if self.system is not other.system:
-            raise ValueError("tensor elements over different presentations")
-        rs = self.system
-        acc = {}
-        zero = rs.ctx.zero()
-        for (l1, r1), c1 in self.terms.items():
-            for (l2, r2), c2 in other.terms.items():
-                left, _ = rs.reduce_word(l1.word() + l2.word())
-                if not left:
-                    continue
-                right, _ = rs.reduce_word(r1.word() + r2.word())
-                if not right:
-                    continue
-                c = c1 * c2
-                for ml, cl in left.items():
-                    for mr, cr in right.items():
-                        key = (ml, mr)
-                        acc[key] = acc.get(key, zero) + c * cl * cr
-        return TensorAlg(rs, acc)
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorAlg):
-            return NotImplemented
-        return self.system is other.system and self.terms == other.terms
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(),
-                      key=lambda kv: (kv[0][0].sort_key(), kv[0][1].sort_key()))
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for (l, r), c in self.sorted_terms():
-            body = f"{l} (x) {r}"
-            parts.append(body if c == 1 else f"({c}) * {body}")
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return f"TensorAlg({self})"
+TensorAlg = Lin  # the square of a presentation rs is a Lin over (rs, rs)
 
 
 _DELTA_CACHE = {}
@@ -147,15 +69,16 @@ def generator_coproducts(desc):
     if entry["gen"] is not None:
         return entry["gen"]
     rs = presentation_of(desc)
-    one = rs.ctx.one()
+    ctx, square = rs.ctx, (rs, rs)
+    one = ctx.one()
     unit = PBWMonomial(0, 0, 0)
     h1 = PBWMonomial(0, 0, 1)
     a1 = PBWMonomial(0, 1, 0)
-    gen = {"h": TensorAlg(rs, {(h1, h1): one})}
+    gen = {"h": Lin(ctx, square, {(h1, h1): one})}
     if desc.is_chain:
         hm1 = PBWMonomial(0, 0, -1)
-        gen["H"] = TensorAlg(rs, {(hm1, hm1): one})
-    gen["a"] = TensorAlg(rs, {(a1, unit): one, (h1, a1): one})
+        gen["H"] = Lin(ctx, square, {(hm1, hm1): one})
+    gen["a"] = Lin(ctx, square, {(a1, unit): one, (h1, a1): one})
     if desc.has_p:
         d = desc.d
         p1 = PBWMonomial(1, 0, 0)
@@ -166,7 +89,7 @@ def generator_coproducts(desc):
             coeff = (q_factorial(d - l, q) * q_factorial(l, q)).inverse()
             left = PBWMonomial(0, d - l, l % desc.n if not desc.is_chain else l)
             terms[(left, PBWMonomial(0, l, 0))] = coeff
-        gen["p"] = TensorAlg(rs, terms)
+        gen["p"] = Lin(ctx, square, terms)
     entry["gen"] = gen
     return gen
 
@@ -178,9 +101,10 @@ def _delta_word(desc, word):
     if cached is not None:
         return cached
     rs = presentation_of(desc)
+    ctx, square = rs.ctx, (rs, rs)
     gen = generator_coproducts(desc)
     unit = PBWMonomial(0, 0, 0)
-    out = TensorAlg(rs, {(unit, unit): rs.ctx.one()})
+    out = Lin(ctx, square, {(unit, unit): ctx.one()})
     # group runs of equal letters and reuse cached powers
     pos = 0
     while pos < len(word):
@@ -193,10 +117,10 @@ def _delta_word(desc, word):
             if not desc.is_chain:
                 i %= desc.n
             g = PBWMonomial(0, 0, i)
-            out = out * TensorAlg(rs, {(g, g): rs.ctx.one()})
+            out = out * Lin(ctx, square, {(g, g): ctx.one()})
         else:
             powers = entry["pow"].setdefault(
-                sym, [TensorAlg(rs, {(unit, unit): rs.ctx.one()})])
+                sym, [Lin(ctx, square, {(unit, unit): ctx.one()})])
             while len(powers) <= run:
                 powers.append(powers[-1] * gen[sym])
             out = out * powers[run]
@@ -208,10 +132,7 @@ def _delta_word(desc, word):
 def coproduct(desc, x):
     """Coproduct of an algebra element, linearly extended."""
     rs = presentation_of(desc)
-    out = TensorAlg.zero(rs)
-    for mono, c in x.terms.items():
-        out = out + _delta_word(desc, mono.word()).scale(c)
-    return out
+    return x.map_terms(lambda mono: _delta_word(desc, mono.word()), (rs, rs))
 
 
 def counit_alg(desc, x):
@@ -239,10 +160,10 @@ def verify_relation_coproducts(desc):
     rep = VerificationReport(f"coproduct compatibility of {desc.label()}")
     for lhs, rhs in rs.rules:
         delta_l = _delta_word(desc, lhs)
-        delta_r = TensorAlg.zero(rs)
+        delta_r = Lin(rs.ctx, (rs, rs))
         eps_r = desc.ctx.zero()
         for rword, rcoeff in rhs:
-            delta_r = delta_r + _delta_word(desc, rword).scale(rcoeff)
+            delta_r.add_scaled(_delta_word(desc, rword), rcoeff)
             eps_r = eps_r + _word_counit(desc, rword) * rcoeff
         rhs_text = " + ".join(f"({c}) {w or '1'}" for w, c in rhs) or "0"
         diff = delta_l - delta_r
@@ -287,20 +208,22 @@ def _antipode_generators(desc):
     for sym in ("a", "p"):
         if sym == "p" and not desc.has_p:
             continue
-        target = rs.zero_element()  # epsilon(a) = epsilon(p) = 0
-        rest = rs.zero_element()
-        mono_self = PBWMonomial(0, 1, 0) if sym == "a" else PBWMonomial(1, 0, 0)
-        for (u, v), c in gen_delta[sym].terms.items():
-            if u == mono_self and v == unit:
-                if c != rs.ctx.one():
-                    raise ArithmeticError(
-                        "no antipode: convolution equation is not monic")
-                continue
+        lead = (PBWMonomial(0, 1, 0) if sym == "a" else PBWMonomial(1, 0, 0),
+                unit)
+        if gen_delta[sym].coefficient(lead) != 1:
+            raise ArithmeticError(
+                "no antipode: convolution equation is not monic")
+
+        def lower(uv):
+            u, v = uv
+            if uv == lead:
+                return rs.zero_element()
             if sym in u.word():
                 raise ArithmeticError(
                     "no antipode: coproduct is not filtration-triangular")
-            rest = rest + rs.multiply(s_word(u.word()), rs.monomial(v)).scale(c)
-        images[sym] = target - rest
+            return rs.multiply(s_word(u.word()), rs.monomial(v))
+        # S(x) = -sum of the lower terms, since epsilon(a) = epsilon(p) = 0
+        images[sym] = -gen_delta[sym].map_terms(lower, rs)
     entry["Sgen"] = images
     return images
 
@@ -320,11 +243,7 @@ def _antipode_mono(desc, mono):
 
 
 def _antipode_elt(desc, x):
-    rs = presentation_of(desc)
-    out = rs.zero_element()
-    for mono, c in x.terms.items():
-        out = out + _antipode_mono(desc, mono).scale(c)
-    return out
+    return x.map_terms(lambda mono: _antipode_mono(desc, mono))
 
 
 def _monomials(desc, weight_bound, chain_window=(-2, 2)):
@@ -336,18 +255,20 @@ def _monomials(desc, weight_bound, chain_window=(-2, 2)):
 def _antipode_axiom_failures(desc, monos):
     """First monomial violating each of the two convolution axioms."""
     rs = presentation_of(desc)
+
+    def s_left(uv):
+        return rs.multiply(_antipode_mono(desc, uv[0]), rs.monomial(uv[1]))
+
+    def s_right(uv):
+        return rs.multiply(rs.monomial(uv[0]), _antipode_mono(desc, uv[1]))
+
     bad_left = bad_right = None
     for mono in monos:
         delta = _delta_word(desc, mono.word())
         eps = desc.ctx.one() if mono.j == 0 and mono.k == 0 else desc.ctx.zero()
         expected = rs.one().scale(eps)
-        left = rs.zero_element()
-        right = rs.zero_element()
-        for (u, v), c in delta.terms.items():
-            left = left + rs.multiply(_antipode_mono(desc, u),
-                                      rs.monomial(v)).scale(c)
-            right = right + rs.multiply(rs.monomial(u),
-                                        _antipode_mono(desc, v)).scale(c)
+        left = delta.map_terms(s_left, rs)
+        right = delta.map_terms(s_right, rs)
         if bad_left is None and left != expected:
             bad_left = f"{mono}: m(S (x) id)delta = {left}"
         if bad_right is None and right != expected:
@@ -473,7 +394,7 @@ def verify_degeneration(desc, degree_bound):
             graded = path_preimage(
                 gdesc, graded_multiply(params, images[x], images[y]))
             top = deformed.weight_part(w)
-            if dict(top.terms) != dict(graded.terms):
+            if top.terms != graded.terms:
                 bad = (f"{x} * {y}: leading part {top} "
                        f"differs from graded {graded}")
                 break
@@ -485,10 +406,6 @@ def verify_degeneration(desc, degree_bound):
 
 
 # -- forced-vanishing obstructions ------------------------------------------------
-
-def _obstruction(rs, word, left, right):
-    return resolution_difference(rs, word, left, right)
-
 
 def forced_vanishing_suite(ctx, n=4, d=2, trials=(1, 2)):
     """Replay the four obstruction arguments with trial parameters.
@@ -516,14 +433,14 @@ def forced_vanishing_suite(ctx, n=4, d=2, trials=(1, 2)):
     word = "h" * n + "a"
     for lam in trials:
         rs = commutation_trial(lam)
-        diff = _obstruction(rs, word, (0, 0), (n - 1, 1))
+        diff = resolution_difference(rs, word, (0, 0), (n - 1, 1))
         expected = rs.normal_form("", n * lam) - rs.normal_form("h", n * lam)
         rep.add(f"group-cycle obstruction is n*lambda*(1-g) at lambda={lam}",
                 (not diff.is_zero()) and (diff == expected or diff == -expected),
                 f"residual {diff}")
     rs = commutation_trial(0)
     rep.add("group-cycle obstruction vanishes at lambda=0",
-            _obstruction(rs, word, (0, 0), (n - 1, 1)).is_zero())
+            resolution_difference(rs, word, (0, 0), (n - 1, 1)).is_zero())
 
     # full-order cycle: [a, p] = lambda a + mu (1 - g); a^n = 0 kills mu
     qn = root_of_unity(ctx, n)
@@ -542,12 +459,12 @@ def forced_vanishing_suite(ctx, n=4, d=2, trials=(1, 2)):
     word = "a" * n + "p"
     for mu in trials:
         rs = full_order_trial(1, mu)
-        diff = _obstruction(rs, word, (0, 3), (n - 1, 4))
+        diff = resolution_difference(rs, word, (0, 3), (n - 1, 4))
         rep.add(f"nilpotency obstruction is nonzero at mu={mu}",
                 not diff.is_zero(), f"residual {diff}")
     rs = full_order_trial(1, 0)
     rep.add("nilpotency obstruction vanishes at mu=0 (lambda free)",
-            _obstruction(rs, word, (0, 3), (n - 1, 4)).is_zero())
+            resolution_difference(rs, word, (0, 3), (n - 1, 4)).is_zero())
 
     # intermediate-order cycle: g p g^{-1} = p + nu (1 - g^d)
     qd = root_of_unity(ctx, d)
@@ -566,14 +483,14 @@ def forced_vanishing_suite(ctx, n=4, d=2, trials=(1, 2)):
     word = "h" * n + "p"
     for nu in trials:
         rs = group_p_trial(nu)
-        diff = _obstruction(rs, word, (0, 0), (n - 1, 2))
+        diff = resolution_difference(rs, word, (0, 0), (n - 1, 2))
         expected = rs.normal_form("", n * nu) - rs.normal_form("h" * d, n * nu)
         rep.add(f"group-action obstruction is n*nu*(1-g^d) at nu={nu}",
                 (not diff.is_zero()) and (diff == expected or diff == -expected),
                 f"residual {diff}")
     rs = group_p_trial(0)
     rep.add("group-action obstruction vanishes at nu=0",
-            _obstruction(rs, word, (0, 0), (n - 1, 2)).is_zero())
+            resolution_difference(rs, word, (0, 0), (n - 1, 2)).is_zero())
 
     # chain at root order d: e^d = lam (1 - g^d) and a mu term both die,
     # while the group-action deformation alpha on p survives
@@ -596,14 +513,14 @@ def forced_vanishing_suite(ctx, n=4, d=2, trials=(1, 2)):
     word = "a" * d + "p"
     for t in trials:
         rs = chain_trial(t, 0, 1)
-        diff = _obstruction(rs, word, (0, 6), (d - 1, 7))
+        diff = resolution_difference(rs, word, (0, 6), (d - 1, 7))
         rep.add(f"chain obstruction is nonzero at lambda={t}",
                 not diff.is_zero(), f"residual {diff}")
         rs = chain_trial(0, t, 1)
-        diff = _obstruction(rs, word, (0, 6), (d - 1, 7))
+        diff = resolution_difference(rs, word, (0, 6), (d - 1, 7))
         rep.add(f"chain obstruction is nonzero at mu={t}",
                 not diff.is_zero(), f"residual {diff}")
     rs = chain_trial(0, 0, 1)
     rep.add("chain obstruction vanishes at lambda=mu=0 (alpha free)",
-            _obstruction(rs, word, (0, 6), (d - 1, 7)).is_zero())
+            resolution_difference(rs, word, (0, 6), (d - 1, 7)).is_zero())
     return rep

@@ -187,3 +187,21 @@ def test_conductor_env_override(capsys, monkeypatch):
                        "--n", "3", "--q-order", "3", "--word", "h^3")
     assert code == 0
     assert out.strip() == "1"
+
+
+@pytest.mark.parametrize("family_args, word", [
+    (("--family", "type-one-cycle", "--n", "2", "--q-order", "2",
+      "--mu", "1"), "p"),
+    (("--family", "type-one-cycle", "--n", "2", "--q-order", "2",
+      "--mu", "1"), "H"),
+    (("--family", "type-one-cycle", "--n", "2", "--q-order", "2",
+      "--mu", "1"), "a p"),
+    (("--family", "chain-q1", "--lambda", "1"), "p a"),
+])
+def test_nf_rejects_letters_outside_the_presentation(capsys, family_args,
+                                                     word):
+    code, out, err = run(capsys, "present", "nf", *family_args,
+                         "--word", word)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "not a generator" in err

@@ -28,6 +28,15 @@ def test_params_validation():
         GradedHopfParams.chain(ctx.zero())
 
 
+def test_q_power_far_exponents():
+    params = cyc(6, 6)
+    q = params.q
+    assert params.q_power(1200) == q ** 1200 == params.ctx.one()
+    assert params.q_power(-1200) == params.ctx.one()
+    assert params.q_power(-1) * q == params.ctx.one()
+    assert params.q_power(1201) == q
+
+
 def test_cube_root_product():
     params = cyc(3, 3)
     w = params.q

@@ -1,0 +1,124 @@
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from hopfpath import (
+    CoalgElement, Lin, PBWMonomial, TensorAlg, TensorElement, comultiply,
+    coproduct, cycle_automorphism, cycle_deform, cycle_kind, cycle_path,
+    cyclotomic_context, enumerate_paths, presentation_of, root_of_unity,
+    type_one_cycle,
+)
+from hopfpath.verifier import _delta_word
+
+CTX = cyclotomic_context(12)
+Z = CTX.zeta()
+KIND = cycle_kind(3)
+PATHS = enumerate_paths(KIND, 3)
+
+coords = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+scalars = st.lists(coords, min_size=4, max_size=4).map(
+    lambda cs: sum((CTX.scalar(c) * Z ** k for k, c in enumerate(cs)),
+                   CTX.zero()))
+elements = st.dictionaries(st.sampled_from(PATHS), scalars, max_size=6).map(
+    lambda terms: Lin(CTX, KIND, terms))
+props = settings(deadline=None, max_examples=60)
+
+
+def _clean(x):
+    return all(not c.is_zero() for c in x.terms.values())
+
+
+def test_one_type():
+    assert CoalgElement is Lin and TensorElement is Lin and TensorAlg is Lin
+
+
+@props
+@given(elements, elements, elements)
+def test_addition_is_commutative_and_associative(x, y, z):
+    assert x + y == y + x
+    assert (x + y) + z == x + (y + z)
+    assert _clean(x + y)
+
+
+@props
+@given(elements, elements, scalars, scalars)
+def test_scale_distributes(x, y, a, b):
+    assert (x + y).scale(a) == x.scale(a) + y.scale(a)
+    assert x.scale(a + b) == x.scale(a) + x.scale(b)
+    assert _clean(x.scale(a)) and _clean(x.scale(a) + x.scale(b))
+
+
+@props
+@given(elements)
+def test_difference_with_itself_is_empty(x):
+    diff = x - x
+    assert diff.is_zero() and diff.terms == {}
+    assert (x + (-x)).terms == {}
+
+
+@props
+@given(elements, elements, scalars)
+def test_add_scaled_matches_operators(x, y, c):
+    before = dict(x.terms)
+    acc = Lin(CTX, KIND).add_scaled(x)
+    acc.add_scaled(y, c)
+    assert acc == x + c * y
+    assert _clean(acc)
+    assert x.terms == before
+
+
+def test_mixing_spaces_raises():
+    x = Lin.from_path(CTX, cycle_path(3, 0, 1))
+    with pytest.raises(ValueError):
+        x + comultiply(x)
+    with pytest.raises(ValueError):
+        comultiply(x) - x
+    ctx = cyclotomic_context(4)
+    rs1 = presentation_of(cycle_deform(4, root_of_unity(ctx, 4), 1))
+    rs2 = presentation_of(type_one_cycle(4, root_of_unity(ctx, 2), 1))
+    with pytest.raises(ValueError):
+        rs1.one() + rs2.one()
+    with pytest.raises(ValueError):
+        rs1.one() - rs2.one()
+    with pytest.raises(ValueError):
+        rs1.one() * rs2.one()
+    assert rs1.one() != rs2.one()
+
+
+def test_rendering_rule():
+    x = Lin.from_path(CTX, cycle_path(6, 0, 5), 1 + Z) \
+        + Lin.from_path(CTX, cycle_path(6, 0, 0), 2)
+    assert str(x) == "2 + (1 + z) * p[0,5]"
+    rs = presentation_of(cycle_deform(4, root_of_unity(
+        cyclotomic_context(4), 4), 1))
+    a, h = PBWMonomial(0, 1, 0), PBWMonomial(0, 0, 1)
+    t = Lin(rs.ctx, (rs, rs), {(a, h): rs.ctx.scalar(2)})
+    assert str(t) == "2 * a (x) h"
+
+
+def test_results_do_not_alias_caches_or_arguments():
+    ctx = cyclotomic_context(4)
+    desc = cycle_deform(4, root_of_unity(ctx, 4), 1)
+    rs = presentation_of(desc)
+    one = ctx.one()
+    extra = PBWMonomial(0, 0, 3)
+
+    cached = _delta_word(desc, "pa")
+    before = dict(cached.terms)
+    delta = coproduct(desc, rs.monomial(PBWMonomial(1, 1, 0)))
+    assert delta.terms == before
+    delta.add_term((extra, extra), one).add_scaled(delta)
+    assert _delta_word(desc, "pa") is cached and cached.terms == before
+
+    nf = rs.normal_form("ap")
+    memo = rs._nf["ap"]
+    before = dict(memo)
+    nf.add_term(extra, one).add_scaled(nf)
+    assert rs._nf["ap"] is memo and memo == before
+
+    x = Lin.from_path(ctx, cycle_path(4, 0, 3), Fraction(1, 2))
+    before = dict(x.terms)
+    image = cycle_automorphism(4, 2, 1, 0, x)
+    image.add_term(cycle_path(4, 0, 3), one).add_scaled(image)
+    assert x.terms == before

@@ -88,10 +88,10 @@ def test_commutator_coproduct_cycle_deform():
     lhs = coproduct(desc, comm)
     unit = PBWMonomial(0, 0, 0)
     g = PBWMonomial(0, 0, 1)
-    expected = TensorAlg.zero(rs)
+    expected = TensorAlg(rs.ctx, (rs, rs))
     for m, c in comm.terms.items():
-        expected = expected + TensorAlg(rs, {(m, unit): c})
-        expected = expected + TensorAlg(rs, {(g, m): c})
+        expected = expected + TensorAlg(rs.ctx, (rs, rs), {(m, unit): c})
+        expected = expected + TensorAlg(rs.ctx, (rs, rs), {(g, m): c})
     assert lhs == expected
 
 
@@ -116,13 +116,13 @@ def test_printed_chain_commutator_fails_coproduct():
     delta = generator_coproducts(good)
     # recompute delta(ap) - delta(pa) inside the broken system
     def embed(t):
-        return TensorAlg(rs, dict(t.terms))
+        return TensorAlg(ctx, (rs, rs), dict(t.terms))
     d_a, d_p = embed(delta["a"]), embed(delta["p"])
     residual = d_a * d_p - d_p * d_a
     h = PBWMonomial(0, 0, 1)
     h3 = PBWMonomial(0, 0, 3)
     a = PBWMonomial(0, 1, 0)
-    assert residual == TensorAlg(rs, {(h, a): lam, (h3, a): -lam})
+    assert residual == TensorAlg(ctx, (rs, rs), {(h, a): lam, (h3, a): -lam})
 
 
 def test_antipode_values():

@@ -4,9 +4,10 @@ Subcommands: quiver build|connected, graded verify|table,
 present nf|confluence|classify, verify hopf|antipode|degeneration|
 forced-vanishing, catalog simple-pointed.  Exit status: 0 when every
 check passes (or the computation succeeds), 1 when a verification
-fails, 2 on usage errors.  Output is deterministic byte-for-byte for a
-fixed invocation: monomials are ordered by (k, j, i) and paths by
-(length, source).
+fails, 2 on usage errors (an unwritable --out path included), 3 on an
+internal error (a crash, not a failed check).  Output is deterministic
+byte-for-byte for a fixed invocation: monomials are ordered by
+(k, j, i) and paths by (length, source).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import json
 import math
 import os
 import sys
+import traceback
 from fractions import Fraction
 
 from . import presentations as pres
@@ -306,9 +308,7 @@ def _family_payload(desc):
 # -- catalog --------------------------------------------------------------------
 
 def cmd_catalog(args):
-    ctx = None
-    if args.conductor:
-        ctx = cyclotomic_context(args.conductor)
+    ctx = cyclotomic_context(_conductor(args, *range(1, args.max_n + 1)))
     entries = simple_pointed_catalog(args.max_n, ctx)
     dicts = [descriptor_to_dict(d) for d in entries]
     if args.json:
@@ -428,9 +428,14 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ZeroDivisionError, json.JSONDecodeError) as exc:
+    except (ValueError, ZeroDivisionError, json.JSONDecodeError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

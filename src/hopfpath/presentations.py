@@ -87,6 +87,35 @@ class PBWMonomial:
         return " ".join(parts) if parts else "1"
 
 
+class QFactorialTable:
+    """The q-factorials j!_q of one q, filled on demand.
+
+    Also holds the inverses of k! * j!_q, the PBW <-> path rescaling;
+    an inverse in Q(zeta_N) is an extended Euclid, far dearer than the
+    dict lookup that replaces it.
+    """
+
+    def __init__(self, q):
+        self.q = q
+        self._fact = {}
+        self._inverse = {}
+
+    def fact(self, j):
+        """j!_q."""
+        value = self._fact.get(j)
+        if value is None:
+            value = self._fact[j] = q_factorial(j, self.q)
+        return value
+
+    def inverse(self, k, j):
+        """1 / (k! * j!_q)."""
+        value = self._inverse.get((k, j))
+        if value is None:
+            value = (math.factorial(k) * self.fact(j)).inverse()
+            self._inverse[(k, j)] = value
+        return value
+
+
 @dataclass(frozen=True)
 class HopfFamilyDescriptor:
     """A named point of the classification: family tag plus parameters.
@@ -97,6 +126,15 @@ class HopfFamilyDescriptor:
     "factorial" divides by (d-1)!_q, "integer" by the q-integer (d-1)_q.
     The two agree for d <= 3; the factorial reading is the one the
     coproduct-compatibility checks single out, and is the default.
+
+    The derived invariants are set once, when the descriptor is built:
+    ``d`` is the order of q (the divided-power degree; None if
+    infinite), ``has_p`` says whether p is a generator, ``p_length`` is
+    the path length of p (0 without p), and ``a_bound`` is the exponent
+    bound of an a^d rule (or None).  ``qfact`` is the descriptor's own
+    q-factorial table.  None of them takes part in comparison.  ``d``
+    stays a property over the stored ``_d``, so that the perfbench
+    tracer can count its reads.
     """
 
     family: str
@@ -105,6 +143,11 @@ class HopfFamilyDescriptor:
     param: object
     half_coeff: str = "factorial"
     notes: tuple = field(default=(), compare=False)
+    _d: object = field(init=False, compare=False, repr=False)
+    has_p: bool = field(init=False, compare=False, repr=False)
+    p_length: int = field(init=False, compare=False, repr=False)
+    a_bound: object = field(init=False, compare=False, repr=False)
+    qfact: QFactorialTable = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -144,6 +187,20 @@ class HopfFamilyDescriptor:
                 raise ValueError(
                     "type-one families need q a root of unity of order > 1")
             self._normalize_param("mu")
+        graded_p = self.family in (CYCLE_GRADED, CHAIN_GRADED) \
+            and d is not None and d > 1
+        if self.family == CYCLE_DEFORM:
+            a_bound = p_length = self.n
+        elif graded_p or self.family in (CYCLE_HALF, CHAIN_ROOT):
+            a_bound = p_length = d
+        elif self.family in (TYPE_ONE_CYCLE, TYPE_ONE_CHAIN):
+            a_bound, p_length = d, 0
+        else:
+            a_bound, p_length = None, 0
+        for name, value in (("_d", d), ("has_p", p_length > 0),
+                            ("p_length", p_length), ("a_bound", a_bound),
+                            ("qfact", QFactorialTable(self.q))):
+            object.__setattr__(self, name, value)
 
     def _normalize_param(self, name):
         # The classification normalizes these deformation scalars to
@@ -164,40 +221,11 @@ class HopfFamilyDescriptor:
     @property
     def d(self):
         """Order of q (the divided-power degree); None if infinite."""
-        return order(self.q)
+        return self._d
 
     @property
     def is_chain(self):
         return self.family not in _CYCLE_FAMILIES
-
-    @property
-    def has_p(self):
-        if self.family in (CYCLE_DEFORM, CYCLE_HALF, CHAIN_ROOT):
-            return True
-        if self.family in (CYCLE_GRADED, CHAIN_GRADED):
-            d = self.d
-            return d is not None and d > 1
-        return False
-
-    @property
-    def p_length(self):
-        """Path length of the generator p, when present."""
-        if not self.has_p:
-            return 0
-        return self.n if self.family == CYCLE_DEFORM else self.d
-
-    @property
-    def a_bound(self):
-        """Exponent bound on a imposed by an a^d rule, or None."""
-        if self.family in (CYCLE_DEFORM,):
-            return self.n
-        if self.family in (CYCLE_HALF, TYPE_ONE_CYCLE, TYPE_ONE_CHAIN,
-                           CHAIN_ROOT):
-            return self.d
-        if self.family in (CYCLE_GRADED, CHAIN_GRADED):
-            d = self.d
-            return d if d is not None and d > 1 else None
-        return None
 
     @property
     def param_name(self):
@@ -469,7 +497,7 @@ def presentation_of(desc):
             rules.append(("ap", [("pa", one), ("a", lam)]))
         elif desc.family == CYCLE_HALF:
             mu = desc.param
-            den = q_factorial(d - 1, q) if desc.half_coeff == "factorial" \
+            den = desc.qfact.fact(d - 1) if desc.half_coeff == "factorial" \
                 else q_int(d - 1, q)
             c = mu * (one - q) / den
             rules.append(("ap", [("pa", one), ("a", c), ("a" + "h" * d, c)]))
@@ -493,14 +521,19 @@ def presentation_of(desc):
 
 _WORD_TOKEN = re.compile(r"([hHapeEgG])(?:\^(-?\d+))?")
 
+MAX_WORD_LENGTH = 10_000  # letters in a parsed word
 
-def parse_word(text):
+
+def parse_word(text, h_order=None):
     """Parse words like "a p a h^3" into the internal letter string.
 
-    g is an alias for h and e for a (the chain idiom); negative h
-    powers become the inverse letter H.
+    g is an alias for h and e for a (the chain idiom).  On a cycle of
+    length ``h_order`` every h power is taken modulo h_order; otherwise
+    negative h powers become the inverse letter H.  A word longer than
+    MAX_WORD_LENGTH letters raises ValueError before it is built.
     """
-    word = []
+    tokens = []
+    length = 0
     rest = text.replace("*", " ")
     for token in rest.split():
         m = _WORD_TOKEN.fullmatch(token)
@@ -508,23 +541,33 @@ def parse_word(text):
             raise ValueError(f"cannot parse word token {token!r}")
         sym = {"g": "h", "G": "H", "e": "a", "E": "a"}.get(m.group(1), m.group(1))
         exp = int(m.group(2)) if m.group(2) else 1
-        if exp < 0:
+        if sym == "h" and h_order is not None:
+            exp %= h_order
+        elif exp < 0:
             if sym != "h":
                 raise ValueError("negative exponents only on h")
             sym, exp = "H", -exp
-        word.append(sym * exp)
-    return "".join(word)
+        length += exp
+        if length > MAX_WORD_LENGTH:
+            raise ValueError(
+                f"word longer than {MAX_WORD_LENGTH} letters")
+        tokens.append((sym, exp))
+    return "".join(sym * exp for sym, exp in tokens)
 
 
 def normal_form(system_or_desc, word, coeff=1):
-    """Unique normal form of a free word, as an element of the presentation."""
+    """Unique normal form of a free word, as an element of the presentation.
+
+    A word in the h^e notation is parsed with h powers taken modulo the
+    cycle length of the presentation, if it has one.
+    """
     rs = system_or_desc
     if isinstance(system_or_desc, HopfFamilyDescriptor):
         rs = presentation_of(system_or_desc)
     if not isinstance(word, str):
         word = "".join(word)
     if any(c not in "hHap" for c in word):
-        word = parse_word(word)
+        word = parse_word(word, rs.h_order)
     return rs.normal_form(word, coeff)
 
 
@@ -586,6 +629,8 @@ def check_confluence(rs, degree_bound=None):
     predicted normal-form basis, and short words are classified
     exhaustively (reducible versus normal shape).
     """
+    if degree_bound is not None and degree_bound < 0:
+        raise ValueError("degree_bound must be non-negative")
     if isinstance(rs, HopfFamilyDescriptor):
         rs = presentation_of(rs)
     rep = VerificationReport(f"confluence of {rs.name}")
@@ -679,7 +724,7 @@ def pbw_to_path(desc, mono):
         if mono.k:
             raise ValueError("this family has no divided-power generator")
         length = mono.j
-    coeff = math.factorial(mono.k) * q_factorial(mono.j, desc.q)
+    coeff = math.factorial(mono.k) * desc.qfact.fact(mono.j)
     return Lin.from_path(ctx, Path(kind, mono.i, length), coeff)
 
 
@@ -695,9 +740,8 @@ def path_to_pbw(desc, path):
         k, j = divmod(path.length, d)
     else:
         k, j = 0, path.length
-    coeff = math.factorial(k) * q_factorial(j, desc.q)
     mono = PBWMonomial(k, j, path.source)
-    return rs.monomial(mono, coeff.inverse())
+    return rs.monomial(mono, desc.qfact.inverse(k, j))
 
 
 def pbw_image(desc, x):
@@ -723,6 +767,8 @@ def structure_rows(desc, weight_bound):
     Rows are {left, right, result: [{coeff, k, j, i}, ...]}, ordered by
     the (k, j, i) sort of both factors.
     """
+    if weight_bound < 0:
+        raise ValueError("weight_bound must be non-negative")
     rs = presentation_of(desc)
     monos = sorted(_pbw_monomials(desc, weight_bound),
                    key=PBWMonomial.sort_key)

@@ -84,9 +84,9 @@ def generator_coproducts(desc):
         p1 = PBWMonomial(1, 0, 0)
         hd = PBWMonomial(0, 0, d % desc.n if not desc.is_chain else d)
         terms = {(p1, unit): one, (hd, p1): one}
-        q = desc.q
+        fact = desc.qfact.fact
         for l in range(1, d):
-            coeff = (q_factorial(d - l, q) * q_factorial(l, q)).inverse()
+            coeff = (fact(d - l) * fact(l)).inverse()
             left = PBWMonomial(0, d - l, l % desc.n if not desc.is_chain else l)
             terms[(left, PBWMonomial(0, l, 0))] = coeff
         gen["p"] = Lin(ctx, square, terms)
@@ -252,6 +252,12 @@ def _monomials(desc, weight_bound, chain_window=(-2, 2)):
     return _pbw_monomials(desc, weight_bound, i_values)
 
 
+def _check_degree_bound(degree_bound):
+    # a bound below 1 would check nothing and still pass
+    if degree_bound < 1:
+        raise ValueError("degree_bound must be at least 1")
+
+
 def _antipode_axiom_failures(desc, monos):
     """First monomial violating each of the two convolution axioms."""
     rs = presentation_of(desc)
@@ -287,8 +293,7 @@ def compute_antipode(desc, degree_bound):
     the returned monomials, not assumed.  A failure raises: it
     falsifies the descriptor rather than returning a bogus map.
     """
-    if degree_bound < 1:
-        raise ValueError("degree_bound must be at least 1")
+    _check_degree_bound(degree_bound)
     monos = _monomials(desc, degree_bound)
     table = {mono: _antipode_mono(desc, mono) for mono in monos}
     bad_left, bad_right = _antipode_axiom_failures(desc, monos)
@@ -299,6 +304,7 @@ def compute_antipode(desc, degree_bound):
 
 def verify_antipode(desc, degree_bound):
     """Both antipode axioms on every monomial of bounded weight."""
+    _check_degree_bound(degree_bound)
     rep = VerificationReport(f"antipode of {desc.label()}")
     try:
         _antipode_generators(desc)
@@ -317,6 +323,7 @@ def verify_antipode(desc, degree_bound):
 
 def verify_hopf(desc, degree_bound):
     """Relations + antipode + multiplicativity of the counit."""
+    _check_degree_bound(degree_bound)
     rep = verify_relation_coproducts(desc)
     rep.extend(verify_antipode(desc, degree_bound))
     rs = presentation_of(desc)
@@ -370,6 +377,7 @@ def verify_degeneration(desc, degree_bound):
     through the basis identification); the difference must sit in
     strictly lower weight.
     """
+    _check_degree_bound(degree_bound)
     rs = presentation_of(desc)
     gdesc = _graded_sibling(desc)
     kind = ("cycle", desc.n) if not desc.is_chain else ("chain",)

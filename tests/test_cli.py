@@ -181,6 +181,17 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(target.read_text())["pass"] is True
 
 
+def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "no-such-dir" / "report.json"
+    code, out, err = run(capsys, "graded", "verify", "--kind", "cycle",
+                         "--n", "2", "--q-order", "2", "--max-len", "2",
+                         "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "internal error" not in err
+    assert not target.exists()
+
+
 def test_conductor_env_override(capsys, monkeypatch):
     monkeypatch.setenv("HOPFPATH_CONDUCTOR", "12")
     code, out, _ = run(capsys, "present", "nf", "--family", "cycle-graded",
@@ -205,3 +216,70 @@ def test_nf_rejects_letters_outside_the_presentation(capsys, family_args,
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "not a generator" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "hopf", "--family", "cycle-deform", "--n", "4",
+     "--q-order", "4", "--lambda", "1", "--degree", "-3"),
+    ("verify", "antipode", "--family", "chain-root", "--q-order", "3",
+     "--lambda", "1", "--degree", "-3"),
+    ("verify", "degeneration", "--family", "cycle-deform", "--n", "4",
+     "--q-order", "4", "--lambda", "1", "--degree", "0"),
+    ("present", "confluence", "--family", "cycle-half", "--n", "4",
+     "--q-order", "2", "--mu", "1", "--degree-bound", "-1"),
+    ("present", "table", "--family", "type-one-cycle", "--n", "2",
+     "--q-order", "2", "--mu", "1", "--weight-bound", "-1"),
+], ids=["verify-hopf", "verify-antipode", "verify-degeneration",
+        "present-confluence", "present-table"])
+def test_vacuous_bound_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "bound must be" in err
+
+
+def test_nf_negative_h_power_on_a_cycle(capsys):
+    args = ("present", "nf", "--family", "cycle-graded", "--n", "3",
+            "--q-order", "3")
+    code, out, _ = run(capsys, *args, "--word", "h^-1")
+    assert code == 0
+    assert out.strip() == "h^2"
+    assert run(capsys, *args, "--word", "h^2") == (0, out, "")
+
+
+@pytest.mark.parametrize("family_args", [
+    ("--family", "cycle-graded", "--n", "3", "--q-order", "3"),
+    ("--family", "chain-q1", "--lambda", "1"),
+])
+def test_nf_rejects_oversized_words(capsys, family_args):
+    code, out, err = run(capsys, "present", "nf", *family_args,
+                         "--word", "a^99999999999")
+    assert code == 2
+    assert out == ""
+    assert "word longer than" in err
+
+
+def test_crash_exits_three(capsys, monkeypatch):
+    from hopfpath import verifier
+
+    def crash(desc, degree_bound):
+        raise AssertionError("incomplete rule set")
+
+    monkeypatch.setattr(verifier, "verify_hopf", crash)
+    code, out, err = run(capsys, "verify", "hopf", "--family",
+                         "cycle-deform", "--n", "4", "--q-order", "4",
+                         "--lambda", "1")
+    assert code == 3
+    assert out == ""
+    assert "internal error: AssertionError: incomplete rule set" in err
+
+
+def test_catalog_conductor_env_override(capsys, monkeypatch):
+    _, default, _ = run(capsys, "catalog", "simple-pointed", "--max-n", "4")
+    monkeypatch.setenv("HOPFPATH_CONDUCTOR", "7")
+    code, _, err = run(capsys, "catalog", "simple-pointed", "--max-n", "2")
+    assert code == 2
+    assert "cannot host order 2" in err
+    monkeypatch.setenv("HOPFPATH_CONDUCTOR", "12")
+    assert run(capsys, "catalog", "simple-pointed", "--max-n", "4") \
+        == (0, default, "")

@@ -45,10 +45,11 @@ def _env_conductor():
 
 
 def _conductor(args, *orders):
-    if getattr(args, "conductor", None):
+    # 0 is not "unset": it goes on to be rejected like any bad conductor
+    if getattr(args, "conductor", None) is not None:
         return args.conductor
     env = _env_conductor()
-    if env:
+    if env is not None:
         return env
     need = [o for o in orders if o]
     return math.lcm(*need) if need else 1
@@ -76,6 +77,14 @@ def _add_family_opts(p):
     p.add_argument("--coeff-reading", choices=("factorial", "integer"),
                    default="factorial",
                    help="reading of the half-order commutator coefficient")
+
+
+def _add_graded_opts(p):
+    p.add_argument("--kind", required=True, choices=("cycle", "chain"))
+    p.add_argument("--n", type=int)
+    p.add_argument("--q-order", type=int, dest="q_order")
+    p.add_argument("--q-power", type=int, dest="q_power", default=1)
+    p.add_argument("--q")
 
 
 def _descriptor(args):
@@ -345,21 +354,13 @@ def build_parser():
     graded = groups.add_parser("graded", help="graded multiplication")
     gsub = graded.add_subparsers(dest="command", required=True)
     gv = gsub.add_parser("verify", help="exhaustive bialgebra axioms")
-    gv.add_argument("--kind", required=True, choices=("cycle", "chain"))
-    gv.add_argument("--n", type=int)
-    gv.add_argument("--q-order", type=int, dest="q_order")
-    gv.add_argument("--q-power", type=int, dest="q_power", default=1)
-    gv.add_argument("--q")
+    _add_graded_opts(gv)
     gv.add_argument("--max-len", type=int, dest="max_len", default=4)
     gv.add_argument("--assoc-len", type=int, dest="assoc_len")
     _add_output_opts(gv)
     gv.set_defaults(func=cmd_graded_verify)
     gt = gsub.add_parser("table", help="structure-constant table")
-    gt.add_argument("--kind", required=True, choices=("cycle", "chain"))
-    gt.add_argument("--n", type=int)
-    gt.add_argument("--q-order", type=int, dest="q_order")
-    gt.add_argument("--q-power", type=int, dest="q_power", default=1)
-    gt.add_argument("--q")
+    _add_graded_opts(gt)
     gt.add_argument("--max-len", type=int, dest="max_len", default=3)
     gt.add_argument("--csv", action="store_true", help="emit CSV")
     _add_output_opts(gt)

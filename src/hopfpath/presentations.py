@@ -312,6 +312,8 @@ class RewriteSystem:
         self.letters = frozenset("".join(
             lhs + "".join(w for w, _ in rhs) for lhs, rhs in self.rules))
         self._nf = {}
+        self._delta = {}  # word -> coproduct, kept by verifier._delta_word
+        self._antipode = {}  # PBW monomial -> antipode, kept by the verifier
 
     # -- word order ---------------------------------------------------------
 

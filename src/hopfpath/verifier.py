@@ -8,6 +8,14 @@ checked by exact computation in the tensor-square algebra.  Antipodes
 are solved from the convolution equation, never assumed, and the
 two-sided axioms are then verified monomial by monomial.
 
+The memos live on the presentation that ``presentation_of`` interns
+for the descriptor: ``RewriteSystem._delta`` maps a word to its
+coproduct (a generator's coproduct is the entry of its one-letter
+word), and ``RewriteSystem._antipode`` maps a PBW monomial to its
+antipode (a generator's antipode is the entry of its letter monomial).
+This module keeps no cache of its own; ``presentation_of.cache_clear()``
+frees every memo.
+
 The forced-vanishing suite replays the obstruction arguments that cut
 the classification down: each candidate deformation is installed with a
 trial parameter and the relevant overlap ambiguity of the rewriting
@@ -44,16 +52,9 @@ __all__ = [
 
 TensorAlg = Lin  # the square of a presentation rs is a Lin over (rs, rs)
 
-
-_DELTA_CACHE = {}
-
-
-def _cache(desc):
-    entry = _DELTA_CACHE.get(desc)
-    if entry is None:
-        entry = {"gen": None, "pow": {}, "word": {}, "S": {}}
-        _DELTA_CACHE[desc] = entry
-    return entry
+# the PBW monomial of each one-letter word
+_LETTER = {"h": PBWMonomial(0, 0, 1), "H": PBWMonomial(0, 0, -1),
+           "a": PBWMonomial(0, 1, 0), "p": PBWMonomial(1, 0, 0)}
 
 
 def generator_coproducts(desc):
@@ -65,67 +66,53 @@ def generator_coproducts(desc):
         delta(p) = p (x) 1 + h^d (x) p
                  + sum_{l=1..d-1} a^(d-l) h^l (x) a^l / ((d-l)!_q l!_q).
     """
-    entry = _cache(desc)
-    if entry["gen"] is not None:
-        return entry["gen"]
+    letters = presentation_of(desc).letters
+    return {sym: _delta_word(desc, sym) for sym in "hHap" if sym in letters}
+
+
+def _delta_word(desc, word):
+    """Coproduct of a generator word (multiplicative extension).
+
+    delta(w) = delta(w without its last run) * delta(last run); a run of
+    h or H is one group-like, a run of a or p a power of its generator.
+    Every word met on the way stays in the presentation's memo.
+    """
     rs = presentation_of(desc)
-    ctx, square = rs.ctx, (rs, rs)
-    one = ctx.one()
+    out = rs._delta.get(word)
+    if out is not None:
+        return out
+    ctx, square, one = rs.ctx, (rs, rs), rs.ctx.one()
     unit = PBWMonomial(0, 0, 0)
-    h1 = PBWMonomial(0, 0, 1)
-    a1 = PBWMonomial(0, 1, 0)
-    gen = {"h": Lin(ctx, square, {(h1, h1): one})}
-    if desc.is_chain:
-        hm1 = PBWMonomial(0, 0, -1)
-        gen["H"] = Lin(ctx, square, {(hm1, hm1): one})
-    gen["a"] = Lin(ctx, square, {(a1, unit): one, (h1, a1): one})
-    if desc.has_p:
+    sym = word[-1:]
+    head = word.rstrip(sym)
+    if not word:
+        out = Lin(ctx, square, {(unit, unit): one})
+    elif head:
+        out = _delta_word(desc, head) * _delta_word(desc, word[len(head):])
+    elif sym not in rs.letters:
+        raise ValueError(f"letter {sym!r} is not a generator of {rs.name}")
+    elif sym in ("h", "H"):
+        i = len(word) if sym == "h" else -len(word)
+        if not desc.is_chain:
+            i %= desc.n
+        g = PBWMonomial(0, 0, i)
+        out = Lin(ctx, square, {(g, g): one})
+    elif len(word) > 1:
+        out = _delta_word(desc, word[:-1]) * _delta_word(desc, sym)
+    elif sym == "a":
+        a1, h1 = _LETTER["a"], _LETTER["h"]
+        out = Lin(ctx, square, {(a1, unit): one, (h1, a1): one})
+    else:
         d = desc.d
-        p1 = PBWMonomial(1, 0, 0)
         hd = PBWMonomial(0, 0, d % desc.n if not desc.is_chain else d)
-        terms = {(p1, unit): one, (hd, p1): one}
+        terms = {(_LETTER["p"], unit): one, (hd, _LETTER["p"]): one}
         fact = desc.qfact.fact
         for l in range(1, d):
             coeff = (fact(d - l) * fact(l)).inverse()
             left = PBWMonomial(0, d - l, l % desc.n if not desc.is_chain else l)
             terms[(left, PBWMonomial(0, l, 0))] = coeff
-        gen["p"] = Lin(ctx, square, terms)
-    entry["gen"] = gen
-    return gen
-
-
-def _delta_word(desc, word):
-    """Coproduct of a generator word (multiplicative extension)."""
-    entry = _cache(desc)
-    cached = entry["word"].get(word)
-    if cached is not None:
-        return cached
-    rs = presentation_of(desc)
-    ctx, square = rs.ctx, (rs, rs)
-    gen = generator_coproducts(desc)
-    unit = PBWMonomial(0, 0, 0)
-    out = Lin(ctx, square, {(unit, unit): ctx.one()})
-    # group runs of equal letters and reuse cached powers
-    pos = 0
-    while pos < len(word):
-        sym = word[pos]
-        run = 1
-        while pos + run < len(word) and word[pos + run] == sym:
-            run += 1
-        if sym in ("h", "H"):
-            i = run if sym == "h" else -run
-            if not desc.is_chain:
-                i %= desc.n
-            g = PBWMonomial(0, 0, i)
-            out = out * Lin(ctx, square, {(g, g): ctx.one()})
-        else:
-            powers = entry["pow"].setdefault(
-                sym, [Lin(ctx, square, {(unit, unit): ctx.one()})])
-            while len(powers) <= run:
-                powers.append(powers[-1] * gen[sym])
-            out = out * powers[run]
-        pos += run
-    entry["word"][word] = out
+        out = Lin(ctx, square, terms)
+    rs._delta[word] = out
     return out
 
 
@@ -135,17 +122,17 @@ def coproduct(desc, x):
     return x.map_terms(lambda mono: _delta_word(desc, mono.word()), (rs, rs))
 
 
+def _word_counit(desc, word):
+    """Counit of a generator word: 0 once a or p occurs, else 1 (h^i)."""
+    return desc.ctx.zero() if ("a" in word or "p" in word) else desc.ctx.one()
+
+
 def counit_alg(desc, x):
-    """Counit: 1 on group-likes h^i, 0 on a and p, linearly extended."""
+    """Counit of an algebra element: the word counit, linearly extended."""
     total = desc.ctx.zero()
     for mono, c in x.terms.items():
-        if mono.k == 0 and mono.j == 0:
-            total = total + c
+        total = total + _word_counit(desc, mono.word()) * c
     return total
-
-
-def _word_counit(desc, word):
-    return desc.ctx.zero() if ("a" in word or "p" in word) else desc.ctx.one()
 
 
 def verify_relation_coproducts(desc):
@@ -180,37 +167,30 @@ def verify_relation_coproducts(desc):
 # -- antipode -------------------------------------------------------------------
 
 def _antipode_generators(desc):
-    """Solve S on the generators from the left convolution equation."""
-    entry = _cache(desc)
-    if "Sgen" in entry:
-        return entry["Sgen"]
+    """Solve S on the generators from the left convolution equation.
+
+    The images go into the presentation's antipode memo under the
+    letter monomials, the group-likes first, so the lower terms of a
+    and p meet only letters that are already solved.
+    """
     rs = presentation_of(desc)
+    memo = rs._antipode
     gen_delta = generator_coproducts(desc)
+    if all(_LETTER[sym] in memo for sym in gen_delta):
+        return
     unit = PBWMonomial(0, 0, 0)
-    images = {}
-    if desc.is_chain:
-        images["h"] = rs.monomial(PBWMonomial(0, 0, -1))
-        images["H"] = rs.monomial(PBWMonomial(0, 0, 1))
-    else:
-        images["h"] = rs.monomial(PBWMonomial(0, 0, (desc.n - 1) % desc.n))
-    # check the group-like solve: S(h) h = 1
-    for sym in ("h", "H") if desc.is_chain else ("h",):
-        check = rs.multiply(images[sym], rs.generator(sym))
-        if check != rs.one():
-            raise ArithmeticError("no antipode: group-like is not invertible")
-
-    def s_word(word):
-        out = rs.one()
-        for sym in reversed(word):
-            out = rs.multiply(out, images[sym])
-        return out
-
-    for sym in ("a", "p"):
-        if sym == "p" and not desc.has_p:
+    inverse = {"h": -1 if desc.is_chain else (desc.n - 1) % desc.n, "H": 1}
+    for sym, delta in gen_delta.items():
+        if sym in inverse:
+            # check the group-like solve: S(h) h = 1
+            image = rs.monomial(PBWMonomial(0, 0, inverse[sym]))
+            if rs.multiply(image, rs.generator(sym)) != rs.one():
+                raise ArithmeticError(
+                    "no antipode: group-like is not invertible")
+            memo[_LETTER[sym]] = image
             continue
-        lead = (PBWMonomial(0, 1, 0) if sym == "a" else PBWMonomial(1, 0, 0),
-                unit)
-        if gen_delta[sym].coefficient(lead) != 1:
+        lead = (_LETTER[sym], unit)
+        if delta.coefficient(lead) != 1:
             raise ArithmeticError(
                 "no antipode: convolution equation is not monic")
 
@@ -221,24 +201,26 @@ def _antipode_generators(desc):
             if sym in u.word():
                 raise ArithmeticError(
                     "no antipode: coproduct is not filtration-triangular")
-            return rs.multiply(s_word(u.word()), rs.monomial(v))
+            return rs.multiply(_antipode_mono(desc, u), rs.monomial(v))
         # S(x) = -sum of the lower terms, since epsilon(a) = epsilon(p) = 0
-        images[sym] = -gen_delta[sym].map_terms(lower, rs)
-    entry["Sgen"] = images
-    return images
+        memo[lead[0]] = -delta.map_terms(lower, rs)
 
 
 def _antipode_mono(desc, mono):
-    entry = _cache(desc)
-    cached = entry["S"].get(mono)
-    if cached is not None:
-        return cached
+    """S(mono): the generator images multiplied in reverse order."""
     rs = presentation_of(desc)
-    images = _antipode_generators(desc)
-    out = rs.one()
-    for sym in reversed(mono.word()):
-        out = rs.multiply(out, images[sym])
-    entry["S"][mono] = out
+    memo = rs._antipode
+    out = memo.get(mono)
+    if out is None:
+        word = mono.word()
+        # the solve asks only for words over letters it has solved, so
+        # testing the letters (not the memo) keeps it from re-entering
+        if any(_LETTER[sym] not in memo for sym in word):
+            _antipode_generators(desc)
+        out = rs.one()
+        for sym in reversed(word):
+            out = rs.multiply(out, memo[_LETTER[sym]])
+        memo[mono] = out
     return out
 
 
@@ -270,9 +252,9 @@ def _antipode_axiom_failures(desc, monos):
 
     bad_left = bad_right = None
     for mono in monos:
-        delta = _delta_word(desc, mono.word())
-        eps = desc.ctx.one() if mono.j == 0 and mono.k == 0 else desc.ctx.zero()
-        expected = rs.one().scale(eps)
+        word = mono.word()
+        delta = _delta_word(desc, word)
+        expected = rs.one().scale(_word_counit(desc, word))
         left = delta.map_terms(s_left, rs)
         right = delta.map_terms(s_right, rs)
         if bad_left is None and left != expected:

@@ -200,6 +200,18 @@ def test_conductor_env_override(capsys, monkeypatch):
     assert out.strip() == "1"
 
 
+def test_conductor_zero_is_rejected(capsys, monkeypatch):
+    args = ("present", "nf", "--family", "cycle-graded", "--n", "3",
+            "--q-order", "3", "--word", "h^-1")
+    code, out, err = run(capsys, *args, "--conductor", "0")
+    assert (code, out) == (2, "")
+    assert "conductor must be a positive integer" in err
+    monkeypatch.setenv("HOPFPATH_CONDUCTOR", "0")
+    code, out, err = run(capsys, *args)
+    assert (code, out) == (2, "")
+    assert "conductor must be a positive integer" in err
+
+
 @pytest.mark.parametrize("family_args, word", [
     (("--family", "type-one-cycle", "--n", "2", "--q-order", "2",
       "--mu", "1"), "p"),

@@ -1,0 +1,126 @@
+"""The coproduct and antipode memos live on the interned presentation."""
+
+from hypothesis import given, settings, strategies as st
+
+from hopfpath import (
+    Lin, PBWMonomial, chain_q1, chain_root, cycle_deform, cycle_half,
+    cyclotomic_context, generator_coproducts, presentation_of,
+    root_of_unity, type_one_cycle, verify_hopf,
+)
+from hopfpath import verifier
+from hopfpath.verifier import _antipode_mono, _delta_word
+
+
+MINUS_ONE = -cyclotomic_context(2).one()
+DESCS = [
+    cycle_deform(4, root_of_unity(cyclotomic_context(4), 4), 1),
+    cycle_half(4, MINUS_ONE, 1),
+    type_one_cycle(4, MINUS_ONE, 1),
+    chain_q1(cyclotomic_context(1), 1),
+    chain_root(root_of_unity(cyclotomic_context(3), 3), 2),
+]
+
+
+def reference_generators(desc):
+    """The generator coproducts, written out from their formulas."""
+    rs = presentation_of(desc)
+    ctx, square, one = rs.ctx, (rs, rs), rs.ctx.one()
+
+    def m(k, j, i):
+        return PBWMonomial(k, j, i if desc.is_chain else i % desc.n)
+
+    out = {"h": Lin(ctx, square, {(m(0, 0, 1), m(0, 0, 1)): one})}
+    if desc.is_chain:
+        out["H"] = Lin(ctx, square, {(m(0, 0, -1), m(0, 0, -1)): one})
+    out["a"] = Lin(ctx, square, {(m(0, 1, 0), m(0, 0, 0)): one,
+                                 (m(0, 0, 1), m(0, 1, 0)): one})
+    if desc.has_p:
+        d = desc.d
+        terms = {(m(1, 0, 0), m(0, 0, 0)): one, (m(0, 0, d), m(1, 0, 0)): one}
+        for l in range(1, d):
+            terms[(m(0, d - l, l), m(0, l, 0))] = (
+                desc.qfact.fact(d - l) * desc.qfact.fact(l)).inverse()
+        out["p"] = Lin(ctx, square, terms)
+    return out
+
+
+def fold(desc, word):
+    """delta(word) as the product of the generator coproducts, letter by
+    letter from the left."""
+    rs = presentation_of(desc)
+    gen = generator_coproducts(desc)
+    unit = PBWMonomial(0, 0, 0)
+    out = Lin(rs.ctx, (rs, rs), {(unit, unit): rs.ctx.one()})
+    for sym in word:
+        out = out * gen[sym]
+    return out
+
+
+def test_generator_coproducts_keep_their_keys_and_values():
+    for desc in DESCS:
+        gen, ref = generator_coproducts(desc), reference_generators(desc)
+        assert list(gen) == list(ref)
+        for sym in ref:
+            assert gen[sym] == ref[sym]
+            assert gen[sym] is _delta_word(desc, sym)
+
+
+def _words(desc):
+    return st.text(alphabet=sorted(presentation_of(desc).letters),
+                   max_size=5)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(DESCS).flatmap(
+    lambda desc: st.tuples(st.just(desc), _words(desc), _words(desc))))
+def test_delta_word_is_multiplicative(case):
+    desc, u, v = case
+    whole = _delta_word(desc, u + v)
+    assert whole == _delta_word(desc, u) * _delta_word(desc, v)
+    assert whole == fold(desc, u + v)
+
+
+def _mutable_globals():
+    return {name: repr(value) for name, value in vars(verifier).items()
+            if not name.startswith("__")
+            and isinstance(value, (dict, list, set))}
+
+
+def test_memos_live_on_the_interned_presentation():
+    assert not hasattr(verifier, "_DELTA_CACHE")
+    before = _mutable_globals()
+    ctx = cyclotomic_context(4)
+    first = cycle_deform(4, root_of_unity(ctx, 4), 1)
+    second = cycle_deform(4, root_of_unity(ctx, 4), 1)
+    assert first == second and first is not second
+    rs = presentation_of(first)
+    assert presentation_of(second) is rs
+
+    delta = _delta_word(first, "pa")
+    assert _delta_word(second, "pa") is delta
+    assert rs._delta["pa"] is delta
+    mono = PBWMonomial(1, 1, 2)
+    anti = _antipode_mono(first, mono)
+    assert _antipode_mono(second, mono) is anti
+    assert rs._antipode[mono] is anti
+
+    assert verify_hopf(second, 4).passed
+    assert _mutable_globals() == before
+
+
+def test_cache_clear_rebuilds_equal_values():
+    desc = cycle_half(4, MINUS_ONE, 1)
+    words = ["", "h", "a", "p", "pa", "aap", "hpah", "ppa"]
+    monos = [PBWMonomial(k, j, i) for k in range(2) for j in range(2)
+             for i in range(4)]
+    old = presentation_of(desc)
+    deltas = {w: _delta_word(desc, w).terms for w in words}
+    antis = {m: _antipode_mono(desc, m).terms for m in monos}
+
+    presentation_of.cache_clear()
+    rs = presentation_of(desc)
+    assert rs is not old and not rs._delta and not rs._antipode
+    for w in words:
+        assert _delta_word(desc, w).terms == deltas[w]
+    for m in monos:
+        assert _antipode_mono(desc, m).terms == antis[m]

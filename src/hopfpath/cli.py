@@ -34,7 +34,7 @@ from .quiver import (
     GroupSpec, build_hopf_quiver, is_connected_hopf_quiver,
     resolve_ramification,
 )
-from .scalars import cyclotomic_context, root_of_unity
+from .scalars import MAX_CONDUCTOR, cyclotomic_context, root_of_unity
 
 ENV_CONDUCTOR = "HOPFPATH_CONDUCTOR"
 
@@ -52,7 +52,11 @@ def _conductor(args, *orders):
     if env is not None:
         return env
     need = [o for o in orders if o]
-    return math.lcm(*need) if need else 1
+    lcm = math.lcm(*need) if need else 1
+    if lcm > MAX_CONDUCTOR:
+        raise ValueError(f"the lcm of the requested orders, {lcm}, exceeds "
+                         f"the maximum conductor {MAX_CONDUCTOR}")
+    return lcm
 
 
 def _add_output_opts(p):

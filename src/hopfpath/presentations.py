@@ -288,8 +288,9 @@ class RewriteSystem:
     """An oriented rule set over the letters h, H, a, p.
 
     Rules map a left-hand word to a linear combination of normal-form
-    words.  Construction validates that every rule strictly decreases
-    the word order, which guarantees termination of ``normal_form``.
+    words.  Construction validates that every left-hand side is nonempty
+    and that every rule strictly decreases the word order, which
+    guarantees termination of ``normal_form``.
     """
 
     def __init__(self, ctx, rules, p_weight=0, h_order=None, a_bound=None,
@@ -302,6 +303,8 @@ class RewriteSystem:
         self.name = name or (descriptor.label() if descriptor else "ad hoc system")
         self.rules = []
         for lhs, rhs in rules:
+            if not lhs:
+                raise ValueError("rule with an empty left-hand side")
             terms = tuple((w, ctx.scalar(c)) for w, c in rhs
                           if not ctx.scalar(c).is_zero())
             for w, _ in terms:
@@ -309,6 +312,10 @@ class RewriteSystem:
                     raise ValueError(
                         f"rule {lhs!r} does not decrease the word order at {w!r}")
             self.rules.append((lhs, terms))
+        # (rule index, left-hand side) by first letter, in rule order
+        self._by_first = {}
+        for ridx, (lhs, _) in enumerate(self.rules):
+            self._by_first.setdefault(lhs[0], []).append((ridx, lhs))
         self.letters = frozenset("".join(
             lhs + "".join(w for w, _ in rhs) for lhs, rhs in self.rules))
         self._nf = {}
@@ -328,8 +335,11 @@ class RewriteSystem:
     # -- reduction ----------------------------------------------------------
 
     def _find_match(self, word):
-        for pos in range(len(word)):
-            for ridx, (lhs, _) in enumerate(self.rules):
+        """The leftmost match (pos, ridx), lowest rule index first; only
+        rules whose left-hand side starts with word[pos] can match."""
+        by_first = self._by_first
+        for pos, letter in enumerate(word):
+            for ridx, lhs in by_first.get(letter, ()):
                 if word.startswith(lhs, pos):
                     return pos, ridx
         return None

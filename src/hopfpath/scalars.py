@@ -1,13 +1,16 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N) and q-combinatorics.
 
-A Scalar is an element of Q(zeta_N), stored as a vector of rational
-coordinates in the power basis 1, z, ..., z^(phi(N)-1) of a primitive
-N-th root of unity z, reduced modulo the N-th cyclotomic polynomial.
-Reduction modulo the cyclotomic polynomial (not x^N - 1) makes the
-representation canonical, so zero-testing is decisive.
+A Scalar is an element of Q(zeta_N), stored in the power basis
+1, z, ..., z^(phi(N)-1) of a primitive N-th root of unity z, reduced
+modulo the N-th cyclotomic polynomial.  Its coordinates are int
+numerators over one positive int denominator, normalized so that the
+denominator is coprime to the numerators (Cohen, "A Course in
+Computational Algebraic Number Theory", 1993, section 4.2).  Reduction
+modulo the cyclotomic polynomial (not x^N - 1) and the normalized
+denominator make the representation canonical, so zero-testing and
+equality are decisive.
 
-There is no floating point anywhere: coefficients are fractions.Fraction
-values and every operation is exact.
+There is no floating point anywhere: every operation is exact.
 """
 
 from __future__ import annotations
@@ -16,9 +19,11 @@ import math
 import re
 from fractions import Fraction
 from functools import lru_cache
+from operator import add as _add, sub as _sub
 
 __all__ = [
     "CyclotomicContext",
+    "MAX_CONDUCTOR",
     "Scalar",
     "cyclotomic_context",
     "cyclotomic_polynomial",
@@ -73,11 +78,31 @@ def _poly_div_exact(num, den):
     return out
 
 
+MAX_CONDUCTOR = 1000
+"""Largest conductor N that ``CyclotomicContext`` accepts.
+
+Building Q(zeta_N) computes the N-th cyclotomic polynomial by exact
+division of x^N - 1, and every product folds through phi(N) tail rows,
+so the cost grows with N before any check is made.  The classified
+families need only small N (the lcm of the cycle length and the order
+of q); 1000 keeps every order up to 8 (lcm(1..8) = 840).  Without a
+bound, N = 100000 did not finish building and lcm(1..100) overflowed
+an index.
+"""
+
+
+def _check_conductor(conductor):
+    if not isinstance(conductor, int) or conductor < 1:
+        raise ValueError("conductor must be a positive integer")
+    if conductor > MAX_CONDUCTOR:
+        raise ValueError(f"conductor {conductor} exceeds the maximum "
+                         f"{MAX_CONDUCTOR}")
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n):
     """Coefficients of the n-th cyclotomic polynomial, ascending degree."""
-    if n < 1:
-        raise ValueError("conductor must be a positive integer")
+    _check_conductor(n)
     poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
     for d in _divisors(n):
         if d < n:
@@ -93,26 +118,27 @@ class CyclotomicContext:
     """
 
     def __init__(self, conductor):
-        if not isinstance(conductor, int) or conductor < 1:
-            raise ValueError("conductor must be a positive integer")
+        _check_conductor(conductor)
         self.N = conductor
         self.minpoly = cyclotomic_polynomial(conductor)
         self.degree = len(self.minpoly) - 1
         assert self.degree == _totient(conductor)
-        # Coordinates of z^(degree + t) for t = 0 .. degree - 2, used to
-        # fold products back into the power basis.
+        # Integer coordinates of z^(degree + t) for t = 0 .. degree - 2,
+        # used to fold products back into the power basis; the minimal
+        # polynomial is monic over Z, so no denominator appears.
         self._tails = self._tail_rows()
-        self._zero = Scalar(self, (Fraction(0),) * self.degree)
+        self._pad = (0,) * (self.degree - 1)
+        self._zero = Scalar(self, (0,) * self.degree)
         self._one = self.from_rational(1)
 
     def _tail_rows(self):
         d = self.degree
         rows = []
         # z^d = -(minpoly without leading coefficient)
-        prev = [Fraction(-c) for c in self.minpoly[:d]]
+        prev = [-c for c in self.minpoly[:d]]
         rows.append(tuple(prev))
         for _ in range(d - 2):
-            shifted = [Fraction(0)] + prev[: d - 1]
+            shifted = [0] + prev[: d - 1]
             top = prev[d - 1]
             if top:
                 for t in range(d):
@@ -139,8 +165,10 @@ class CyclotomicContext:
         return self._one
 
     def from_rational(self, value):
+        if type(value) is int:
+            return Scalar(self, (value,) + self._pad)
         v = Fraction(value)
-        return Scalar(self, (v,) + (Fraction(0),) * (self.degree - 1))
+        return Scalar(self, (v.numerator,) + self._pad, v.denominator)
 
     def zeta(self):
         """The distinguished primitive N-th root of unity."""
@@ -148,9 +176,9 @@ class CyclotomicContext:
             # z is congruent to a rational modulo a degree-1 minimal
             # polynomial (N = 1 or 2).
             return self.from_rational(-self.minpoly[0])
-        coeffs = [Fraction(0)] * self.degree
-        coeffs[1] = Fraction(1)
-        return Scalar(self, tuple(coeffs))
+        num = [0] * self.degree
+        num[1] = 1
+        return Scalar(self, tuple(num))
 
     def scalar(self, value):
         """Coerce an int, Fraction, Scalar or text rendering to a Scalar."""
@@ -163,13 +191,15 @@ class CyclotomicContext:
         return self.from_rational(value)
 
     def _reduce(self, conv):
-        """Fold a raw product (length <= 2*degree-1) into the power basis."""
+        """Fold a raw integer product (a list of length <= 2*degree-1)
+        into the power basis."""
         d = self.degree
-        out = list(conv[:d]) + [Fraction(0)] * (d - len(conv))
+        out = conv[:d] + [0] * (d - len(conv))
+        tails = self._tails
         for e in range(d, len(conv)):
             c = conv[e]
             if c:
-                row = self._tails[e - d]
+                row = tails[e - d]
                 for t in range(d):
                     out[t] += c * row[t]
         return tuple(out)
@@ -181,18 +211,41 @@ def cyclotomic_context(conductor):
 
 
 class Scalar:
-    """An element of Q(zeta_N), exact and immutable."""
+    """An element of Q(zeta_N), exact and immutable.
 
-    __slots__ = ("ctx", "coeffs", "_hash")
+    The value is (num[0] + num[1] z + ... + num[d-1] z^(d-1)) / den with
+    int numerators and one int denominator.  The constructor normalizes
+    the pair: den > 0 and gcd(den, *num) == 1, so zero is (0, ..., 0)/1
+    and equal values have equal ``num``, ``den`` and hash.
+    """
 
-    def __init__(self, ctx, coeffs):
+    __slots__ = ("ctx", "num", "den", "_hash")
+
+    def __init__(self, ctx, num, den=1):
+        if den != 1:
+            if den <= 0:
+                if not den:
+                    raise ZeroDivisionError("zero denominator in Q(zeta_N)")
+                num = tuple([-c for c in num])
+                den = -den
+            g = math.gcd(den, *num)
+            if g != 1:
+                num = tuple([c // g for c in num])
+                den //= g
         self.ctx = ctx
-        self.coeffs = coeffs
+        self.num = num
+        self.den = den
         self._hash = None
+
+    @property
+    def coeffs(self):
+        """Power-basis coordinates as a tuple of Fractions."""
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.num)
 
     def _coerce(self, other):
         if isinstance(other, Scalar):
-            if other.ctx != self.ctx:
+            if other.ctx is not self.ctx and other.ctx != self.ctx:
                 raise ValueError("scalars from different cyclotomic contexts")
             return other
         if isinstance(other, (int, Fraction)):
@@ -200,18 +253,32 @@ class Scalar:
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Scalar(self.ctx, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        if type(other) is Scalar and other.ctx is self.ctx:
+            o = other
+        else:
+            o = self._coerce(other)
+            if o is None:
+                return NotImplemented
+        da, db = self.den, o.den
+        if da == db:
+            return Scalar(self.ctx, tuple(map(_add, self.num, o.num)), da)
+        return Scalar(self.ctx, tuple([x * db + y * da for x, y
+                                       in zip(self.num, o.num)]), da * db)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Scalar(self.ctx, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        if type(other) is Scalar and other.ctx is self.ctx:
+            o = other
+        else:
+            o = self._coerce(other)
+            if o is None:
+                return NotImplemented
+        da, db = self.den, o.den
+        if da == db:
+            return Scalar(self.ctx, tuple(map(_sub, self.num, o.num)), da)
+        return Scalar(self.ctx, tuple([x * db - y * da for x, y
+                                       in zip(self.num, o.num)]), da * db)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -220,38 +287,42 @@ class Scalar:
         return o - self
 
     def __neg__(self):
-        return Scalar(self.ctx, tuple(-a for a in self.coeffs))
+        return Scalar(self.ctx, tuple([-c for c in self.num]), self.den)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        d = self.ctx.degree
-        if d == 1:
-            return Scalar(self.ctx, (a[0] * b[0],))
+        if type(other) is Scalar and other.ctx is self.ctx:
+            o = other
+        else:
+            o = self._coerce(other)
+            if o is None:
+                return NotImplemented
+        ctx = self.ctx
+        a, b = self.num, o.num
+        den = self.den * o.den
+        if ctx.degree == 1:
+            return Scalar(ctx, (a[0] * b[0],), den)
         # rational factors scale coordinates directly
         if not any(a[1:]):
             r = a[0]
             if not r:
-                return self.ctx.zero()
-            if r == 1:
+                return ctx._zero
+            if r == 1 and self.den == 1:
                 return o
-            return Scalar(self.ctx, tuple(r * c for c in b))
+            return Scalar(ctx, tuple([r * c for c in b]), den)
         if not any(b[1:]):
             r = b[0]
             if not r:
-                return self.ctx.zero()
-            if r == 1:
+                return ctx._zero
+            if r == 1 and o.den == 1:
                 return self
-            return Scalar(self.ctx, tuple(r * c for c in a))
-        conv = [Fraction(0)] * (2 * d - 1)
+            return Scalar(ctx, tuple([r * c for c in a]), den)
+        conv = [0] * (2 * ctx.degree - 1)
         for i, ai in enumerate(a):
             if ai:
-                for j, bj in enumerate(b):
+                for k, bj in enumerate(b, i):
                     if bj:
-                        conv[i + j] += ai * bj
-        return Scalar(self.ctx, self.ctx._reduce(conv))
+                        conv[k] += ai * bj
+        return Scalar(ctx, ctx._reduce(conv), den)
 
     __rmul__ = __mul__
 
@@ -286,48 +357,57 @@ class Scalar:
         """Exact inverse; raises ZeroDivisionError on zero."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(zeta_N)")
+        ctx = self.ctx
         # Extended Euclid in Q[x] against the (irreducible) minimal
-        # polynomial: s*self + t*minpoly = 1, so s is the inverse.
-        r0 = [Fraction(c) for c in self.ctx.minpoly]
-        r1 = list(self.coeffs)
+        # polynomial: s*num + t*minpoly = 1, so den*s is the inverse.
+        r0 = [Fraction(c) for c in ctx.minpoly]
+        r1 = [Fraction(c) for c in self.num]
         s0, s1 = [Fraction(0)], [Fraction(1)]
         while True:
             while r1 and not r1[-1]:
                 r1.pop()
             if len(r1) == 1:
-                inv = r1[0]
-                coeffs = [c / inv for c in s1]
-                coeffs += [Fraction(0)] * (self.ctx.degree - len(coeffs))
-                return Scalar(self.ctx, self.ctx._reduce(coeffs[: 2 * self.ctx.degree - 1]))
+                scale = self.den / r1[0]
+                coeffs = [c * scale for c in s1]
+                den = math.lcm(*(c.denominator for c in coeffs))
+                num = [c.numerator * (den // c.denominator) for c in coeffs]
+                num += [0] * (ctx.degree - len(num))
+                return Scalar(ctx, ctx._reduce(num[: 2 * ctx.degree - 1]),
+                              den)
             q, r = _poly_divmod(r0, r1)
             s = _poly_sub(s0, _poly_mul(q, s1))
             r0, r1 = r1, r
             s0, s1 = s1, s
 
     def is_zero(self):
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def is_rational(self):
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
     def rational_value(self):
         if not self.is_rational():
             raise ValueError("scalar is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def __bool__(self):
         return not self.is_zero()
 
     def __eq__(self, other):
         if isinstance(other, Scalar):
-            return self.ctx.N == other.ctx.N and self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
+            return self.ctx.N == other.ctx.N and self.num == other.num \
+                and self.den == other.den
+        if isinstance(other, int):
+            return self.den == 1 and self.num[0] == other \
+                and self.is_rational()
+        if isinstance(other, Fraction):
+            return self.num[0] == other.numerator \
+                and self.den == other.denominator and self.is_rational()
         return NotImplemented
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.ctx.N, self.coeffs))
+            self._hash = hash((self.ctx.N, self.num, self.den))
         return self._hash
 
     def __str__(self):

@@ -295,3 +295,28 @@ def test_catalog_conductor_env_override(capsys, monkeypatch):
     monkeypatch.setenv("HOPFPATH_CONDUCTOR", "12")
     assert run(capsys, "catalog", "simple-pointed", "--max-n", "4") \
         == (0, default, "")
+
+
+@pytest.mark.parametrize("conductor", ["100000", "1001"])
+def test_conductor_above_the_maximum_is_rejected(capsys, monkeypatch,
+                                                 conductor):
+    args = ("present", "nf", "--family", "cycle-graded", "--n", "3",
+            "--q-order", "3", "--word", "h")
+    code, out, err = run(capsys, *args, "--conductor", conductor)
+    assert (code, out) == (2, "")
+    assert f"conductor {conductor} exceeds the maximum 1000" in err
+    monkeypatch.setenv("HOPFPATH_CONDUCTOR", conductor)
+    code, out, err = run(capsys, *args)
+    assert (code, out) == (2, "")
+    assert f"conductor {conductor} exceeds the maximum 1000" in err
+
+
+def test_catalog_lcm_above_the_maximum_is_rejected(capsys):
+    code, out, err = run(capsys, "catalog", "simple-pointed", "--max-n",
+                         "100")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the lcm of the requested orders") \
+        and "exceeds the maximum conductor 1000" in err
+    # lcm(1..8) = 840 is still within the bound
+    code, out, _ = run(capsys, "catalog", "simple-pointed", "--max-n", "8")
+    assert code == 0 and "type-one-chain" in out

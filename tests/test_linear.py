@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from hopfpath import (
     CoalgElement, Lin, PBWMonomial, TensorAlg, TensorElement, comultiply,
@@ -22,7 +22,6 @@ scalars = st.lists(coords, min_size=4, max_size=4).map(
                    CTX.zero()))
 elements = st.dictionaries(st.sampled_from(PATHS), scalars, max_size=6).map(
     lambda terms: Lin(CTX, KIND, terms))
-props = settings(deadline=None, max_examples=60)
 
 
 def _clean(x):
@@ -33,7 +32,6 @@ def test_one_type():
     assert CoalgElement is Lin and TensorElement is Lin and TensorAlg is Lin
 
 
-@props
 @given(elements, elements, elements)
 def test_addition_is_commutative_and_associative(x, y, z):
     assert x + y == y + x
@@ -41,7 +39,6 @@ def test_addition_is_commutative_and_associative(x, y, z):
     assert _clean(x + y)
 
 
-@props
 @given(elements, elements, scalars, scalars)
 def test_scale_distributes(x, y, a, b):
     assert (x + y).scale(a) == x.scale(a) + y.scale(a)
@@ -49,7 +46,6 @@ def test_scale_distributes(x, y, a, b):
     assert _clean(x.scale(a)) and _clean(x.scale(a) + x.scale(b))
 
 
-@props
 @given(elements)
 def test_difference_with_itself_is_empty(x):
     diff = x - x
@@ -57,7 +53,6 @@ def test_difference_with_itself_is_empty(x):
     assert (x + (-x)).terms == {}
 
 
-@props
 @given(elements, elements, scalars)
 def test_add_scaled_matches_operators(x, y, c):
     before = dict(x.terms)

@@ -1,6 +1,6 @@
 """The coproduct and antipode memos live on the interned presentation."""
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from hopfpath import (
     Lin, PBWMonomial, chain_q1, chain_root, cycle_deform, cycle_half,
@@ -70,7 +70,6 @@ def _words(desc):
                    max_size=5)
 
 
-@settings(deadline=None, max_examples=60)
 @given(st.sampled_from(DESCS).flatmap(
     lambda desc: st.tuples(st.just(desc), _words(desc), _words(desc))))
 def test_delta_word_is_multiplicative(case):

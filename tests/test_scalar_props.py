@@ -1,0 +1,175 @@
+"""Property tests of the integer-coordinate scalars against a Fraction
+reference: field axioms, the arithmetic itself, inverses, the text round
+trip and the normalization that makes equality decisive."""
+
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, strategies as st
+
+from hopfpath import cyclotomic_context, parse_scalar
+from hopfpath.scalars import MAX_CONDUCTOR, Scalar
+
+CONDUCTORS = (1, 2, 3, 4, 5, 6, 8, 12)
+
+
+# -- reference: Fraction coordinates, product reduced by long division -----
+
+def ref_add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def ref_sub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def ref_mul(ctx, a, b):
+    """Power-basis product of coordinate tuples, reduced modulo the
+    minimal polynomial by dividing from the top degree down."""
+    d = ctx.degree
+    conv = [Fraction(0)] * (2 * d - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            conv[i + j] += x * y
+    minpoly = ctx.minpoly  # monic, degree d
+    for e in range(2 * d - 2, d - 1, -1):
+        c = conv[e]
+        for t in range(d + 1):
+            conv[e - d + t] -= c * minpoly[t]
+        assert conv[e] == 0
+    return tuple(conv[:d])
+
+
+def build(ctx, coords, scale=1):
+    """The scalar with these Fraction coordinates, handed to the
+    constructor over a common denominator times ``scale``."""
+    den = math.lcm(*(c.denominator for c in coords)) * scale
+    return Scalar(ctx, tuple(int(c * den) for c in coords), den)
+
+
+# -- strategies ---------------------------------------------------------------
+
+coords = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+def _vectors(n, count):
+    d = cyclotomic_context(n).degree
+    vec = st.lists(coords, min_size=d, max_size=d).map(tuple)
+    return st.tuples(st.just(cyclotomic_context(n)),
+                     *([vec] * count))
+
+
+def cases(count):
+    return st.sampled_from(CONDUCTORS).flatmap(lambda n: _vectors(n, count))
+
+
+def _normalized(x):
+    return x.den > 0 and math.gcd(x.den, *x.num) == 1 \
+        and (x.den == 1 or any(x.num))
+
+
+# -- construction ---------------------------------------------------------------
+
+@given(cases(1), st.sampled_from((1, 2, 3, 6, -1, -4)))
+def test_constructor_normalizes(case, scale):
+    ctx, a = case
+    x = build(ctx, a, scale)
+    assert _normalized(x)
+    assert x.coeffs == a
+    assert x == build(ctx, a) and hash(x) == hash(build(ctx, a))
+    assert x.is_zero() == (not any(a))
+
+
+def test_zero_has_denominator_one():
+    ctx = cyclotomic_context(12)
+    zero = Scalar(ctx, (0, 0, 0, 0), 7)
+    assert (zero.num, zero.den) == ((0, 0, 0, 0), 1)
+    assert zero == ctx.zero() and hash(zero) == hash(ctx.zero())
+    with pytest.raises(ZeroDivisionError):
+        Scalar(ctx, (1, 0, 0, 0), 0)
+
+
+# -- arithmetic against the reference --------------------------------------------
+
+@given(cases(2))
+def test_add_sub_mul_match_the_reference(case):
+    ctx, a, b = case
+    x, y = build(ctx, a), build(ctx, b)
+    for value, expected in ((x + y, ref_add(a, b)), (x - y, ref_sub(a, b)),
+                            (x * y, ref_mul(ctx, a, b)),
+                            (-x, tuple(-c for c in a))):
+        assert value.coeffs == expected
+        assert _normalized(value)
+
+
+@given(cases(3))
+def test_field_axioms(case):
+    ctx, a, b, c = case
+    x, y, z = build(ctx, a), build(ctx, b), build(ctx, c)
+    assert (x + y) + z == x + (y + z)
+    assert x + y == y + x
+    assert (x * y) * z == x * (y * z)
+    assert x * y == y * x
+    assert x * (y + z) == x * y + x * z
+    assert x + ctx.zero() == x and x * ctx.one() == x
+    assert (x - x).is_zero() and x + (-x) == ctx.zero()
+    assert (x * ctx.zero()).is_zero()
+
+
+@given(cases(1))
+def test_inverse(case):
+    ctx, a = case
+    x = build(ctx, a)
+    if x.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()
+        return
+    inv = x.inverse()
+    assert _normalized(inv)
+    assert x * inv == 1 and inv * x == ctx.one()
+    assert ref_mul(ctx, a, inv.coeffs) == ctx.one().coeffs
+
+
+@given(cases(1))
+def test_text_round_trip(case):
+    ctx, a = case
+    x = build(ctx, a)
+    assert parse_scalar(ctx, str(x)) == x
+
+
+# -- one value, one representation ------------------------------------------------
+
+@given(cases(2))
+def test_equal_values_built_by_different_routes(case):
+    ctx, a, b = case
+    x, y = build(ctx, a), build(ctx, b)
+    for other in ((x + y) - y, (x - y) + y, -(-x), x * ctx.one(),
+                  y + x - y):
+        assert (other.num, other.den) == (x.num, x.den)
+        assert other == x and hash(other) == hash(x)
+
+
+@pytest.mark.parametrize("n", CONDUCTORS)
+def test_rational_routes(n):
+    ctx = cyclotomic_context(n)
+    half = ctx.from_rational(Fraction(1, 2))
+    for value in (half * 2, half + half, 2 * half, ctx.scalar("1/2") * 2,
+                  ctx.from_rational(Fraction(3, 3))):
+        assert (value.num, value.den) == (ctx.one().num, 1)
+        assert value == 1 and value == Fraction(1) and value == ctx.one()
+        assert hash(value) == hash(ctx.one())
+    assert half == Fraction(1, 2) and half != 1
+    assert half.rational_value() == Fraction(1, 2)
+    third = ctx.from_rational(Fraction(-2, 6))
+    assert (third.num[0], third.den) == (-1, 3)
+
+
+# -- the conductor bound ------------------------------------------------------------
+
+def test_conductor_bound():
+    assert cyclotomic_context(840).degree == 192
+    with pytest.raises(ValueError, match="exceeds the maximum"):
+        cyclotomic_context(MAX_CONDUCTOR + 1)
+    with pytest.raises(ValueError, match="exceeds the maximum"):
+        cyclotomic_context(math.lcm(*range(1, 101)))

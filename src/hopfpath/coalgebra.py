@@ -23,6 +23,7 @@ from .quiver import Path
 __all__ = [
     "CoalgElement",
     "TensorElement",
+    "splits",
     "comultiply",
     "counit",
     "degree",
@@ -36,15 +37,18 @@ CoalgElement = TensorElement = Lin  # paths, and pairs of paths: one type
 
 # -- structure maps ----------------------------------------------------------
 
+def splits(path):
+    """The pairs (p_{i+t}^{l-t}, p_i^t), t = 0..l, of p_i^l."""
+    kind, i, l = path.kind, path.source, path.length
+    return [(Path(kind, i + t, l - t), Path(kind, i, t)) for t in range(l + 1)]
+
+
 def comultiply(x):
     """Deconcatenation: delta(p_i^l) = sum_t p_{i+t}^{l-t} (x) p_i^t."""
     acc = {}
     zero = x.ctx.zero()
     for path, coeff in x.terms.items():
-        for t in range(path.length + 1):
-            left = Path(path.kind, path.source + t, path.length - t)
-            right = Path(path.kind, path.source, t)
-            key = (left, right)
+        for key in splits(path):
             acc[key] = acc.get(key, zero) + coeff
     return Lin(x.ctx, (x.space, x.space), acc)
 

@@ -14,13 +14,14 @@ verifier doubles as the oracle for every product identity used later.
 
 from __future__ import annotations
 
-from .coalgebra import comultiply, counit
+from .coalgebra import splits
 from .linear import Lin
 from .quiver import Path, chain_kind, cycle_kind, enumerate_paths
 from .report import VerificationReport
 from .scalars import gauss_binom_row, order, q_factorial
 
 __all__ = [
+    "MAX_BASIS_TUPLES",
     "GradedHopfParams",
     "multiply_paths",
     "multiply",
@@ -30,6 +31,12 @@ __all__ = [
     "tensor_multiply",
     "structure_table",
 ]
+
+# The most basis pairs, split pairs (the comultiplication check's
+# products) or triples one verdict or table may range over.  The
+# acceptance sweep needs at most 27,000 (triples on the 6-cycle,
+# lengths 5/4).
+MAX_BASIS_TUPLES = 200_000
 
 
 class GradedHopfParams:
@@ -53,6 +60,9 @@ class GradedHopfParams:
         self._qpow = {}
         self._binom_rows = {}
         self._pair_cache = {}
+        # one copy of each path the products meet, so that the keys of
+        # _pair_cache match by identity before equality is tried
+        self._paths = {}
 
     @classmethod
     def cycle(cls, n, q):
@@ -89,7 +99,8 @@ def _mul_path_raw(params, a, b):
     if coeff.is_zero():
         out = None
     else:
-        out = Path(a.kind, a.source + b.source, a.length + b.length), coeff
+        path = Path(a.kind, a.source + b.source, a.length + b.length)
+        out = params._paths.setdefault(path, path), coeff
     params._pair_cache[key] = out
     return out
 
@@ -187,72 +198,120 @@ def verify_graded_bialgebra(params, max_len, assoc_len=None, window=None):
     """Exhaustive bialgebra axioms on paths of bounded length.
 
     Checks associativity (on triples up to assoc_len, default
-    max_len - 1), unitality, multiplicativity of the comultiplication in
-    the tensor-square algebra, and multiplicativity of the counit.
-    Failures are recorded with the offending paths, not raised.
+    max_len - 1, at most max_len), unitality, multiplicativity of the
+    comultiplication in the tensor-square algebra, and multiplicativity
+    of the counit.  Unitality runs on the element API; the pairs and
+    triples are checked on basis paths, where a product is one
+    (path, coefficient) pair or zero.  Failures are recorded with the
+    offending paths, not raised.
     """
     if max_len < 2:
         raise ValueError("max_len must be at least 2")
     if assoc_len is None:
         assoc_len = max(2, max_len - 1)
+    if not 0 <= assoc_len <= max_len:
+        raise ValueError("assoc_len must be between 0 and max_len")
+    window = window or (-max_len, max_len)
+    _check_work(params.kind, max_len, window, assoc_len)
     rep = VerificationReport(f"graded bialgebra on {_kind_name(params.kind)}, "
                              f"q = {params.q}")
-    basis = enumerate_paths(params.kind, max_len,
-                            window or (-max_len, max_len))
+    canon = params._paths
+    basis = [canon.setdefault(p, p)
+             for p in enumerate_paths(params.kind, max_len, window)]
     one = unit(params)
-    elems = {p: Lin.from_path(params.ctx, p) for p in basis}
-    deltas = {p: comultiply(elems[p]) for p in basis}
-    counits = {p: counit(elems[p]) for p in basis}
-
     bad = None
     for a in basis:
-        ea = elems[a]
+        ea = Lin.from_path(params.ctx, a)
         if multiply(params, one, ea) != ea or multiply(params, ea, one) != ea:
             bad = str(a)
             break
     rep.add("unitality", bad is None, bad or "")
-
-    bad = None
-    for a in basis:
-        ea = elems[a]
-        for b in basis:
-            prod = multiply(params, ea, elems[b])
-            if comultiply(prod) != tensor_multiply(params, deltas[a],
-                                                   deltas[b]):
-                bad = f"delta({a} * {b})"
-                break
-            if counit(prod) != counits[a] * counits[b]:
-                bad = f"counit({a} * {b})"
-                break
-        if bad:
-            break
+    bad = _bialgebra_pair_failure(params, basis)
     rep.add("comultiplication is an algebra map", bad is None, bad or "")
-
-    tri_basis = [p for p in basis if p.length <= assoc_len]
-    bad = None
-    for a in tri_basis:
-        ea = elems[a]
-        for b in tri_basis:
-            eb = elems[b]
-            ab = multiply(params, ea, eb)
-            for c in tri_basis:
-                ec = elems[c]
-                if multiply(params, ab, ec) != multiply(
-                        params, ea, multiply(params, eb, ec)):
-                    bad = f"({a} * {b}) * {c}"
-                    break
-            if bad:
-                break
-        if bad:
-            break
+    bad = _associativity_failure(
+        params, [p for p in basis if p.length <= assoc_len])
     rep.add("associativity", bad is None, bad or "")
     return rep
 
 
+def _bialgebra_pair_failure(params, basis):
+    """The first pair (a, b) with delta(a*b) != delta(a) delta(b) or
+    epsilon(a*b) != epsilon(a) epsilon(b), as a witness, or None.
+
+    delta(a) delta(b) is summed over the split pairs of a and b in the
+    component-wise tensor-square product; delta(a*b) is the splits of
+    the one product path.  Both sides keep only nonzero coefficients.
+    """
+    zero, one = params.ctx.zero(), params.ctx.one()
+    canon = params._paths
+    cut = {p: [(canon.setdefault(l, l), canon.setdefault(r, r))
+               for l, r in splits(p)] for p in basis}
+    for a in basis:
+        for b in basis:
+            out = _mul_path_raw(params, a, b)
+            acc = {}
+            for al, ar in cut[a]:
+                for bl, br in cut[b]:
+                    left = _mul_path_raw(params, al, bl)
+                    if left is None:
+                        continue
+                    right = _mul_path_raw(params, ar, br)
+                    if right is None:
+                        continue
+                    key = (left[0], right[0])
+                    c = left[1] * right[1]
+                    old = acc.get(key)
+                    acc[key] = c if old is None else old + c
+            lhs = {} if out is None else dict.fromkeys(splits(out[0]), out[1])
+            if {k: c for k, c in acc.items() if not c.is_zero()} != lhs:
+                return f"delta({a} * {b})"
+            eps = out[1] if out is not None and out[0].length == 0 else zero
+            if eps != (one if a.length == 0 == b.length else zero):
+                return f"counit({a} * {b})"
+    return None
+
+
+def _associativity_failure(params, basis):
+    """The first triple with (a*b)*c != a*(b*c), as a witness, or None."""
+    for a in basis:
+        for b in basis:
+            ab = _mul_path_raw(params, a, b)
+            for c in basis:
+                lhs = rhs = None
+                if ab is not None:
+                    out = _mul_path_raw(params, ab[0], c)
+                    if out is not None:
+                        lhs = out[0], ab[1] * out[1]
+                bc = _mul_path_raw(params, b, c)
+                if bc is not None:
+                    out = _mul_path_raw(params, a, bc[0])
+                    if out is not None:
+                        rhs = out[0], out[1] * bc[1]
+                if lhs != rhs:
+                    return f"({a} * {b}) * {c}"
+    return None
+
+
+def _check_work(kind, max_len, window, assoc_len=None):
+    """Refuse, before any work, a check or table over more than
+    MAX_BASIS_TUPLES basis pairs, split pairs or triples."""
+    width = kind[1] if kind[0] == "cycle" else max(0, window[1] - window[0] + 1)
+    lengths = max(0, max_len + 1)
+    sizes = {"basis pairs": (width * lengths) ** 2}
+    if assoc_len is not None:
+        sizes["split pairs"] = (width * lengths * (lengths + 1) // 2) ** 2
+        sizes["triples"] = (width * (assoc_len + 1)) ** 3
+    for what, size in sizes.items():
+        if size > MAX_BASIS_TUPLES:
+            raise ValueError(f"{size:,} {what} exceed the maximum of "
+                             f"{MAX_BASIS_TUPLES:,}; lower the length bound")
+
+
 def structure_table(params, max_len, window=None):
     """Structure constants of the graded product on bounded paths."""
-    basis = enumerate_paths(params.kind, max_len,
-                            window or (-max_len, max_len))
+    window = window or (-max_len, max_len)
+    _check_work(params.kind, max_len, window)
+    basis = enumerate_paths(params.kind, max_len, window)
     rows = []
     for a in basis:
         for b in basis:

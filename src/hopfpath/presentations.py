@@ -62,11 +62,21 @@ _LAMBDA_FAMILIES = {CYCLE_DEFORM, CHAIN_Q1, CHAIN_ROOT}
 
 @dataclass(frozen=True)
 class PBWMonomial:
-    """The normal-form word p^k a^j h^i; i is signed for chains."""
+    """The normal-form word p^k a^j h^i; i is signed for chains.
+
+    The hash is computed once: monomials key every normal-form memo and
+    every PBW element.
+    """
 
     k: int
     j: int
     i: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.k, self.j, self.i)))
+
+    def __hash__(self):
+        return self._hash
 
     def sort_key(self):
         return (self.k, self.j, self.i)

@@ -330,6 +330,8 @@ class Path:
     """The path p_i^l: source index i, length l, in a cycle or chain.
 
     Cycle sources are reduced modulo n; length 0 is the vertex g^i.
+    The hash is computed once, from the reduced source: paths key every
+    dict in the package.
     """
 
     kind: tuple
@@ -343,6 +345,11 @@ class Path:
             object.__setattr__(self, "source", self.source % self.kind[1])
         elif self.kind[0] != "chain":
             raise ValueError(f"unknown quiver kind {self.kind!r}")
+        object.__setattr__(self, "_hash",
+                           hash((self.kind, self.source, self.length)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def is_vertex(self):

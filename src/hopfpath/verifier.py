@@ -75,31 +75,73 @@ def _delta_word(desc, word):
 
     delta(w) = delta(w without its last run) * delta(last run); a run of
     h or H is one group-like, a run of a or p a power of its generator.
-    Every word met on the way stays in the presentation's memo.
+    Both products are folded in a loop, so no word is too long for them.
+    Every word met on the way stays in the presentation's memo: each
+    run-boundary prefix, each run and each power of an a/p run.
     """
     rs = presentation_of(desc)
     out = rs._delta.get(word)
     if out is not None:
         return out
-    ctx, square, one = rs.ctx, (rs, rs), rs.ctx.one()
-    unit = PBWMonomial(0, 0, 0)
-    sym = word[-1:]
-    head = word.rstrip(sym)
     if not word:
-        out = Lin(ctx, square, {(unit, unit): one})
-    elif head:
-        out = _delta_word(desc, head) * _delta_word(desc, word[len(head):])
-    elif sym not in rs.letters:
+        unit = PBWMonomial(0, 0, 0)
+        out = rs._delta[word] = Lin(rs.ctx, (rs, rs),
+                                    {(unit, unit): rs.ctx.one()})
+        return out
+    ends = [k for k in range(1, len(word)) if word[k] != word[k - 1]]
+    ends.append(len(word))
+    return _fold(rs._delta, word, ends,
+                 lambda run: _delta_run(desc, rs, run))
+
+
+def _delta_run(desc, rs, run):
+    """Coproduct of a run of one letter: a group-like for h or H, else
+    delta(s^m) = delta(s^(m-1)) * delta(s)."""
+    out = rs._delta.get(run)
+    if out is not None:
+        return out
+    sym = run[0]
+    if sym not in rs.letters:
         raise ValueError(f"letter {sym!r} is not a generator of {rs.name}")
-    elif sym in ("h", "H"):
-        i = len(word) if sym == "h" else -len(word)
+    if sym in ("h", "H"):
+        i = len(run) if sym == "h" else -len(run)
         if not desc.is_chain:
             i %= desc.n
         g = PBWMonomial(0, 0, i)
-        out = Lin(ctx, square, {(g, g): one})
-    elif len(word) > 1:
-        out = _delta_word(desc, word[:-1]) * _delta_word(desc, sym)
-    elif sym == "a":
+        out = rs._delta[run] = Lin(rs.ctx, (rs, rs), {(g, g): rs.ctx.one()})
+        return out
+    return _fold(rs._delta, run, range(1, len(run) + 1),
+                 lambda letter: _generator_delta(desc, rs, letter))
+
+
+def _fold(memo, word, ends, factor):
+    """The coproduct of word as the product, from the left, of
+    factor(word[e:e']) over consecutive ends e < e'.
+
+    The fold starts at the longest prefix word[:e] already in memo and
+    memoizes every prefix word[:e] it reaches.
+    """
+    done = len(ends) - 1
+    while done and word[:ends[done - 1]] not in memo:
+        done -= 1
+    start = ends[done - 1] if done else 0
+    out = memo[word[:start]] if done else None
+    for end in ends[done:]:
+        piece = factor(word[start:end])
+        out = piece if out is None else out * piece
+        memo[word[:end]] = out
+        start = end
+    return out
+
+
+def _generator_delta(desc, rs, sym):
+    """delta(a) = a (x) 1 + h (x) a, or delta(p) from its formula."""
+    out = rs._delta.get(sym)
+    if out is not None:
+        return out
+    ctx, square, one = rs.ctx, (rs, rs), rs.ctx.one()
+    unit = PBWMonomial(0, 0, 0)
+    if sym == "a":
         a1, h1 = _LETTER["a"], _LETTER["h"]
         out = Lin(ctx, square, {(a1, unit): one, (h1, a1): one})
     else:
@@ -109,10 +151,11 @@ def _delta_word(desc, word):
         fact = desc.qfact.fact
         for l in range(1, d):
             coeff = (fact(d - l) * fact(l)).inverse()
-            left = PBWMonomial(0, d - l, l % desc.n if not desc.is_chain else l)
+            left = PBWMonomial(0, d - l,
+                               l % desc.n if not desc.is_chain else l)
             terms[(left, PBWMonomial(0, l, 0))] = coeff
         out = Lin(ctx, square, terms)
-    rs._delta[word] = out
+    rs._delta[sym] = out
     return out
 
 

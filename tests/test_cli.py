@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -57,6 +58,32 @@ def test_graded_table_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "left,right,coeff,result"
     assert '"p[0,1]","p[0,1]",0,' in lines
+
+
+@pytest.mark.parametrize("assoc_len", ["-1", "9"])
+def test_graded_verify_rejects_an_associativity_bound_outside_max_len(
+        capsys, assoc_len):
+    # -1 would check no triple and 9 would be cut to --max-len 3
+    code, out, err = run(capsys, "graded", "verify", "--kind", "cycle",
+                         "--n", "3", "--q-order", "3", "--max-len", "3",
+                         "--assoc-len", assoc_len)
+    assert (code, out) == (2, "")
+    assert err == "error: assoc_len must be between 0 and max_len\n"
+
+
+@pytest.mark.parametrize("argv, size", [
+    (("verify", "--max-len", "30"), "3,575,881 basis pairs"),
+    (("table", "--max-len", "40"), "11,029,041 basis pairs"),
+])
+def test_graded_work_is_bounded_before_it_starts(capsys, argv, size):
+    command, *bound = argv
+    start = time.perf_counter()
+    code, out, err = run(capsys, "graded", command, "--kind", "chain",
+                         "--q", "2", *bound)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == (f"error: {size} exceed the maximum of 200,000; "
+                   "lower the length bound\n")
 
 
 def test_present_nf(capsys):

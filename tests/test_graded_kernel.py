@@ -1,0 +1,264 @@
+"""The basis-level bialgebra checks against the element-API loop.
+
+``reference_verify`` is the verifier written on elements: every product
+is a ``Lin`` from ``multiply``, every coproduct one from ``comultiply``
+and ``tensor_multiply``.  The kernel in ``verify_graded_bialgebra`` must
+agree with it check for check and witness for witness, on correct
+products and on deliberately wrong ones.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from hopfpath import (
+    CoalgElement, GradedHopfParams, Lin, comultiply, counit,
+    cyclotomic_context, enumerate_paths, multiply, root_of_unity,
+    tensor_multiply, unit, verify_graded_bialgebra,
+)
+from hopfpath import graded
+from hopfpath.report import VerificationReport
+
+
+def reference_verify(params, max_len, assoc_len=None, window=None):
+    """The bialgebra axioms checked on elements, pair by pair."""
+    if assoc_len is None:
+        assoc_len = max(2, max_len - 1)
+    rep = VerificationReport(f"graded bialgebra on "
+                             f"{graded._kind_name(params.kind)}, "
+                             f"q = {params.q}")
+    basis = enumerate_paths(params.kind, max_len,
+                            window or (-max_len, max_len))
+    one = unit(params)
+    elems = {p: CoalgElement.from_path(params.ctx, p) for p in basis}
+    deltas = {p: comultiply(elems[p]) for p in basis}
+    counits = {p: counit(elems[p]) for p in basis}
+
+    bad = None
+    for a in basis:
+        ea = elems[a]
+        if multiply(params, one, ea) != ea or multiply(params, ea, one) != ea:
+            bad = str(a)
+            break
+    rep.add("unitality", bad is None, bad or "")
+
+    bad = None
+    for a in basis:
+        ea = elems[a]
+        for b in basis:
+            prod = multiply(params, ea, elems[b])
+            if comultiply(prod) != tensor_multiply(params, deltas[a],
+                                                   deltas[b]):
+                bad = f"delta({a} * {b})"
+                break
+            if counit(prod) != counits[a] * counits[b]:
+                bad = f"counit({a} * {b})"
+                break
+        if bad:
+            break
+    rep.add("comultiplication is an algebra map", bad is None, bad or "")
+
+    tri_basis = [p for p in basis if p.length <= assoc_len]
+    bad = None
+    for a in tri_basis:
+        ea = elems[a]
+        for b in tri_basis:
+            eb = elems[b]
+            ab = multiply(params, ea, eb)
+            for c in tri_basis:
+                ec = elems[c]
+                if multiply(params, ab, ec) != multiply(
+                        params, ea, multiply(params, eb, ec)):
+                    bad = f"({a} * {b}) * {c}"
+                    break
+            if bad:
+                break
+        if bad:
+            break
+    rep.add("associativity", bad is None, bad or "")
+    return rep
+
+
+def checks(rep):
+    return [(c.name, c.passed, c.witness) for c in rep.checks]
+
+
+def cycle(n, order, power=1, cls=GradedHopfParams):
+    return cls.cycle(n, root_of_unity(cyclotomic_context(order), order)
+                     ** power)
+
+
+def chain(q, cls=GradedHopfParams):
+    return cls.chain(cyclotomic_context(1).from_rational(Fraction(q)))
+
+
+# -- wrong products ---------------------------------------------------------
+
+class UnitBinomial(GradedHopfParams):
+    """Every q-binomial replaced by 1: the concatenation product."""
+
+    def binom(self, n, k):
+        return self.ctx.one()
+
+
+class OneWrongBinomial(GradedHopfParams):
+    """binom(4, 2)_q off by one, every other coefficient right."""
+
+    def binom(self, n, k):
+        out = super().binom(n, k)
+        return out + self.ctx.one() if (n, k) == (4, 2) else out
+
+
+class DoubledTwist(GradedHopfParams):
+    """q^(i*m) replaced by q^(2*i*m): still associative and unital."""
+
+    def q_power(self, e):
+        return super().q_power(2 * e)
+
+
+class SquaredTwist(GradedHopfParams):
+    """q^(i*m) replaced by q^((i*m)^2)."""
+
+    def q_power(self, e):
+        return super().q_power(e * e)
+
+
+class ShiftedTwist(GradedHopfParams):
+    """q^(i*m) replaced by q^(i*m + 1): the unit no longer acts as 1."""
+
+    def q_power(self, e):
+        return super().q_power(e + 1)
+
+
+class VanishingVertexProduct(GradedHopfParams):
+    """binom(0, 0)_q replaced by 0: two vertices multiply to zero."""
+
+    def binom(self, n, k):
+        return self.ctx.zero() if n == 0 else super().binom(n, k)
+
+
+MUTANTS = [
+    (UnitBinomial, "cycle", 3),
+    (UnitBinomial, "chain", 3),
+    (OneWrongBinomial, "cycle", 4),
+    (DoubledTwist, "cycle", 3),
+    (DoubledTwist, "chain", 3),
+    (SquaredTwist, "cycle", 3),
+    (ShiftedTwist, "cycle", 3),
+    (VanishingVertexProduct, "cycle", 2),
+]
+
+
+def _mutant(cls, kind):
+    return cycle(3, 3, cls=cls) if kind == "cycle" else chain(2, cls=cls)
+
+
+@pytest.mark.parametrize("cls, kind, max_len", MUTANTS,
+                         ids=[f"{c.__name__}-{k}" for c, k, _ in MUTANTS])
+def test_a_wrong_product_fails_with_the_reference_witness(cls, kind,
+                                                          max_len):
+    rep = verify_graded_bialgebra(_mutant(cls, kind), max_len)
+    ref = reference_verify(_mutant(cls, kind), max_len)
+    assert not rep.passed
+    assert checks(rep) == checks(ref)
+    assert rep.subject == ref.subject
+
+
+def test_each_check_can_fail():
+    delta, assoc = "comultiplication is an algebra map", "associativity"
+    expected = {
+        ("UnitBinomial", "cycle"): [(delta, "delta(p[0,1] * p[0,1])")],
+        ("UnitBinomial", "chain"): [(delta, "delta(p[-3,1] * p[-3,1])")],
+        ("OneWrongBinomial", "cycle"): [
+            (delta, "delta(p[0,2] * p[0,2])"),
+            (assoc, "(p[0,1] * p[0,1]) * p[0,2]")],
+        # the twist that keeps the unit and associativity breaks delta
+        ("DoubledTwist", "cycle"): [(delta, "delta(p[0,1] * p[0,1])")],
+        ("DoubledTwist", "chain"): [(delta, "delta(p[-3,1] * p[-3,1])")],
+        ("SquaredTwist", "cycle"): [(delta, "delta(g^1 * p[0,2])"),
+                                    (assoc, "(g^1 * g^1) * p[0,1]")],
+        ("ShiftedTwist", "cycle"): [("unitality", "1"),
+                                    (delta, "delta(1 * 1)")],
+        # delta(0) = 0 = (1 (x) 1)(1 (x) 1) here, so the counit catches it
+        ("VanishingVertexProduct", "cycle"): [
+            ("unitality", "1"), (delta, "counit(1 * 1)"),
+            (assoc, "(1 * 1) * p[0,1]")],
+    }
+    for cls, kind, max_len in MUTANTS:
+        rep = verify_graded_bialgebra(_mutant(cls, kind), max_len)
+        assert [(c.name, c.witness) for c in rep.failures()] \
+            == expected[cls.__name__, kind]
+
+
+# -- the same work as the element loop ----------------------------------------
+
+@pytest.mark.parametrize("make, max_len", [
+    (lambda: cycle(4, 4), 3),
+    (lambda: chain(2), 3),
+], ids=["cycle", "chain"])
+def test_kernel_makes_the_same_products_in_the_same_order(monkeypatch, make,
+                                                           max_len):
+    # every pair and triple the checks visit shows in the sequence of
+    # basis-path products they ask for
+    calls = []
+    raw = graded._mul_path_raw
+
+    def recording(params, a, b):
+        calls.append((a, b))
+        return raw(params, a, b)
+
+    monkeypatch.setattr(graded, "_mul_path_raw", recording)
+    ref = reference_verify(make(), max_len)
+    expected, calls[:] = list(calls), []
+    rep = verify_graded_bialgebra(make(), max_len)
+    assert rep.passed and checks(rep) == checks(ref)
+    assert calls == expected
+
+
+def test_kernel_builds_elements_only_for_unitality(monkeypatch):
+    built = []
+    init = Lin.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Lin, "__init__", counting)
+    params = cycle(6, 6)
+    assert verify_graded_bialgebra(params, 5, 4).passed
+    # the unit, then x and the products 1 * x and x * 1 for each path
+    assert len(built) == 1 + 3 * len(enumerate_paths(params.kind, 5))
+
+
+def test_verdicts_agree_on_the_criterion_sweep_at_small_lengths():
+    for n in range(1, 7):
+        zn = root_of_unity(cyclotomic_context(n), n)
+        for t in range(n):
+            rep = verify_graded_bialgebra(GradedHopfParams.cycle(n, zn ** t),
+                                          3, 2)
+            ref = reference_verify(GradedHopfParams.cycle(n, zn ** t), 3, 2)
+            assert checks(rep) == checks(ref)
+            assert rep.passed
+
+
+def test_assoc_len_must_lie_between_zero_and_max_len():
+    params = cycle(3, 3)
+    for assoc_len in (-1, 4):
+        with pytest.raises(ValueError, match="between 0 and max_len"):
+            verify_graded_bialgebra(params, 3, assoc_len)
+    assert verify_graded_bialgebra(params, 3, 0).passed
+    assert verify_graded_bialgebra(params, 3, 3).passed
+
+
+def test_work_above_the_bound_is_refused_before_it_starts():
+    assert graded.MAX_BASIS_TUPLES == 200_000
+    # 60 paths up to length 9 on the 6-cycle: 216,000 triples
+    with pytest.raises(ValueError, match="^216,000 triples exceed"):
+        verify_graded_bialgebra(cycle(6, 6), 10)
+    # 496 splits of the paths up to length 30 on the loop: 246,016 pairs
+    loop = GradedHopfParams.cycle(1, cyclotomic_context(1).one())
+    with pytest.raises(ValueError, match="^246,016 split pairs exceed"):
+        verify_graded_bialgebra(loop, 30, 0)
+    # 16 lengths of 31 chain sources: 246,016 rows
+    with pytest.raises(ValueError, match="^246,016 basis pairs exceed"):
+        graded.structure_table(chain(2), 15)

@@ -108,6 +108,14 @@ def test_chain_q1_rules():
                            ("H", -ctx.one()))
 
 
+def test_pbw_monomial_hash_is_cached_and_consistent():
+    m = PBWMonomial(1, 2, -3)
+    assert m == PBWMonomial(1, 2, -3) and m is not PBWMonomial(1, 2, -3)
+    assert hash(m) == hash(PBWMonomial(1, 2, -3)) == hash((1, 2, -3))
+    assert m != PBWMonomial(1, 2, 3)
+    assert repr(m) == "PBWMonomial(k=1, j=2, i=-3)"
+
+
 def test_parse_word():
     assert parse_word("a p a h^3") == "apahhh"
     assert parse_word("g e g^-2") == "haHH"

@@ -1,7 +1,7 @@
 import pytest
 
 from hopfpath import (
-    GroupSpec, build_hopf_quiver, chain_kind, conjugacy_class_of,
+    GroupSpec, Path, build_hopf_quiver, chain_kind, conjugacy_class_of,
     conjugacy_classes, cycle_kind, enumerate_paths, is_connected_hopf_quiver,
     resolve_ramification,
 )
@@ -152,6 +152,16 @@ def test_enumerate_paths_counts():
         == {(0, 0), (1, 0), (0, 1), (1, 1)}
     assert len(enumerate_paths(cycle_kind(3), 2)) == 9
     assert len(enumerate_paths(chain_kind(), 1, window=(-1, 1))) == 6
+
+
+def test_path_hash_follows_the_reduced_source():
+    # the cached hash is taken after the source is reduced modulo n
+    wrapped, plain = Path(("cycle", 6), 7, 2), Path(("cycle", 6), 1, 2)
+    assert wrapped == plain and hash(wrapped) == hash(plain)
+    assert wrapped.source == 1
+    assert repr(wrapped) == "Path(kind=('cycle', 6), source=1, length=2)"
+    assert len({wrapped: 1, plain: 2}) == 1
+    assert Path(("chain",), 7, 2) != Path(("chain",), 1, 2)
 
 
 def test_cycle_path_concatenability():

@@ -10,7 +10,7 @@ from hopfpath import (
     verify_antipode, verify_degeneration, verify_hopf,
     verify_relation_coproducts,
 )
-from hopfpath.verifier import TensorAlg, _monomials
+from hopfpath.verifier import TensorAlg, _delta_word, _monomials
 
 
 def small_descriptors():
@@ -244,3 +244,20 @@ def test_antipode_anti_multiplicative_spot():
             prod = multiply_alg(desc, rs.monomial(x), rs.monomial(y))
             assert _antipode_elt(desc, prod) == multiply_alg(
                 desc, _antipode_mono(desc, y), _antipode_mono(desc, x))
+
+
+@pytest.mark.parametrize("word", ["a" * 1500, "ap" * 600])
+def test_delta_word_of_a_long_word_needs_no_recursion(word):
+    # a^2 = 0 on the 2-cycle, so both coproducts vanish; each word is
+    # longer than the interpreter's recursion limit in runs or letters
+    desc = cycle_deform(2, -cyclotomic_context(2).one(), 1)
+    rs = presentation_of(desc)
+    out = _delta_word(desc, word)
+    assert out.is_zero() and out.space == (rs, rs)
+    assert rs._delta[word] is out
+    ends = [k for k in range(1, len(word) + 1)
+            if k == len(word) or word[k] != word[k - 1]]
+    assert all(word[:k] in rs._delta for k in ends)
+    if word[1:2] == "a":
+        assert all("a" * k in rs._delta for k in range(1, len(word)))
+        assert _delta_word(desc, "a" * 1499) * _delta_word(desc, "a") == out

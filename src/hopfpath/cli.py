@@ -95,7 +95,8 @@ def _descriptor(args):
     data = {"family": args.family}
     if args.n is not None:
         data["n"] = args.n
-    if args.q_order:
+    # 0 is not "unset": it goes on to be rejected like any bad order
+    if args.q_order is not None:
         data["qOrder"] = args.q_order
         if args.q_power != 1:
             data["qPower"] = args.q_power
@@ -187,7 +188,7 @@ def cmd_quiver_connected(args):
 
 def _graded_params(args):
     ctx = cyclotomic_context(_conductor(args, args.q_order, args.n))
-    if args.q_order:
+    if args.q_order is not None:
         q = root_of_unity(ctx, args.q_order) ** args.q_power
     elif args.q is not None:
         q = ctx.from_rational(Fraction(args.q))

@@ -143,7 +143,7 @@ class Lin:
         self._check(other)
         space = self.space
         rs = space[0] if type(space) is tuple else space
-        if not hasattr(rs, "reduce_word"):
+        if not hasattr(rs, "mono_product"):
             raise TypeError("path elements multiply through graded.multiply")
         if rs is space:
             return rs.multiply(self, other)
@@ -151,10 +151,10 @@ class Lin:
         zero = self.ctx.zero()
         for (l1, r1), c1 in self.terms.items():
             for (l2, r2), c2 in other.terms.items():
-                left, _ = rs.reduce_word(l1.word() + l2.word())
+                left = rs.mono_product(l1, l2)
                 if not left:
                     continue
-                right, _ = rs.reduce_word(r1.word() + r2.word())
+                right = rs.mono_product(r1, r2)
                 if not right:
                     continue
                 c = c1 * c2

@@ -12,6 +12,16 @@ The word order compares (total weight, length, letters) where p weighs
 its path degree, a weighs 1, and h, H weigh 0; letters rank
 h > H > a > p.  This orients every defining relation toward the normal
 form and lets the inverse-pair and power rules shrink words.
+
+A product of two normal monomials is straightened, not rewritten as one
+word: ``RewriteSystem.mono_product`` moves generator powers past each
+other through the normal forms of short words (h^i p^m, a^j p^m,
+h^g a^j and a^x) and memoizes each monomial pair in ``_prod``, beside
+the word memo ``_nf``.  ``multiply`` and the tensor-square product of
+``Lin`` read that table, so the basis change and the degeneration check
+reach ``reduce_word`` only through its entries.  ``normal_form``,
+``check_confluence`` and ``resolution_difference`` (and through it the
+verifier's forced-vanishing trials) call ``reduce_word`` on whole words.
 """
 
 from __future__ import annotations
@@ -329,6 +339,7 @@ class RewriteSystem:
         self.letters = frozenset("".join(
             lhs + "".join(w for w, _ in rhs) for lhs, rhs in self.rules))
         self._nf = {}
+        self._prod = {}  # (monomial, monomial) -> product, kept by mono_product
         self._delta = {}  # word -> coproduct, kept by verifier._delta_word
         self._antipode = {}  # PBW monomial -> antipode, kept by the verifier
 
@@ -444,15 +455,76 @@ class RewriteSystem:
         c = self.ctx.scalar(coeff)
         return out if c == 1 else out.scale(c)
 
+    # -- products of normal monomials ----------------------------------------
+
+    def mono_product(self, x, y):
+        """The normal form of x * y for normal monomials x, y, as a
+        {monomial: scalar} dict memoized per pair in ``_prod``.
+
+        p^k a^j h^i * p^k' a^j' h^i' is straightened in four steps, each
+        the normal form of a short generator-power word: h^i moves past
+        p^k', a^j past the resulting p^m, the collected h^g past a^j',
+        and the collected a^x is reduced; h exponents add, modulo n on
+        cycles.  Each step rewrites a factor of x.word() + y.word(), so
+        the result is that word's normal form when the rule set is
+        confluent.  Confluence is not assumed here; ``check_confluence``
+        checks it separately.  The dict is the memo entry itself:
+        callers must not change it.
+        """
+        key = (x, y)
+        out = self._prod.get(key)
+        if out is None:
+            out = self._prod[key] = self._straighten(x, y)
+        return out
+
+    def _straighten(self, x, y):
+        zero = self.ctx.zero()
+        acc = {}
+        # 1. h^i p^k' = sum of p^m h^g
+        for m1, c1 in self._power_form(self._h_word(x.i) + "p" * y.k,
+                                       "a").items():
+            # 2. a^j p^m = sum of p^m2 a^j2 h^g2
+            for m2, c2 in self.reduce_word("a" * x.j + "p" * m1.k)[0].items():
+                c12 = c1 * c2
+                # 3. h^(g + g2) a^j' = sum of a^x h^g3
+                h_word = self._h_word(m1.i + m2.i)
+                for m3, c3 in self._power_form(h_word + "a" * y.j,
+                                               "p").items():
+                    c123 = c12 * c3
+                    # 4. a^(j2 + x) = sum of a^z h^w
+                    for m4, c4 in self._power_form("a" * (m2.j + m3.j),
+                                                   "p").items():
+                        mono = PBWMonomial(x.k + m2.k, m4.j,
+                                           self._h_exp(m4.i + m3.i + y.i))
+                        acc[mono] = acc.get(mono, zero) + c123 * c4
+        return {m: c for m, c in acc.items() if not c.is_zero()}
+
+    def _power_form(self, word, absent):
+        """The normal form of a generator-power word, which must not
+        contain the generator ``absent`` ("a" or "p")."""
+        terms, _ = self.reduce_word(word)
+        for m in terms:
+            if m.j if absent == "a" else m.k:
+                raise AssertionError(
+                    f"normal form {m} of {word!r} contains {absent} "
+                    f"(cannot straighten products in {self.name})")
+        return terms
+
+    def _h_exp(self, i):
+        return i % self.h_order if self.h_order is not None else i
+
+    def _h_word(self, i):
+        i = self._h_exp(i)
+        return "h" * i if i >= 0 else "H" * -i
+
     def multiply(self, x, y):
         if x.space is not self or y.space is not self:
             raise ValueError("elements belong to a different presentation")
         acc = {}
         zero = self.ctx.zero()
         for ma, ca in x.terms.items():
-            word_a = ma.word()
             for mb, cb in y.terms.items():
-                terms, _ = self.reduce_word(word_a + mb.word())
+                terms = self.mono_product(ma, mb)
                 c = ca * cb
                 for m, v in terms.items():
                     acc[m] = acc.get(m, zero) + c * v
@@ -594,7 +666,7 @@ def normal_form(system_or_desc, word, coeff=1):
 
 
 def multiply_alg(desc, x, y):
-    """Product in the presented algebra (concatenate words, reduce)."""
+    """Product in the presented algebra, through the monomial product table."""
     rs = presentation_of(desc) if isinstance(desc, HopfFamilyDescriptor) else desc
     return rs.multiply(x, y)
 
@@ -696,15 +768,19 @@ def _pbw_monomials(desc, weight_bound, i_values=None):
     """
     if i_values is None:
         i_values = range(desc.n) if not desc.is_chain else (0,)
+    return [PBWMonomial(k, j, i) for k, j in _pbw_shapes(desc, weight_bound)
+            for i in i_values]
+
+
+def _pbw_shapes(desc, weight_bound):
+    """The (k, j) of the normal monomials p^k a^j h^i of weight at most
+    weight_bound, in order, generated lazily."""
     a_cap = desc.a_bound if desc.a_bound is not None else weight_bound + 1
-    out = []
     k_max = weight_bound // desc.p_length if desc.has_p else 0
     for k in range(k_max + 1):
         base = k * desc.p_length
         for j in range(min(a_cap, weight_bound - base + 1)):
-            for i in i_values:
-                out.append(PBWMonomial(k, j, i))
-    return out
+            yield k, j
 
 
 # -- basis change between PBW monomials and paths ------------------------------

@@ -13,8 +13,13 @@ for the descriptor: ``RewriteSystem._delta`` maps a word to its
 coproduct (a generator's coproduct is the entry of its one-letter
 word), and ``RewriteSystem._antipode`` maps a PBW monomial to its
 antipode (a generator's antipode is the entry of its letter monomial).
-This module keeps no cache of its own; ``presentation_of.cache_clear()``
-frees every memo.
+Every product in the presentation or its tensor square reads the
+presentation's monomial product table, ``RewriteSystem._prod``; only the
+forced-vanishing trials reduce whole words, through
+``resolution_difference``.  This module keeps no cache of its own;
+``presentation_of.cache_clear()`` frees every memo.  A degree bound that
+admits more than MAX_MONOMIAL_PAIRS monomial pairs is refused before any
+product is formed.
 
 The forced-vanishing suite replays the obstruction arguments that cut
 the classification down: each candidate deformation is installed with a
@@ -25,18 +30,22 @@ zero at the classified parameter values and nonzero otherwise.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from itertools import islice
+
 from .graded import GradedHopfParams, multiply as graded_multiply
 from .linear import Lin
 from .presentations import (
     CHAIN_Q1, CYCLE_DEFORM, CYCLE_GRADED, CYCLE_HALF, TYPE_ONE_CYCLE,
     PBWMonomial, RewriteSystem,
     chain_graded, cycle_graded, path_preimage, pbw_image, presentation_of,
-    resolution_difference, _pbw_monomials,
+    resolution_difference, _pbw_monomials, _pbw_shapes,
 )
 from .report import VerificationReport
 from .scalars import q_factorial, root_of_unity
 
 __all__ = [
+    "MAX_MONOMIAL_PAIRS",
     "TensorAlg",
     "generator_coproducts",
     "coproduct",
@@ -49,6 +58,16 @@ __all__ = [
     "forced_vanishing_suite",
 ]
 
+
+# The most ordered monomial pairs (x, y) within the weight bound,
+# w(x) + w(y) <= bound, that one antipode, Hopf or degeneration verdict
+# may range over.  The acceptance sweep needs at most 3,276 (the
+# 6-cycle families at weight 12); chain-root at d = 3 and weight 10,000
+# would need over a billion, and fill the product memo with them.
+MAX_MONOMIAL_PAIRS = 10_000
+
+# the h exponents of the chain monomials the verifiers check
+_CHAIN_WINDOW = range(-2, 3)
 
 TensorAlg = Lin  # the square of a presentation rs is a Lin over (rs, rs)
 
@@ -271,16 +290,33 @@ def _antipode_elt(desc, x):
     return x.map_terms(lambda mono: _antipode_mono(desc, mono))
 
 
-def _monomials(desc, weight_bound, chain_window=(-2, 2)):
-    i_values = None if not desc.is_chain else range(chain_window[0],
-                                                    chain_window[1] + 1)
-    return _pbw_monomials(desc, weight_bound, i_values)
+def _monomials(desc, weight_bound):
+    return _pbw_monomials(desc, weight_bound,
+                          _CHAIN_WINDOW if desc.is_chain else None)
 
 
-def _check_degree_bound(degree_bound):
-    # a bound below 1 would check nothing and still pass
+def _monomial_pairs(desc, weight_bound):
+    """The ordered pairs of ``_monomials(desc, weight_bound)`` whose
+    weights sum to at most weight_bound, counted from the (k, j) shapes
+    alone.  Every monomial pairs with the unit, so once there are more
+    shapes than MAX_MONOMIAL_PAIRS allows, the count stops there and is
+    only a lower bound."""
+    width = len(_CHAIN_WINDOW) if desc.is_chain else desc.n
+    limit = MAX_MONOMIAL_PAIRS // width ** 2 + 1
+    weights = sorted(k * desc.p_length + j for k, j in
+                     islice(_pbw_shapes(desc, weight_bound), limit))
+    return width ** 2 * sum(bisect_right(weights, weight_bound - w)
+                            for w in weights)
+
+
+def _check_degree_bound(desc, degree_bound):
+    """Refuse, before any product is formed, a bound below 1 (it would
+    check nothing and still pass) or one over MAX_MONOMIAL_PAIRS."""
     if degree_bound < 1:
         raise ValueError("degree_bound must be at least 1")
+    if _monomial_pairs(desc, degree_bound) > MAX_MONOMIAL_PAIRS:
+        raise ValueError(f"degree bound {degree_bound} gives more than "
+                         f"{MAX_MONOMIAL_PAIRS:,} monomial pairs; lower it")
 
 
 def _antipode_axiom_failures(desc, monos):
@@ -318,7 +354,7 @@ def compute_antipode(desc, degree_bound):
     the returned monomials, not assumed.  A failure raises: it
     falsifies the descriptor rather than returning a bogus map.
     """
-    _check_degree_bound(degree_bound)
+    _check_degree_bound(desc, degree_bound)
     monos = _monomials(desc, degree_bound)
     table = {mono: _antipode_mono(desc, mono) for mono in monos}
     bad_left, bad_right = _antipode_axiom_failures(desc, monos)
@@ -329,7 +365,7 @@ def compute_antipode(desc, degree_bound):
 
 def verify_antipode(desc, degree_bound):
     """Both antipode axioms on every monomial of bounded weight."""
-    _check_degree_bound(degree_bound)
+    _check_degree_bound(desc, degree_bound)
     rep = VerificationReport(f"antipode of {desc.label()}")
     try:
         _antipode_generators(desc)
@@ -348,7 +384,7 @@ def verify_antipode(desc, degree_bound):
 
 def verify_hopf(desc, degree_bound):
     """Relations + antipode + multiplicativity of the counit."""
-    _check_degree_bound(degree_bound)
+    _check_degree_bound(desc, degree_bound)
     rep = verify_relation_coproducts(desc)
     rep.extend(verify_antipode(desc, degree_bound))
     rs = presentation_of(desc)
@@ -402,7 +438,7 @@ def verify_degeneration(desc, degree_bound):
     through the basis identification); the difference must sit in
     strictly lower weight.
     """
-    _check_degree_bound(degree_bound)
+    _check_degree_bound(desc, degree_bound)
     rs = presentation_of(desc)
     gdesc = _graded_sibling(desc)
     kind = ("cycle", desc.n) if not desc.is_chain else ("chain",)

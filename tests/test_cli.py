@@ -347,3 +347,28 @@ def test_catalog_lcm_above_the_maximum_is_rejected(capsys):
     # lcm(1..8) = 840 is still within the bound
     code, out, _ = run(capsys, "catalog", "simple-pointed", "--max-n", "8")
     assert code == 0 and "type-one-chain" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("graded", "verify", "--kind", "cycle", "--n", "3", "--q-order", "0",
+     "--max-len", "2"),
+    ("present", "nf", "--family", "cycle-graded", "--n", "3", "--q-order",
+     "0", "--word", "h"),
+], ids=["graded-verify", "present-nf"])
+def test_q_order_zero_is_rejected(capsys, argv):
+    # 0 is not "unset" (q = 1): it is rejected like any other bad order
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: order must be a positive integer\n"
+
+
+@pytest.mark.parametrize("command", ["hopf", "antipode", "degeneration"])
+def test_verify_work_is_bounded_before_it_starts(capsys, command):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", command, "--family", "chain-root",
+                         "--q-order", "3", "--lambda", "1",
+                         "--degree", "10000")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == ("error: degree bound 10000 gives more than 10,000 "
+                   "monomial pairs; lower it\n")

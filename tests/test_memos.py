@@ -123,3 +123,46 @@ def test_cache_clear_rebuilds_equal_values():
         assert _delta_word(desc, w).terms == deltas[w]
     for m in monos:
         assert _antipode_mono(desc, m).terms == antis[m]
+
+
+def test_verify_hopf_fills_the_product_table():
+    desc = chain_root(root_of_unity(cyclotomic_context(3), 3), 2)
+    rs = presentation_of(desc)
+    rs._prod.clear()
+    assert verify_hopf(desc, 6).passed
+    assert rs._prod
+    for (x, y), terms in rs._prod.items():
+        assert terms == rs.reduce_word(x.word() + y.word())[0]
+
+
+def test_cache_clear_frees_the_product_table():
+    desc = cycle_half(4, MINUS_ONE, 1)
+    monos = [PBWMonomial(k, j, i) for k in range(2) for j in range(2)
+             for i in range(4)]
+    old = presentation_of(desc)
+    products = {(x, y): dict(old.mono_product(x, y))
+                for x in monos for y in monos}
+    assert old._prod
+
+    presentation_of.cache_clear()
+    rs = presentation_of(desc)
+    assert rs is not old and not rs._prod
+    for (x, y), terms in products.items():
+        assert rs.mono_product(x, y) == terms
+    assert len(rs._prod) == len(products)
+
+
+def test_products_do_not_alias_the_table():
+    desc = cycle_half(4, MINUS_ONE, 1)
+    rs = presentation_of(desc)
+    x, y = rs.normal_form("aph"), rs.normal_form("ap")
+    prod = rs.multiply(x, y)
+    expected = dict(prod.terms)
+    prod.terms.clear()
+    assert rs.multiply(x, y).terms == expected
+
+    dx, dy = _delta_word(desc, "ap"), _delta_word(desc, "pa")
+    square = dx * dy
+    expected = dict(square.terms)
+    square.terms.clear()
+    assert (dx * dy).terms == expected

@@ -10,7 +10,9 @@ from hopfpath import (
     verify_antipode, verify_degeneration, verify_hopf,
     verify_relation_coproducts,
 )
-from hopfpath.verifier import TensorAlg, _delta_word, _monomials
+from hopfpath.verifier import (
+    MAX_MONOMIAL_PAIRS, TensorAlg, _delta_word, _monomial_pairs, _monomials,
+)
 
 
 def small_descriptors():
@@ -261,3 +263,33 @@ def test_delta_word_of_a_long_word_needs_no_recursion(word):
     if word[1:2] == "a":
         assert all("a" * k in rs._delta for k in range(1, len(word)))
         assert _delta_word(desc, "a" * 1499) * _delta_word(desc, "a") == out
+
+
+@pytest.mark.parametrize("verify", [compute_antipode, verify_antipode,
+                                    verify_hopf, verify_degeneration])
+def test_monomial_pairs_are_bounded_before_any_product(verify):
+    q3 = root_of_unity(cyclotomic_context(3), 3)
+    desc = chain_root(q3, 1)
+    rs = presentation_of(desc)
+    # 26 is the largest chain-root bound at d = 3 within the maximum
+    assert _monomial_pairs(desc, 26) <= MAX_MONOMIAL_PAIRS \
+        < _monomial_pairs(desc, 27)
+    before = len(rs._prod), len(rs._nf)
+    for bound in (27, 10_000, 10 ** 12):
+        with pytest.raises(ValueError, match="monomial pairs"):
+            verify(desc, bound)
+    assert (len(rs._prod), len(rs._nf)) == before
+
+
+def test_monomial_pairs_are_counted_exactly_within_the_maximum():
+    ctx4 = cyclotomic_context(4)
+    for desc in small_descriptors() + [
+            cycle_deform(4, root_of_unity(ctx4, 4), 1),
+            type_one_cycle(4, root_of_unity(ctx4, 2), 1),
+            chain_q1(cyclotomic_context(1), 1)]:
+        rs = presentation_of(desc)
+        for bound in range(1, 13):
+            monos = _monomials(desc, bound)
+            weights = [rs.monomial_weight(m) for m in monos]
+            assert _monomial_pairs(desc, bound) == sum(
+                1 for u in weights for v in weights if u + v <= bound)

@@ -26,9 +26,9 @@ from . import presentations as pres
 from . import verifier as ver
 from .graded import GradedHopfParams, structure_table, verify_graded_bialgebra
 from .presentations import (
-    FAMILIES, check_confluence, descriptor_from_dict, descriptor_to_dict,
-    normal_form, pbw_rows, presentation_of, simple_pointed_catalog,
-    structure_rows,
+    FAMILIES, check_confluence, check_descriptor_dict, descriptor_from_dict,
+    descriptor_to_dict, normal_form, pbw_rows, presentation_of,
+    simple_pointed_catalog, structure_rows,
 )
 from .quiver import (
     GroupSpec, build_hopf_quiver, is_connected_hopf_quiver,
@@ -272,8 +272,8 @@ def cmd_present_table(args):
 
 
 def cmd_present_classify(args):
-    left_data = json.loads(args.left)
-    right_data = json.loads(args.right)
+    left_data = check_descriptor_dict(json.loads(args.left))
+    right_data = check_descriptor_dict(json.loads(args.right))
     orders = [left_data.get("qOrder", 1), right_data.get("qOrder", 1)]
     ctx = cyclotomic_context(_conductor(args, *orders))
     left = descriptor_from_dict(left_data, ctx)

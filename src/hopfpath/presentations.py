@@ -513,6 +513,11 @@ class RewriteSystem:
     def _h_exp(self, i):
         return i % self.h_order if self.h_order is not None else i
 
+    def group_like(self, i):
+        """The normal monomial h^i: i modulo n on a cycle, signed on a
+        chain."""
+        return PBWMonomial(0, 0, self._h_exp(i))
+
     def _h_word(self, i):
         i = self._h_exp(i)
         return "h" * i if i >= 0 else "H" * -i
@@ -977,7 +982,29 @@ def descriptor_to_dict(desc):
     return out
 
 
+def check_descriptor_dict(data):
+    """Return data if it is a JSON object whose n, qOrder and qPower are
+    integers and whose q and deformation parameter are strings or
+    integers (a JSON float is not exact); else raise ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError("a descriptor must be a JSON object")
+    for key in ("n", "qOrder", "qPower", "q", "lambda", "mu", "param"):
+        if key not in data:
+            continue
+        value = data[key]
+        integer = isinstance(value, int) and not isinstance(value, bool)
+        if key in ("n", "qOrder", "qPower"):
+            if not integer:
+                raise ValueError(f"descriptor field {key!r} must be an "
+                                 f"integer, not {value!r}")
+        elif not (integer or isinstance(value, str)):
+            raise ValueError(f"descriptor field {key!r} must be a string "
+                             f"or an integer, not {value!r}")
+    return data
+
+
 def descriptor_from_dict(data, ctx=None):
+    check_descriptor_dict(data)
     family = data.get("family")
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")

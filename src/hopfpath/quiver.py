@@ -14,6 +14,9 @@ from dataclasses import dataclass
 from itertools import product
 
 __all__ = [
+    "MAX_GROUP_ORDER",
+    "MAX_WINDOW_WIDTH",
+    "MAX_QUIVER_ARROWS",
     "GroupSpec",
     "HopfQuiver",
     "Arrow",
@@ -29,6 +32,15 @@ __all__ = [
     "is_connected_hopf_quiver",
     "enumerate_paths",
 ]
+
+# The largest finite group, window of chain vertices and quiver that may
+# be built.  The Cayley table of a group holds order^2 entries and its
+# conjugacy classes take order^2 products, so a request past a bound is
+# refused before any table or arrow exists.  The paper's minimal
+# quivers need one arrow class on a few vertices.
+MAX_GROUP_ORDER = 1_000
+MAX_WINDOW_WIDTH = 10_000
+MAX_QUIVER_ARROWS = 100_000
 
 
 class GroupSpec:
@@ -52,6 +64,7 @@ class GroupSpec:
     def cyclic(cls, n):
         if n < 1:
             raise ValueError("cyclic group order must be positive")
+        _check_order(n)
         labels = [_power_label(k) for k in range(n)]
         table = [[(i + j) % n for j in range(n)] for i in range(n)]
         return cls("cyclic", n=n, labels=labels, table=table)
@@ -62,6 +75,7 @@ class GroupSpec:
 
     @classmethod
     def from_table(cls, labels, table):
+        _check_order(len(labels))
         return cls("table", n=len(labels), labels=list(labels),
                    table=[list(row) for row in table])
 
@@ -69,6 +83,7 @@ class GroupSpec:
     def from_multiplication(cls, labels, mul):
         """Build a table group from labels and a label-level product."""
         labels = list(labels)
+        _check_order(len(labels))
         index = {lab: k for k, lab in enumerate(labels)}
         table = [[index[mul(a, b)] for b in labels] for a in labels]
         return cls.from_table(labels, table)
@@ -134,6 +149,12 @@ class GroupSpec:
         return f"GroupSpec.from_table({self.labels!r})"
 
 
+def _check_order(n):
+    if n > MAX_GROUP_ORDER:
+        raise ValueError(f"group order {n:,} exceeds the maximum of "
+                         f"{MAX_GROUP_ORDER:,}")
+
+
 def _power_label(k):
     if k == 0:
         return "e"
@@ -162,16 +183,14 @@ def conjugacy_classes(group):
     """
     if not group.is_finite:
         raise ValueError("use singleton classes {g^k} directly")
-    n = group.n
+    n, table = group.n, group.table
+    inverse = [group.inverse(t) for t in range(n)]
     seen = [False] * n
     classes = []
     for x in range(n):
         if seen[x]:
             continue
-        orbit = set()
-        for t in range(n):
-            y = group.mul(group.mul(t, x), group.inverse(t))
-            orbit.add(y)
+        orbit = {table[table[t][x]][inverse[t]] for t in range(n)}
         for y in orbit:
             seen[y] = True
         classes.append(sorted(group.label(y) for y in orbit))
@@ -180,9 +199,16 @@ def conjugacy_classes(group):
 
 
 def conjugacy_class_of(group, label):
-    """The class identifier (least label) of the class containing label."""
+    """The class identifier (least label) of the class containing label.
+
+    Cyclic groups are abelian, so every class is a singleton and no
+    class is computed.
+    """
     if group.kind == "infinite-cyclic":
         _parse_power_label(label)
+        return label
+    if group.kind == "cyclic":
+        group.index_of(label)
         return label
     for cls in conjugacy_classes(group):
         if label in cls:
@@ -192,11 +218,25 @@ def conjugacy_class_of(group, label):
 
 def resolve_ramification(group, entries):
     """Normalize a label -> multiplicity map to class-id keys."""
+    _check_multiplicities(entries)
     out = {}
     for label, mult in entries.items():
         cid = conjugacy_class_of(group, label)
         out[cid] = out.get(cid, 0) + mult
     return out
+
+
+def _check_multiplicities(ramification):
+    for label, mult in ramification.items():
+        if mult < 0:
+            raise ValueError(f"multiplicity of {label!r} must be "
+                             f"nonnegative, not {mult}")
+
+
+def _check_arrows(count):
+    if count > MAX_QUIVER_ARROWS:
+        raise ValueError(f"{count:,} arrows exceed the maximum of "
+                         f"{MAX_QUIVER_ARROWS:,}")
 
 
 # -- quivers -----------------------------------------------------------------
@@ -251,15 +291,25 @@ def build_hopf_quiver(group, ramification, window=None):
 
     For the infinite cyclic group a window (lo, hi) of generator
     exponents must be supplied; only arrows with both endpoints inside
-    the window are materialized.
+    the window are materialized.  A negative multiplicity, a reversed or
+    over-wide window and a quiver over MAX_QUIVER_ARROWS arrows are
+    refused before any arrow is built.
     """
+    _check_multiplicities(ramification)
     if group.kind == "infinite-cyclic":
         if window is None:
             raise ValueError("infinite cyclic group needs a vertex window")
         lo, hi = window
+        if lo > hi:
+            raise ValueError(f"window {lo}:{hi} is reversed")
+        if hi - lo + 1 > MAX_WINDOW_WIDTH:
+            raise ValueError(f"window of {hi - lo + 1:,} vertices exceeds "
+                             f"the maximum of {MAX_WINDOW_WIDTH:,}")
         shifts = {}
         for label, mult in ramification.items():
             shifts[_parse_power_label(label)] = mult
+        _check_arrows(sum(mult * max(0, hi - lo + 1 - abs(shift))
+                          for shift, mult in shifts.items()))
         vertices = [_power_label(k) for k in range(lo, hi + 1)]
         arrows = []
         for k in range(lo, hi + 1):
@@ -275,6 +325,8 @@ def build_hopf_quiver(group, ramification, window=None):
     for key in ramification:
         if key not in classes:
             raise ValueError(f"ramification key {key!r} is not a conjugacy class")
+    _check_arrows(group.n * sum(mult * len(classes[cid])
+                                for cid, mult in ramification.items()))
     vertices = list(group.labels)
     arrows = []
     for x in range(group.n):

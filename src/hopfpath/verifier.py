@@ -10,9 +10,10 @@ two-sided axioms are then verified monomial by monomial.
 
 The memos live on the presentation that ``presentation_of`` interns
 for the descriptor: ``RewriteSystem._delta`` maps a word to its
-coproduct (a generator's coproduct is the entry of its one-letter
-word), and ``RewriteSystem._antipode`` maps a PBW monomial to its
-antipode (a generator's antipode is the entry of its letter monomial).
+coproduct and holds every prefix that a fold meets (a generator's
+coproduct is the entry of its one-letter word), and
+``RewriteSystem._antipode`` maps a PBW monomial to its antipode (a
+generator's antipode is the entry of its letter monomial).
 Every product in the presentation or its tensor square reads the
 presentation's monomial product table, ``RewriteSystem._prod``; only the
 forced-vanishing trials reduce whole words, through
@@ -90,88 +91,54 @@ def generator_coproducts(desc):
 
 
 def _delta_word(desc, word):
-    """Coproduct of a generator word (multiplicative extension).
+    """Coproduct of a generator word: delta(w s) = delta(w) * delta(s).
 
-    delta(w) = delta(w without its last run) * delta(last run); a run of
-    h or H is one group-like, a run of a or p a power of its generator.
-    Both products are folded in a loop, so no word is too long for them.
-    Every word met on the way stays in the presentation's memo: each
-    run-boundary prefix, each run and each power of an a/p run.
+    The fold starts at the longest prefix of word already in the
+    presentation's memo (the empty word is the unit of the tensor
+    square), multiplies in the remaining letters one at a time and
+    memoizes every prefix it reaches, so no word is too long for it.
     """
     rs = presentation_of(desc)
-    out = rs._delta.get(word)
-    if out is not None:
-        return out
-    if not word:
+    memo = rs._delta
+    start = len(word)
+    while start and word[:start] not in memo:
+        start -= 1
+    out = memo.get(word[:start])
+    if out is None:
         unit = PBWMonomial(0, 0, 0)
-        out = rs._delta[word] = Lin(rs.ctx, (rs, rs),
-                                    {(unit, unit): rs.ctx.one()})
-        return out
-    ends = [k for k in range(1, len(word)) if word[k] != word[k - 1]]
-    ends.append(len(word))
-    return _fold(rs._delta, word, ends,
-                 lambda run: _delta_run(desc, rs, run))
-
-
-def _delta_run(desc, rs, run):
-    """Coproduct of a run of one letter: a group-like for h or H, else
-    delta(s^m) = delta(s^(m-1)) * delta(s)."""
-    out = rs._delta.get(run)
-    if out is not None:
-        return out
-    sym = run[0]
-    if sym not in rs.letters:
-        raise ValueError(f"letter {sym!r} is not a generator of {rs.name}")
-    if sym in ("h", "H"):
-        i = len(run) if sym == "h" else -len(run)
-        if not desc.is_chain:
-            i %= desc.n
-        g = PBWMonomial(0, 0, i)
-        out = rs._delta[run] = Lin(rs.ctx, (rs, rs), {(g, g): rs.ctx.one()})
-        return out
-    return _fold(rs._delta, run, range(1, len(run) + 1),
-                 lambda letter: _generator_delta(desc, rs, letter))
-
-
-def _fold(memo, word, ends, factor):
-    """The coproduct of word as the product, from the left, of
-    factor(word[e:e']) over consecutive ends e < e'.
-
-    The fold starts at the longest prefix word[:e] already in memo and
-    memoizes every prefix word[:e] it reaches.
-    """
-    done = len(ends) - 1
-    while done and word[:ends[done - 1]] not in memo:
-        done -= 1
-    start = ends[done - 1] if done else 0
-    out = memo[word[:start]] if done else None
-    for end in ends[done:]:
-        piece = factor(word[start:end])
-        out = piece if out is None else out * piece
+        out = memo[""] = Lin(rs.ctx, (rs, rs),
+                             {(unit, unit): rs.ctx.one()})
+    for end in range(start + 1, len(word) + 1):
+        out = out * _generator_delta(desc, rs, word[end - 1])
         memo[word[:end]] = out
-        start = end
     return out
 
 
 def _generator_delta(desc, rs, sym):
-    """delta(a) = a (x) 1 + h (x) a, or delta(p) from its formula."""
+    """The coproduct of one generator: h and H are group-like, and
+    delta(a) and delta(p) are the formulas of ``generator_coproducts``.
+    A letter outside the presentation raises ValueError."""
     out = rs._delta.get(sym)
     if out is not None:
         return out
+    if sym not in rs.letters:
+        raise ValueError(f"letter {sym!r} is not a generator of {rs.name}")
     ctx, square, one = rs.ctx, (rs, rs), rs.ctx.one()
     unit = PBWMonomial(0, 0, 0)
-    if sym == "a":
-        a1, h1 = _LETTER["a"], _LETTER["h"]
+    if sym in ("h", "H"):
+        g = rs.group_like(1 if sym == "h" else -1)
+        out = Lin(ctx, square, {(g, g): one})
+    elif sym == "a":
+        a1, h1 = _LETTER["a"], rs.group_like(1)
         out = Lin(ctx, square, {(a1, unit): one, (h1, a1): one})
     else:
         d = desc.d
-        hd = PBWMonomial(0, 0, d % desc.n if not desc.is_chain else d)
-        terms = {(_LETTER["p"], unit): one, (hd, _LETTER["p"]): one}
+        terms = {(_LETTER["p"], unit): one,
+                 (rs.group_like(d), _LETTER["p"]): one}
         fact = desc.qfact.fact
         for l in range(1, d):
             coeff = (fact(d - l) * fact(l)).inverse()
-            left = PBWMonomial(0, d - l,
-                               l % desc.n if not desc.is_chain else l)
+            left = PBWMonomial(0, d - l, rs.group_like(l).i)
             terms[(left, PBWMonomial(0, l, 0))] = coeff
         out = Lin(ctx, square, terms)
     rs._delta[sym] = out
@@ -241,11 +208,11 @@ def _antipode_generators(desc):
     if all(_LETTER[sym] in memo for sym in gen_delta):
         return
     unit = PBWMonomial(0, 0, 0)
-    inverse = {"h": -1 if desc.is_chain else (desc.n - 1) % desc.n, "H": 1}
+    inverse = {"h": rs.group_like(-1), "H": rs.group_like(1)}
     for sym, delta in gen_delta.items():
         if sym in inverse:
             # check the group-like solve: S(h) h = 1
-            image = rs.monomial(PBWMonomial(0, 0, inverse[sym]))
+            image = rs.monomial(inverse[sym])
             if rs.multiply(image, rs.generator(sym)) != rs.one():
                 raise ArithmeticError(
                     "no antipode: group-like is not invertible")

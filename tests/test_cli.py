@@ -372,3 +372,70 @@ def test_verify_work_is_bounded_before_it_starts(capsys, command):
     assert (code, out) == (2, "")
     assert err == ("error: degree bound 10000 gives more than 10,000 "
                    "monomial pairs; lower it\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("build", "--group", "cyclic:1001", "--ram", "g=1"),
+     "group order 1,001 exceeds the maximum of 1,000"),
+    (("connected", "--group", "cyclic:100000000", "--ram", "g=1"),
+     "group order 100,000,000 exceeds the maximum of 1,000"),
+    (("build", "--group", "infinite", "--ram", "g=1",
+      "--window=-5000:5000"),
+     "window of 10,001 vertices exceeds the maximum of 10,000"),
+    (("build", "--group", "cyclic:4", "--ram", "g=25001"),
+     "100,004 arrows exceed the maximum of 100,000"),
+    (("build", "--group", "infinite", "--ram", "g=1,e=10000000",
+      "--window", "0:9"),
+     "100,000,009 arrows exceed the maximum of 100,000"),
+    (("build", "--group", "cyclic:4", "--ram", "g=-1"),
+     "multiplicity of 'g' must be nonnegative, not -1"),
+    (("connected", "--group", "cyclic:4", "--ram", "g=1,g^2=-2"),
+     "multiplicity of 'g^2' must be nonnegative, not -2"),
+    (("build", "--group", "infinite", "--ram", "g=1", "--window", "3:1"),
+     "window 3:1 is reversed"),
+], ids=["group-order", "group-order-connected", "window-width",
+        "finite-arrows", "window-arrows", "negative-multiplicity",
+        "negative-multiplicity-connected", "reversed-window"])
+def test_quiver_work_is_bounded_before_it_starts(capsys, argv, message):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "quiver", *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
+def test_quiver_ramification_classes_are_not_recomputed_per_entry(capsys):
+    ram = ",".join(f"g^{k}=1" for k in range(2, 42))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "quiver", "connected", "--group",
+                       "cyclic:500", "--ram", ram)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (0, "connected: true\n")
+
+
+@pytest.mark.parametrize("right, message", [
+    ("[]", "a descriptor must be a JSON object"),
+    ("7", "a descriptor must be a JSON object"),
+    ('{"family":"cycle-deform","n":3,"qOrder":"3","lambda":1}',
+     "descriptor field 'qOrder' must be an integer, not '3'"),
+    ('{"family":"cycle-deform","n":3.0,"qOrder":3,"lambda":1}',
+     "descriptor field 'n' must be an integer, not 3.0"),
+    ('{"family":"cycle-deform","n":3,"qOrder":3,"qPower":true}',
+     "descriptor field 'qPower' must be an integer, not True"),
+    ('{"family":"chain-q1","lambda":[1]}',
+     "descriptor field 'lambda' must be a string or an integer, not [1]"),
+    ('{"family":"chain-q1","lambda":0.1}',
+     "descriptor field 'lambda' must be a string or an integer, not 0.1"),
+    ('{"family":"chain-graded","q":0.5}',
+     "descriptor field 'q' must be a string or an integer, not 0.5"),
+])
+def test_malformed_descriptor_json_is_a_usage_error(capsys, right, message):
+    left = '{"family":"cycle-deform","n":3,"qOrder":3,"lambda":1}'
+    code, out, err = run(capsys, "present", "classify", "--left", left,
+                         "--right", right)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+    code, out, err = run(capsys, "present", "classify", "--left", right,
+                         "--right", left)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"

@@ -3,12 +3,14 @@
 from hypothesis import given, strategies as st
 
 from hopfpath import (
-    Lin, PBWMonomial, chain_q1, chain_root, cycle_deform, cycle_half,
-    cyclotomic_context, generator_coproducts, presentation_of,
-    root_of_unity, type_one_cycle, verify_hopf,
+    Lin, PBWMonomial, chain_q1, chain_root, coproduct, cycle_deform,
+    cycle_half, cyclotomic_context, generator_coproducts, presentation_of,
+    root_of_unity, simple_pointed_catalog, type_one_cycle, verify_hopf,
 )
 from hopfpath import verifier
 from hopfpath.verifier import _antipode_mono, _delta_word
+
+from test_acceptance import _family_sweep
 
 
 MINUS_ONE = -cyclotomic_context(2).one()
@@ -63,6 +65,27 @@ def test_generator_coproducts_keep_their_keys_and_values():
         for sym in ref:
             assert gen[sym] == ref[sym]
             assert gen[sym] is _delta_word(desc, sym)
+
+
+def test_one_cycle_coproduct_is_multiplicative():
+    # h = 1 on the 1-cycle, so delta(a) must not carry the key h^1
+    desc = simple_pointed_catalog(1)[0]
+    rs = presentation_of(desc)
+    a, h = rs.generator("a"), rs.generator("h")
+    assert h == rs.one()
+    assert coproduct(desc, a) == coproduct(desc, h) * coproduct(desc, a)
+
+
+def test_generator_coproduct_keys_are_normal_monomials():
+    for desc in [*_family_sweep(), simple_pointed_catalog(1)[0]]:
+        rs = presentation_of(desc)
+        for sym, delta in generator_coproducts(desc).items():
+            for pair in delta.terms:
+                for mono in pair:
+                    assert rs.normal_form(mono.word()) == rs.monomial(mono), \
+                        (desc.label(), sym, mono)
+                    if not desc.is_chain:
+                        assert 0 <= mono.i < desc.n
 
 
 def _words(desc):

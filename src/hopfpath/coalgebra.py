@@ -79,43 +79,31 @@ def _paths(ctx, kind, *terms):
     return out
 
 
-def _cycle_correction(n, d, j, ctx, path):
+def _correction(n, d, j, ctx, path):
     """One application of the degree-lowering coderivation behind the
-    cycle automorphism at offset j (unit deformation scalar).
+    automorphism at offset j (unit deformation scalar).
 
     Sends p_j^d to g^j - g^{j+d}; on longer paths the piecewise terms
-    are forced by the coderivation identity, with source and target
-    congruences read modulo n.  When d = 0 (mod n) the defining
-    correction vanishes identically and the coderivation is zero.
+    are forced by the coderivation identity.  On a cycle, source and
+    target congruences are read modulo n, and when d = 0 (mod n) the
+    defining correction vanishes identically and the coderivation is
+    zero; on the chain (n None, j = 0) they are exact index equalities.
     """
+    def same(x, y):
+        return x == y if n is None else (x - y) % n == 0
+
     i, l, kind = path.source, path.length, path.kind
-    if l < d or d % n == 0:
+    if l < d or same(d, 0):
         return Lin(ctx, kind)
     if l == d:
-        if (i - j) % n == 0:
+        if same(i, j):
             return _paths(ctx, kind, (j, 0, 1), (j + d, 0, -1))
         return Lin(ctx, kind)
-    if (i - j) % n == 0:
-        if (l - d) % n == 0:
+    if same(i, j):
+        if same(l, d):
             return _paths(ctx, kind, (j + d, l - d, -1), (j, l - d, 1))
         return _paths(ctx, kind, (j + d, l - d, -1))
-    if (i + l - j - d) % n == 0:
-        return _paths(ctx, kind, (i, l - d, 1))
-    return Lin(ctx, kind)
-
-
-def _chain_correction(d, ctx, path):
-    """Chain coderivation: congruences become exact index equalities."""
-    i, l, kind = path.source, path.length, path.kind
-    if l < d:
-        return Lin(ctx, kind)
-    if l == d:
-        if i == 0:
-            return _paths(ctx, kind, (0, 0, 1), (d, 0, -1))
-        return Lin(ctx, kind)
-    if i == 0:
-        return _paths(ctx, kind, (d, l - d, -1))
-    if i + l == d:
+    if same(i + l, j + d):
         return _paths(ctx, kind, (i, l - d, 1))
     return Lin(ctx, kind)
 
@@ -159,7 +147,7 @@ def cycle_automorphism(n, d, lam, j, x):
     if lam.is_zero():
         return x
     return _exp_correction(x, lam,
-                           lambda path: _cycle_correction(n, d, j, ctx, path))
+                           lambda path: _correction(n, d, j, ctx, path))
 
 
 def chain_automorphism(d, lam, x):
@@ -179,4 +167,5 @@ def chain_automorphism(d, lam, x):
     lam = ctx.scalar(lam)
     if lam.is_zero():
         return x
-    return _exp_correction(x, lam, lambda path: _chain_correction(d, ctx, path))
+    return _exp_correction(x, lam,
+                           lambda path: _correction(None, d, 0, ctx, path))

@@ -11,7 +11,6 @@ the basis of everything downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 __all__ = [
     "MAX_GROUP_ORDER",
@@ -107,13 +106,38 @@ class GroupSpec:
         if identity is None:
             raise ValueError("Cayley table has no identity element")
         self._identity = identity
-        for a, b, c in product(range(n), repeat=3):
-            if self.table[self.table[a][b]][c] != self.table[a][self.table[b][c]]:
-                raise ValueError("Cayley table is not associative")
+        self._check_associative()
         for a in range(n):
             if not any(self.table[a][b] == identity and self.table[b][a] == identity
                        for b in range(n)):
                 raise ValueError("Cayley table has an element without inverse")
+
+    def _check_associative(self):
+        """Light's test: (x s) y = x (s y) for all x, y and each s of a
+        generating set, taken greedily from the elements not yet reached
+        from the identity.  The s that pass are closed under products,
+        so once they generate the table it is associative, and their
+        products are reached left to right.  Each generator costs n^2
+        products, and a group needs at most log2(n) of them.
+        """
+        table = self.table
+        reached = {self._identity}
+        gens = []
+        for s in range(self.n):
+            if s in reached:
+                continue
+            row_s = table[s]
+            for row_x in table:
+                if table[row_x[s]] != [row_x[v] for v in row_s]:
+                    raise ValueError("Cayley table is not associative")
+            gens.append(s)
+            stack = list(reached)
+            while stack:
+                row_x = table[stack.pop()]
+                for g in gens:
+                    if row_x[g] not in reached:
+                        reached.add(row_x[g])
+                        stack.append(row_x[g])
 
     def identity_index(self):
         if not self.is_finite:

@@ -23,10 +23,11 @@ admits more than MAX_MONOMIAL_PAIRS monomial pairs is refused before any
 product is formed.
 
 The forced-vanishing suite replays the obstruction arguments that cut
-the classification down: each candidate deformation is installed with a
-trial parameter and the relevant overlap ambiguity of the rewriting
-system is resolved both ways; the residual is exactly the obstruction,
-zero at the classified parameter values and nonzero otherwise.
+the classification down: each candidate deformation is a classified
+presentation with trial terms appended to the rules they deform, and the
+relevant overlap ambiguity is resolved both ways; the residual is
+exactly the obstruction, zero at the classified parameter values and
+nonzero otherwise.
 """
 
 from __future__ import annotations
@@ -37,13 +38,13 @@ from itertools import islice
 from .graded import GradedHopfParams, multiply as graded_multiply
 from .linear import Lin
 from .presentations import (
-    CHAIN_Q1, CYCLE_DEFORM, CYCLE_GRADED, CYCLE_HALF, TYPE_ONE_CYCLE,
     PBWMonomial, RewriteSystem,
-    chain_graded, cycle_graded, path_preimage, pbw_image, presentation_of,
-    resolution_difference, _pbw_monomials, _pbw_shapes,
+    chain_graded, cycle_deform, cycle_graded, path_preimage, pbw_image,
+    presentation_of, resolution_difference,
+    _path_kind, _pbw_monomials, _pbw_shapes,
 )
 from .report import VerificationReport
-from .scalars import q_factorial, root_of_unity
+from .scalars import root_of_unity
 
 __all__ = [
     "MAX_MONOMIAL_PAIRS",
@@ -72,9 +73,12 @@ _CHAIN_WINDOW = range(-2, 3)
 
 TensorAlg = Lin  # the square of a presentation rs is a Lin over (rs, rs)
 
-# the PBW monomial of each one-letter word
-_LETTER = {"h": PBWMonomial(0, 0, 1), "H": PBWMonomial(0, 0, -1),
-           "a": PBWMonomial(0, 1, 0), "p": PBWMonomial(1, 0, 0)}
+_LETTER = {"a": PBWMonomial(0, 1, 0), "p": PBWMonomial(1, 0, 0)}
+
+
+def _letter(rs, sym):
+    """The normal monomial of a one-letter word (h is 1 on the 1-cycle)."""
+    return _LETTER.get(sym) or rs.group_like(1 if sym == "h" else -1)
 
 
 def generator_coproducts(desc):
@@ -126,7 +130,7 @@ def _generator_delta(desc, rs, sym):
     ctx, square, one = rs.ctx, (rs, rs), rs.ctx.one()
     unit = PBWMonomial(0, 0, 0)
     if sym in ("h", "H"):
-        g = rs.group_like(1 if sym == "h" else -1)
+        g = _letter(rs, sym)
         out = Lin(ctx, square, {(g, g): one})
     elif sym == "a":
         a1, h1 = _LETTER["a"], rs.group_like(1)
@@ -205,7 +209,7 @@ def _antipode_generators(desc):
     rs = presentation_of(desc)
     memo = rs._antipode
     gen_delta = generator_coproducts(desc)
-    if all(_LETTER[sym] in memo for sym in gen_delta):
+    if all(_letter(rs, sym) in memo for sym in gen_delta):
         return
     unit = PBWMonomial(0, 0, 0)
     inverse = {"h": rs.group_like(-1), "H": rs.group_like(1)}
@@ -216,9 +220,9 @@ def _antipode_generators(desc):
             if rs.multiply(image, rs.generator(sym)) != rs.one():
                 raise ArithmeticError(
                     "no antipode: group-like is not invertible")
-            memo[_LETTER[sym]] = image
+            memo[_letter(rs, sym)] = image
             continue
-        lead = (_LETTER[sym], unit)
+        lead = (_letter(rs, sym), unit)
         if delta.coefficient(lead) != 1:
             raise ArithmeticError(
                 "no antipode: convolution equation is not monic")
@@ -244,11 +248,11 @@ def _antipode_mono(desc, mono):
         word = mono.word()
         # the solve asks only for words over letters it has solved, so
         # testing the letters (not the memo) keeps it from re-entering
-        if any(_LETTER[sym] not in memo for sym in word):
+        if any(_letter(rs, sym) not in memo for sym in word):
             _antipode_generators(desc)
         out = rs.one()
         for sym in reversed(word):
-            out = rs.multiply(out, memo[_LETTER[sym]])
+            out = rs.multiply(out, memo[_letter(rs, sym)])
         memo[mono] = out
     return out
 
@@ -387,12 +391,8 @@ def verify_hopf(desc, degree_bound):
 # -- degeneration ----------------------------------------------------------------
 
 def _graded_sibling(desc):
-    if desc.family in (CYCLE_DEFORM, CYCLE_HALF, CYCLE_GRADED,
-                       TYPE_ONE_CYCLE):
-        return cycle_graded(desc.n, desc.q)
-    if desc.family == CHAIN_Q1:
-        return chain_graded(desc.ctx.one())
-    return chain_graded(desc.q)
+    return chain_graded(desc.q) if desc.is_chain \
+        else cycle_graded(desc.n, desc.q)
 
 
 def verify_degeneration(desc, degree_bound):
@@ -408,8 +408,7 @@ def verify_degeneration(desc, degree_bound):
     _check_degree_bound(desc, degree_bound)
     rs = presentation_of(desc)
     gdesc = _graded_sibling(desc)
-    kind = ("cycle", desc.n) if not desc.is_chain else ("chain",)
-    params = GradedHopfParams(kind, gdesc.q)
+    params = GradedHopfParams(_path_kind(desc), gdesc.q)
     rep = VerificationReport(f"degeneration of {desc.label()}")
     monos = _monomials(desc, degree_bound)
     images = {m: pbw_image(gdesc, rs.monomial(m)) for m in monos}
@@ -443,14 +442,26 @@ def verify_degeneration(desc, degree_bound):
 
 # -- forced-vanishing obstructions ------------------------------------------------
 
+def _trial_system(desc, terms, name):
+    """``presentation_of(desc)`` with the (word, scalar) terms that
+    ``terms`` maps a left-hand side to appended to that rule's right-hand
+    side; rule order, weights and bounds are kept, the descriptor is not.
+    """
+    base = presentation_of(desc)
+    rules = [(lhs, rhs + tuple(terms.get(lhs, ()))) for lhs, rhs in base.rules]
+    return RewriteSystem(base.ctx, rules, p_weight=base.p_weight,
+                         h_order=base.h_order, a_bound=base.a_bound,
+                         name=name)
+
+
 def forced_vanishing_suite(ctx, n=4, d=2, trials=(1, 2)):
     """Replay the four obstruction arguments with trial parameters.
 
-    Each candidate deformation that the classification excludes is
-    installed with a trial scalar; the overlap ambiguity that encodes
-    the argument is resolved both ways.  The residual must vanish
-    exactly at the classified parameter values.  Requires d | n with
-    1 < d < n and conductor divisible by n.
+    Each candidate deformation that the classification excludes is a
+    classified presentation plus trial terms (``_trial_system``); the
+    overlap ambiguity that encodes the argument is resolved both ways.
+    The residual must vanish exactly at the classified parameter values.
+    Requires d | n with 1 < d < n and conductor divisible by n.
     """
     if not (1 < d < n) or n % d != 0:
         raise ValueError("need a proper divisor 1 < d < n")
@@ -460,11 +471,9 @@ def forced_vanishing_suite(ctx, n=4, d=2, trials=(1, 2)):
 
     # conjugating a by the full group cycle: g a g^{-1} = a + lam (1 - g)
     def commutation_trial(lam):
-        lam = ctx.scalar(lam)
-        return RewriteSystem(ctx, [
-            ("h" * n, [("", one)]),
-            ("ha", [("ah", one), ("h", lam), ("hh", -lam)]),
-        ], name=f"q=1 cycle, trial lambda={lam}")
+        return _trial_system(cycle_graded(n, one),
+                             {"ha": [("h", lam), ("hh", -lam)]},
+                             f"q=1 cycle, trial lambda={lam}")
 
     word = "h" * n + "a"
     for lam in trials:
@@ -479,26 +488,18 @@ def forced_vanishing_suite(ctx, n=4, d=2, trials=(1, 2)):
             resolution_difference(rs, word, (0, 0), (n - 1, 1)).is_zero())
 
     # full-order cycle: [a, p] = lambda a + mu (1 - g); a^n = 0 kills mu
-    qn = root_of_unity(ctx, n)
-
-    def full_order_trial(lam, mu):
-        lam, mu = ctx.scalar(lam), ctx.scalar(mu)
-        return RewriteSystem(ctx, [
-            ("h" * n, [("", one)]),
-            ("ha", [("ah", qn)]),
-            ("hp", [("ph", one)]),
-            ("a" * n, []),
-            ("ap", [("pa", one), ("a", lam), ("", mu), ("h", -mu)]),
-        ], p_weight=n, h_order=n, a_bound=n,
-            name=f"full-order cycle, trial mu={mu}")
+    def full_order_trial(mu):
+        return _trial_system(cycle_deform(n, root_of_unity(ctx, n), 1),
+                             {"ap": [("", mu), ("h", -mu)]},
+                             f"full-order cycle, trial mu={mu}")
 
     word = "a" * n + "p"
     for mu in trials:
-        rs = full_order_trial(1, mu)
+        rs = full_order_trial(mu)
         diff = resolution_difference(rs, word, (0, 3), (n - 1, 4))
         rep.add(f"nilpotency obstruction is nonzero at mu={mu}",
                 not diff.is_zero(), f"residual {diff}")
-    rs = full_order_trial(1, 0)
+    rs = full_order_trial(0)
     rep.add("nilpotency obstruction vanishes at mu=0 (lambda free)",
             resolution_difference(rs, word, (0, 3), (n - 1, 4)).is_zero())
 
@@ -506,15 +507,9 @@ def forced_vanishing_suite(ctx, n=4, d=2, trials=(1, 2)):
     qd = root_of_unity(ctx, d)
 
     def group_p_trial(nu):
-        nu = ctx.scalar(nu)
-        return RewriteSystem(ctx, [
-            ("h" * n, [("", one)]),
-            ("ha", [("ah", qd)]),
-            ("hp", [("ph", one), ("h", nu), ("h" * (d + 1), -nu)]),
-            ("a" * d, []),
-            ("ap", [("pa", one)]),
-        ], p_weight=d, h_order=n, a_bound=d,
-            name=f"intermediate cycle, trial nu={nu}")
+        return _trial_system(cycle_graded(n, qd),
+                             {"hp": [("h", nu), ("h" * (d + 1), -nu)]},
+                             f"intermediate cycle, trial nu={nu}")
 
     word = "h" * n + "p"
     for nu in trials:
@@ -530,21 +525,17 @@ def forced_vanishing_suite(ctx, n=4, d=2, trials=(1, 2)):
 
     # chain at root order d: e^d = lam (1 - g^d) and a mu term both die,
     # while the group-action deformation alpha on p survives
+    chain = chain_graded(qd)
+
     def chain_trial(lam, mu, alpha):
-        lam, mu, alpha = ctx.scalar(lam), ctx.scalar(mu), ctx.scalar(alpha)
-        c = lam * (one - qd) / q_factorial(d - 1, qd)
-        return RewriteSystem(ctx, [
-            ("hH", [("", one)]),
-            ("Hh", [("", one)]),
-            ("ha", [("ah", qd)]),
-            ("Ha", [("aH", qd.inverse())]),
-            ("hp", [("ph", one), ("h", alpha), ("h" * (d + 1), -alpha)]),
-            ("Hp", [("pH", one), ("H", -alpha), ("h" * (d - 1), alpha)]),
-            ("a" * d, [("", lam), ("h" * d, -lam)]),
-            ("ap", [("pa", one), ("a", c), ("a" + "h" * d, c),
-                    ("", mu), ("h" * (d + 1), -mu)]),
-        ], p_weight=d, a_bound=d,
-            name=f"chain at order {d}, trial lambda={lam}, mu={mu}")
+        c = lam * (one - qd) / chain.qfact.fact(d - 1)
+        return _trial_system(chain, {
+            "hp": [("h", alpha), ("h" * (d + 1), -alpha)],
+            "Hp": [("H", -alpha), ("h" * (d - 1), alpha)],
+            "a" * d: [("", lam), ("h" * d, -lam)],
+            "ap": [("a", c), ("a" + "h" * d, c),
+                   ("", mu), ("h" * (d + 1), -mu)],
+        }, f"chain at order {d}, trial lambda={lam}, mu={mu}")
 
     word = "a" * d + "p"
     for t in trials:

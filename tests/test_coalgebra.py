@@ -4,10 +4,11 @@ from itertools import product
 import pytest
 
 from hopfpath import (
-    CoalgElement, TensorElement, chain_automorphism, chain_kind, chain_path,
-    comultiply, counit, cycle_automorphism, cycle_kind, cycle_path,
-    cyclotomic_context, degree, enumerate_paths,
+    CoalgElement, Lin, TensorElement, chain_automorphism, chain_kind,
+    chain_path, comultiply, counit, cycle_automorphism, cycle_kind,
+    cycle_path, cyclotomic_context, degree, enumerate_paths,
 )
+from hopfpath.coalgebra import _correction, _paths
 
 CTX = cyclotomic_context(12)
 
@@ -184,3 +185,61 @@ def test_element_rendering():
     x = elem(cycle_path(3, 0, 2), 2) + elem(cycle_path(3, 1, 0))
     assert str(x) == "g^1 + 2 * p[0,2]"
     assert str(CoalgElement(CTX, cycle_kind(3))) == "0"
+
+
+def _reference_cycle_correction(n, d, j, ctx, path):
+    """The cycle coderivation as written before the cycle and chain
+    versions were merged."""
+    i, l, kind = path.source, path.length, path.kind
+    if l < d or d % n == 0:
+        return Lin(ctx, kind)
+    if l == d:
+        if (i - j) % n == 0:
+            return _paths(ctx, kind, (j, 0, 1), (j + d, 0, -1))
+        return Lin(ctx, kind)
+    if (i - j) % n == 0:
+        if (l - d) % n == 0:
+            return _paths(ctx, kind, (j + d, l - d, -1), (j, l - d, 1))
+        return _paths(ctx, kind, (j + d, l - d, -1))
+    if (i + l - j - d) % n == 0:
+        return _paths(ctx, kind, (i, l - d, 1))
+    return Lin(ctx, kind)
+
+
+def _reference_chain_correction(d, ctx, path):
+    """The chain coderivation as written before the merge."""
+    i, l, kind = path.source, path.length, path.kind
+    if l < d:
+        return Lin(ctx, kind)
+    if l == d:
+        if i == 0:
+            return _paths(ctx, kind, (0, 0, 1), (d, 0, -1))
+        return Lin(ctx, kind)
+    if i == 0:
+        return _paths(ctx, kind, (d, l - d, -1))
+    if i + l == d:
+        return _paths(ctx, kind, (i, l - d, 1))
+    return Lin(ctx, kind)
+
+
+def test_merged_correction_matches_the_cycle_and_chain_versions():
+    cases = 0
+    for n in range(1, 9):
+        for d in range(2, 2 * n + 2):
+            paths = enumerate_paths(cycle_kind(n), 3 * d)
+            for j in range(n):
+                for path in paths:
+                    got = _correction(n, d, j, CTX, path)
+                    want = _reference_cycle_correction(n, d, j, CTX, path)
+                    assert list(got.terms.items()) \
+                        == list(want.terms.items()), (n, d, j, path)
+                    cases += 1
+    for d in range(1, 9):
+        for path in enumerate_paths(chain_kind(), 3 * d,
+                                    window=(-2 * d, 2 * d)):
+            got = _correction(None, d, 0, CTX, path)
+            want = _reference_chain_correction(d, CTX, path)
+            assert list(got.terms.items()) == list(want.terms.items()), \
+                (d, path)
+            cases += 1
+    assert cases > 30_000

@@ -5,7 +5,8 @@ from hypothesis import given, strategies as st
 from hopfpath import (
     Lin, PBWMonomial, chain_q1, chain_root, coproduct, cycle_deform,
     cycle_half, cyclotomic_context, generator_coproducts, presentation_of,
-    root_of_unity, simple_pointed_catalog, type_one_cycle, verify_hopf,
+    root_of_unity, simple_pointed_catalog, type_one_cycle, verify_antipode,
+    verify_hopf,
 )
 from hopfpath import verifier
 from hopfpath.verifier import _antipode_mono, _delta_word
@@ -86,6 +87,16 @@ def test_generator_coproduct_keys_are_normal_monomials():
                         (desc.label(), sym, mono)
                     if not desc.is_chain:
                         assert 0 <= mono.i < desc.n
+
+
+def test_antipode_memo_keys_are_normal_monomials():
+    # h = 1 on the 1-cycle, so S(h) must be memoized under 1, not h^1
+    desc = simple_pointed_catalog(1)[0]
+    assert verify_antipode(desc, 4).passed
+    rs = presentation_of(desc)
+    for mono in rs._antipode:
+        assert rs.normal_form(mono.word()) == rs.monomial(mono), mono
+        assert 0 <= mono.i < desc.n, mono
 
 
 def _words(desc):

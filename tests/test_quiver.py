@@ -1,4 +1,7 @@
+from itertools import product
+
 import pytest
+from hypothesis import given, strategies as st
 
 from hopfpath import (
     GroupSpec, Path, build_hopf_quiver, chain_kind, conjugacy_class_of,
@@ -43,6 +46,69 @@ def test_bad_table_rejected():
         # two-sided identity but (1*1)*1 != 1*(1*1)
         GroupSpec.from_table(["0", "1", "2"],
                              [[0, 1, 2], [1, 2, 0], [2, 1, 0]])
+
+
+def _brute_force_defect(table):
+    """The first group axiom a table breaks, checking every triple."""
+    n = len(table)
+    units = [e for e in range(n)
+             if all(table[e][x] == x == table[x][e] for x in range(n))]
+    if not units:
+        return "identity"
+    if any(table[table[a][b]][c] != table[a][table[b][c]]
+           for a, b, c in product(range(n), repeat=3)):
+        return "associative"
+    if not all(any(table[a][b] == units[0] == table[b][a] for b in range(n))
+               for a in range(n)):
+        return "inverse"
+    return None
+
+
+@st.composite
+def _tables(draw):
+    """Random tables of order <= 5, half with a two-sided identity at 0,
+    and relabeled products Z/a x Z/b, some with one entry changed."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 5))
+        table = [draw(st.lists(st.integers(0, n - 1), min_size=n,
+                               max_size=n)) for _ in range(n)]
+        if draw(st.booleans()):
+            for x in range(n):
+                table[0][x] = table[x][0] = x
+        return table
+    a, b = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    elems = [(x, y) for x in range(a) for y in range(b)]
+    perm = draw(st.permutations(range(len(elems))))
+    label = {e: perm[k] for k, e in enumerate(elems)}
+    table = [[None] * len(elems) for _ in elems]
+    for (x, y), (u, v) in product(elems, repeat=2):
+        table[label[(x, y)]][label[(u, v)]] = label[((x + u) % a,
+                                                     (y + v) % b)]
+    if draw(st.booleans()):
+        index = st.integers(0, len(elems) - 1)
+        table[draw(index)][draw(index)] = draw(index)
+    return table
+
+
+@given(_tables())
+def test_table_check_agrees_with_brute_force(table):
+    labels = [str(k) for k in range(len(table))]
+    defect = _brute_force_defect(table)
+    if defect is None:
+        GroupSpec.from_table(labels, table)
+    else:
+        with pytest.raises(ValueError, match=defect):
+            GroupSpec.from_table(labels, table)
+
+
+def test_order_1000_table_is_checked():
+    n = 1000
+    labels = [str(k) for k in range(n)]
+    table = [[(x + y) % n for y in range(n)] for x in range(n)]
+    assert GroupSpec.from_table(labels, table).inverse(1) == n - 1
+    table[1][1] = 3  # (1*1)*2 = 5, but 1*(1*2) = 4
+    with pytest.raises(ValueError, match="associative"):
+        GroupSpec.from_table(labels, table)
 
 
 def test_conjugacy_classes_cyclic():

@@ -15,7 +15,9 @@ coproduct is the entry of its one-letter word), and
 ``RewriteSystem._antipode`` maps a PBW monomial to its antipode (a
 generator's antipode is the entry of its letter monomial).
 Every product in the presentation or its tensor square reads the
-presentation's monomial product table, ``RewriteSystem._prod``; only the
+presentation's monomial product table, ``RewriteSystem._prod``, keyed
+by the middle a^j h^i p^k' a^j' of the product (its two halves are
+memoized in ``_front`` and ``_back``); only the
 forced-vanishing trials reduce whole words, through
 ``resolution_difference``.  This module keeps no cache of its own;
 ``presentation_of.cache_clear()`` frees every memo.  A degree bound that
@@ -454,13 +456,20 @@ def _trial_system(desc, terms, name):
                          name=name)
 
 
+def _is_obstruction(diff, expected):
+    """A nonzero residual equal to ``expected`` up to sign (the sign
+    depends on which resolution is subtracted)."""
+    return not diff.is_zero() and (diff == expected or diff == -expected)
+
+
 def forced_vanishing_suite(ctx, n=4, d=2, trials=(1, 2)):
     """Replay the four obstruction arguments with trial parameters.
 
     Each candidate deformation that the classification excludes is a
     classified presentation plus trial terms (``_trial_system``); the
     overlap ambiguity that encodes the argument is resolved both ways.
-    The residual must vanish exactly at the classified parameter values.
+    The residual must vanish exactly at the classified parameter values
+    and equal its closed form, up to sign, at every trial value.
     Requires d | n with 1 < d < n and conductor divisible by n.
     """
     if not (1 < d < n) or n % d != 0:
@@ -481,13 +490,13 @@ def forced_vanishing_suite(ctx, n=4, d=2, trials=(1, 2)):
         diff = resolution_difference(rs, word, (0, 0), (n - 1, 1))
         expected = rs.normal_form("", n * lam) - rs.normal_form("h", n * lam)
         rep.add(f"group-cycle obstruction is n*lambda*(1-g) at lambda={lam}",
-                (not diff.is_zero()) and (diff == expected or diff == -expected),
-                f"residual {diff}")
+                _is_obstruction(diff, expected), f"residual {diff}")
     rs = commutation_trial(0)
     rep.add("group-cycle obstruction vanishes at lambda=0",
             resolution_difference(rs, word, (0, 0), (n - 1, 1)).is_zero())
 
-    # full-order cycle: [a, p] = lambda a + mu (1 - g); a^n = 0 kills mu
+    # full-order cycle: [a, p] = lambda a + mu (1 - g); a^n = 0 kills mu,
+    # the residual is n*mu*a^(n-1)
     def full_order_trial(mu):
         return _trial_system(cycle_deform(n, root_of_unity(ctx, n), 1),
                              {"ap": [("", mu), ("h", -mu)]},
@@ -497,8 +506,9 @@ def forced_vanishing_suite(ctx, n=4, d=2, trials=(1, 2)):
     for mu in trials:
         rs = full_order_trial(mu)
         diff = resolution_difference(rs, word, (0, 3), (n - 1, 4))
+        expected = rs.normal_form("a" * (n - 1), n * mu)
         rep.add(f"nilpotency obstruction is nonzero at mu={mu}",
-                not diff.is_zero(), f"residual {diff}")
+                _is_obstruction(diff, expected), f"residual {diff}")
     rs = full_order_trial(0)
     rep.add("nilpotency obstruction vanishes at mu=0 (lambda free)",
             resolution_difference(rs, word, (0, 3), (n - 1, 4)).is_zero())
@@ -517,18 +527,22 @@ def forced_vanishing_suite(ctx, n=4, d=2, trials=(1, 2)):
         diff = resolution_difference(rs, word, (0, 0), (n - 1, 2))
         expected = rs.normal_form("", n * nu) - rs.normal_form("h" * d, n * nu)
         rep.add(f"group-action obstruction is n*nu*(1-g^d) at nu={nu}",
-                (not diff.is_zero()) and (diff == expected or diff == -expected),
-                f"residual {diff}")
+                _is_obstruction(diff, expected), f"residual {diff}")
     rs = group_p_trial(0)
     rep.add("group-action obstruction vanishes at nu=0",
             resolution_difference(rs, word, (0, 0), (n - 1, 2)).is_zero())
 
     # chain at root order d: e^d = lam (1 - g^d) and a mu term both die,
-    # while the group-action deformation alpha on p survives
+    # while the group-action deformation alpha on p survives; the
+    # residuals are d*lam*(c (1 - g^(2d)) + g^d - g^(2d)) with
+    # c = lam (1 - q) / (d-1)!_q, and d*mu*e^(d-1)
     chain = chain_graded(qd)
 
+    def chain_coeff(lam):
+        return lam * (one - qd) / chain.qfact.fact(d - 1)
+
     def chain_trial(lam, mu, alpha):
-        c = lam * (one - qd) / chain.qfact.fact(d - 1)
+        c = chain_coeff(lam)
         return _trial_system(chain, {
             "hp": [("h", alpha), ("h" * (d + 1), -alpha)],
             "Hp": [("H", -alpha), ("h" * (d - 1), alpha)],
@@ -541,12 +555,16 @@ def forced_vanishing_suite(ctx, n=4, d=2, trials=(1, 2)):
     for t in trials:
         rs = chain_trial(t, 0, 1)
         diff = resolution_difference(rs, word, (0, 6), (d - 1, 7))
+        c = chain_coeff(t)
+        expected = (rs.normal_form("", c) + rs.normal_form("h" * d)
+                    - rs.normal_form("h" * (2 * d), c + one)).scale(d * t)
         rep.add(f"chain obstruction is nonzero at lambda={t}",
-                not diff.is_zero(), f"residual {diff}")
+                _is_obstruction(diff, expected), f"residual {diff}")
         rs = chain_trial(0, t, 1)
         diff = resolution_difference(rs, word, (0, 6), (d - 1, 7))
+        expected = rs.normal_form("a" * (d - 1), d * t)
         rep.add(f"chain obstruction is nonzero at mu={t}",
-                not diff.is_zero(), f"residual {diff}")
+                _is_obstruction(diff, expected), f"residual {diff}")
     rs = chain_trial(0, 0, 1)
     rep.add("chain obstruction vanishes at lambda=mu=0 (alpha free)",
             resolution_difference(rs, word, (0, 6), (d - 1, 7)).is_zero())

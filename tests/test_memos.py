@@ -6,10 +6,10 @@ from hopfpath import (
     Lin, PBWMonomial, chain_q1, chain_root, coproduct, cycle_deform,
     cycle_half, cyclotomic_context, generator_coproducts, presentation_of,
     root_of_unity, simple_pointed_catalog, type_one_cycle, verify_antipode,
-    verify_hopf,
+    verify_degeneration, verify_hopf,
 )
 from hopfpath import verifier
-from hopfpath.verifier import _antipode_mono, _delta_word
+from hopfpath.verifier import _antipode_mono, _delta_word, _monomials
 
 from test_acceptance import _family_sweep
 
@@ -159,14 +159,19 @@ def test_cache_clear_rebuilds_equal_values():
         assert _antipode_mono(desc, m).terms == antis[m]
 
 
+def _middle_word(j, i, k, j2):
+    """The middle a^j h^i p^k a^j2 that a product table entry reduces."""
+    return "a" * j + PBWMonomial(0, 0, i).word() + "p" * k + "a" * j2
+
+
 def test_verify_hopf_fills_the_product_table():
     desc = chain_root(root_of_unity(cyclotomic_context(3), 3), 2)
     rs = presentation_of(desc)
     rs._prod.clear()
     assert verify_hopf(desc, 6).passed
     assert rs._prod
-    for (x, y), terms in rs._prod.items():
-        assert terms == rs.reduce_word(x.word() + y.word())[0]
+    for middle, terms in rs._prod.items():
+        assert terms == rs.reduce_word(_middle_word(*middle))[0], middle
 
 
 def test_cache_clear_frees_the_product_table():
@@ -176,14 +181,30 @@ def test_cache_clear_frees_the_product_table():
     old = presentation_of(desc)
     products = {(x, y): dict(old.mono_product(x, y))
                 for x in monos for y in monos}
-    assert old._prod
+    entries = {middle: dict(terms) for middle, terms in old._prod.items()}
+    assert entries
 
     presentation_of.cache_clear()
     rs = presentation_of(desc)
     assert rs is not old and not rs._prod
+    assert not rs._front and not rs._back
     for (x, y), terms in products.items():
         assert rs.mono_product(x, y) == terms
-    assert len(rs._prod) == len(products)
+    assert rs._prod == entries
+    assert len(rs._prod) == len({(x.j, x.i, y.k, y.j) for x, y in products})
+
+
+def test_product_table_holds_one_entry_per_middle():
+    desc = DESCS[0]  # cycle-deform, n = 4
+    bound = 8
+    rs = presentation_of(desc)
+    rs._prod.clear()
+    assert verify_degeneration(desc, bound).passed
+    monos = _monomials(desc, bound)
+    middles = {(x.j, x.i, y.k, y.j) for x in monos for y in monos
+               if rs.monomial_weight(x) + rs.monomial_weight(y) <= bound}
+    assert len(rs._prod) == len(middles)
+    assert set(rs._prod) == middles
 
 
 def test_products_do_not_alias_the_table():

@@ -18,12 +18,11 @@ word.  In p^k a^j h^i * p^k' a^j' h^i' only the middle a^j h^i p^k' a^j'
 changes; ``RewriteSystem.mono_product`` memoizes its normal form in
 ``_prod``, keyed (j, i, k', j'), beside the word memo ``_nf``, and
 carries p^k and h^i' through by shifting exponents.  A middle is
-straightened through the normal forms of short words (h^i p^m, a^j p^m,
-h^g a^j and a^x) in two halves, each memoized on the presentation:
-``_front`` moves p to the front, ``_back`` reduces the a and h powers
-behind it.  ``multiply`` and the tensor-square product of ``Lin`` read
-that table, so the basis change and the degeneration check reach
-``reduce_word`` only through its entries.  ``normal_form``,
+straightened once, through the normal forms of short words (h^i p^m,
+a^j p^m, h^g a^j and a^x), which ``_nf`` memoizes.  ``multiply`` and
+the tensor-square product of ``Lin`` read that table, so the basis
+change and the degeneration check reach ``reduce_word`` only through
+its entries.  ``normal_form``,
 ``check_confluence`` and ``resolution_difference`` (and through it the
 verifier's forced-vanishing trials) call ``reduce_word`` on whole words.
 """
@@ -344,10 +343,8 @@ class RewriteSystem:
             lhs + "".join(w for w, _ in rhs) for lhs, rhs in self.rules))
         self._nf = {}
         # (j, i, k', j') -> normal form of a^j h^i p^k' a^j', kept by
-        # mono_product; _front and _back memoize the halves of each entry
+        # mono_product
         self._prod = {}
-        self._front = {}
-        self._back = {}
         self._delta = {}  # word -> coproduct, kept by verifier._delta_word
         self._antipode = {}  # PBW monomial -> antipode, kept by the verifier
 
@@ -446,10 +443,6 @@ class RewriteSystem:
         return self.monomial(PBWMonomial(0, 0, 0))
 
     def monomial(self, mono, coeff=1):
-        if type(coeff) is int and coeff == 1:
-            out = Lin(self.ctx, self)
-            out.terms = {mono: self.ctx.one()}
-            return out
         return Lin(self.ctx, self, {mono: self.ctx.scalar(coeff)})
 
     def generator(self, sym):
@@ -492,64 +485,36 @@ class RewriteSystem:
                 for m, c in mid.items()}
 
     def _middle(self, j, i, k, j2):
-        """The normal form of a^j h^i p^k a^j2, the two halves of its
-        straightening combined once.
+        """The normal form of a^j h^i p^k a^j2 as a {monomial: scalar} dict.
 
-        The front half moves p^k to the front, a^j h^i p^k = sum of
-        p^k2 a^x h^g; the back half reduces the rest, a^x h^g a^j2 = sum
-        of a^z h^w.  Each half is memoized on the presentation (``_front``
-        keyed (j, i, k), ``_back`` keyed (x, g, j2)).  Each straightening
-        step rewrites a factor of the word, so the result is its normal
-        form when the rule set is confluent.  Confluence is not assumed
-        here; ``check_confluence`` checks it separately.
+        It is straightened in four steps, each the normal form of a short
+        generator-power word: h^i moves past p^k, a^j past the resulting
+        p^m, the collected h^g past a^j2, and the collected a^x is
+        reduced; h exponents add, modulo n on cycles.  Each step rewrites
+        a factor of the word, so the result is its normal form when the
+        rule set is confluent.  Confluence is not assumed here;
+        ``check_confluence`` checks it separately.
         """
-        zero = self.ctx.zero()
-        acc = {}
-        for (k2, x, g), c in self._front_half(j, i, k).items():
-            for (z, w), c2 in self._back_half(x, g, j2).items():
-                mono = PBWMonomial(k2, z, w)
-                acc[mono] = acc.get(mono, zero) + c * c2
-        return {m: c for m, c in acc.items() if not c.is_zero()}
-
-    def _front_half(self, j, i, k):
-        """a^j h^i p^k as {(k2, x, g): scalar}, meaning p^k2 a^x h^g:
-        h^i moves past p^k, then a^j past the resulting p^m."""
-        key = (j, i, k)
-        out = self._front.get(key)
-        if out is not None:
-            return out
         zero = self.ctx.zero()
         acc = {}
         # 1. h^i p^k = sum of p^m h^g
         for m1, c1 in self._power_form(self._h_word(i) + "p" * k,
                                        "a").items():
-            # 2. a^j p^m = sum of p^k2 a^x h^g2
+            # 2. a^j p^m = sum of p^m2 a^x h^g2
             for m2, c2 in self.reduce_word("a" * j + "p" * m1.k)[0].items():
-                key2 = (m2.k, m2.j, self._h_exp(m1.i + m2.i))
-                acc[key2] = acc.get(key2, zero) + c1 * c2
-        out = self._front[key] = {t: c for t, c in acc.items()
-                                  if not c.is_zero()}
-        return out
-
-    def _back_half(self, x, g, j2):
-        """a^x h^g a^j2 as {(z, w): scalar}, meaning a^z h^w: h^g moves
-        past a^j2, then the collected a power is reduced."""
-        key = (x, g, j2)
-        out = self._back.get(key)
-        if out is not None:
-            return out
-        zero = self.ctx.zero()
-        acc = {}
-        # 3. h^g a^j2 = sum of a^y h^g3
-        for m3, c3 in self._power_form(self._h_word(g) + "a" * j2,
-                                       "p").items():
-            # 4. a^(x + y) = sum of a^z h^w
-            for m4, c4 in self._power_form("a" * (x + m3.j), "p").items():
-                key2 = (m4.j, self._h_exp(m4.i + m3.i))
-                acc[key2] = acc.get(key2, zero) + c3 * c4
-        out = self._back[key] = {t: c for t, c in acc.items()
-                                 if not c.is_zero()}
-        return out
+                c12 = c1 * c2
+                # 3. h^(g + g2) a^j2 = sum of a^y h^g3
+                h_word = self._h_word(m1.i + m2.i)
+                for m3, c3 in self._power_form(h_word + "a" * j2,
+                                               "p").items():
+                    c123 = c12 * c3
+                    # 4. a^(x + y) = sum of a^z h^w
+                    for m4, c4 in self._power_form("a" * (m2.j + m3.j),
+                                                   "p").items():
+                        mono = PBWMonomial(m2.k, m4.j,
+                                           self._h_exp(m4.i + m3.i))
+                        acc[mono] = acc.get(mono, zero) + c123 * c4
+        return {m: c for m, c in acc.items() if not c.is_zero()}
 
     def _power_form(self, word, absent):
         """The normal form of a generator-power word, which must not

@@ -129,7 +129,7 @@ class CyclotomicContext:
         self._tails = self._tail_rows()
         self._pad = (0,) * (self.degree - 1)
         self._zero = Scalar(self, (0,) * self.degree)
-        self._one = self.from_rational(1)
+        self._one = Scalar(self, (1,) + self._pad)
 
     def _tail_rows(self):
         d = self.degree
@@ -166,6 +166,8 @@ class CyclotomicContext:
 
     def from_rational(self, value):
         if type(value) is int:
+            if value == 1:
+                return self._one
             return Scalar(self, (value,) + self._pad)
         v = Fraction(value)
         return Scalar(self, (v.numerator,) + self._pad, v.denominator)

@@ -16,8 +16,7 @@ coproduct is the entry of its one-letter word), and
 generator's antipode is the entry of its letter monomial).
 Every product in the presentation or its tensor square reads the
 presentation's monomial product table, ``RewriteSystem._prod``, keyed
-by the middle a^j h^i p^k' a^j' of the product (its two halves are
-memoized in ``_front`` and ``_back``); only the
+by the middle a^j h^i p^k' a^j' of the product; only the
 forced-vanishing trials reduce whole words, through
 ``resolution_difference``.  This module keeps no cache of its own;
 ``presentation_of.cache_clear()`` frees every memo.  A degree bound that

@@ -42,6 +42,14 @@ def test_forced_vanishing_matches_the_golden_file(index):
     assert run_call(expected["argv"]) == expected
 
 
+@pytest.mark.parametrize("n, d", ((9, 3), (12, 4)))
+def test_residual_closed_forms_hold_off_the_golden_cases(n, d):
+    # odd n and negative trial values, which the golden file does not
+    # cover: every residual must still equal its closed form up to sign
+    call = run_call(case_argv(n, d) + ["--trials", "3,-1,5"])
+    assert call["exit"] == 0, call["stdout"]
+
+
 if __name__ == "__main__":
     GOLDEN.write_text(json.dumps([run_call(case_argv(*c)) for c in CASES],
                                  indent=1) + "\n")

@@ -187,7 +187,6 @@ def test_cache_clear_frees_the_product_table():
     presentation_of.cache_clear()
     rs = presentation_of(desc)
     assert rs is not old and not rs._prod
-    assert not rs._front and not rs._back
     for (x, y), terms in products.items():
         assert rs.mono_product(x, y) == terms
     assert rs._prod == entries

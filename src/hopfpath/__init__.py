@@ -24,7 +24,7 @@ from .coalgebra import (
     cycle_automorphism, chain_automorphism,
 )
 from .graded import (
-    GradedHopfParams, multiply_paths, multiply, unit, power_formula_check,
+    GradedHopfParams, multiply, unit, power_formula_check,
     verify_graded_bialgebra, tensor_multiply, structure_table,
 )
 from .presentations import (

@@ -5,9 +5,10 @@ present nf|confluence|classify, verify hopf|antipode|degeneration|
 forced-vanishing, catalog simple-pointed.  Exit status: 0 when every
 check passes (or the computation succeeds), 1 when a verification
 fails, 2 on usage errors (an unwritable --out path included), 3 on an
-internal error (a crash, not a failed check).  Output is deterministic
-byte-for-byte for a fixed invocation: monomials are ordered by
-(k, j, i) and paths by (length, source).
+internal error (a crash, not a failed check), 141 when the reader
+closes stdout early.  Output is deterministic byte-for-byte for a fixed
+invocation: monomials are ordered by (k, j, i) and paths by (length,
+source).
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .quiver import (
 from .scalars import MAX_CONDUCTOR, cyclotomic_context, root_of_unity
 
 ENV_CONDUCTOR = "HOPFPATH_CONDUCTOR"
+EXIT_BROKEN_PIPE = 128 + 13  # as if killed by SIGPIPE
 
 
 def _env_conductor():
@@ -434,6 +436,13 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader closed stdout (``| head``), which is not bad input;
+        # point stdout at devnull so that the flush at exit stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except (ValueError, ZeroDivisionError, json.JSONDecodeError,
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -23,7 +23,6 @@ from .scalars import gauss_binom_row, order, q_factorial
 __all__ = [
     "MAX_BASIS_TUPLES",
     "GradedHopfParams",
-    "multiply_paths",
     "multiply",
     "unit",
     "power_formula_check",
@@ -103,16 +102,6 @@ def _mul_path_raw(params, a, b):
         out = params._paths.setdefault(path, path), coeff
     params._pair_cache[key] = out
     return out
-
-
-def multiply_paths(params, a, b):
-    """The closed product formula on basis paths, as an element."""
-    for p in (a, b):
-        if p.kind != params.kind:
-            raise ValueError("path does not match the multiplication parameters")
-    out = _mul_path_raw(params, a, b)
-    return Lin(params.ctx, params.kind,
-               None if out is None else {out[0]: out[1]})
 
 
 def multiply(params, x, y):

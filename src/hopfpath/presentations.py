@@ -31,10 +31,11 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import islice, product
 
 from .linear import Lin
 from .quiver import Path, chain_kind, cycle_kind
@@ -152,12 +153,9 @@ class HopfFamilyDescriptor:
 
     The derived invariants are set once, when the descriptor is built:
     ``d`` is the order of q (the divided-power degree; None if
-    infinite), ``has_p`` says whether p is a generator, ``p_length`` is
-    the path length of p (0 without p), and ``a_bound`` is the exponent
-    bound of an a^d rule (or None).  ``qfact`` is the descriptor's own
-    q-factorial table.  None of them takes part in comparison.  ``d``
-    stays a property over the stored ``_d``, so that the perfbench
-    tracer can count its reads.
+    infinite) and ``qfact`` is the descriptor's own q-factorial table.
+    Neither takes part in comparison.  ``d`` stays a property over the
+    stored ``_d``, so that the perfbench tracer can count its reads.
     """
 
     family: str
@@ -167,9 +165,6 @@ class HopfFamilyDescriptor:
     half_coeff: str = "factorial"
     notes: tuple = field(default=(), compare=False)
     _d: object = field(init=False, compare=False, repr=False)
-    has_p: bool = field(init=False, compare=False, repr=False)
-    p_length: int = field(init=False, compare=False, repr=False)
-    a_bound: object = field(init=False, compare=False, repr=False)
     qfact: QFactorialTable = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -210,20 +205,8 @@ class HopfFamilyDescriptor:
                 raise ValueError(
                     "type-one families need q a root of unity of order > 1")
             self._normalize_param("mu")
-        graded_p = self.family in (CYCLE_GRADED, CHAIN_GRADED) \
-            and d is not None and d > 1
-        if self.family == CYCLE_DEFORM:
-            a_bound = p_length = self.n
-        elif graded_p or self.family in (CYCLE_HALF, CHAIN_ROOT):
-            a_bound = p_length = d
-        elif self.family in (TYPE_ONE_CYCLE, TYPE_ONE_CHAIN):
-            a_bound, p_length = d, 0
-        else:
-            a_bound, p_length = None, 0
-        for name, value in (("_d", d), ("has_p", p_length > 0),
-                            ("p_length", p_length), ("a_bound", a_bound),
-                            ("qfact", QFactorialTable(self.q))):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_d", d)
+        object.__setattr__(self, "qfact", QFactorialTable(self.q))
 
     def _normalize_param(self, name):
         # The classification normalizes these deformation scalars to
@@ -305,6 +288,18 @@ def type_one_chain(q, mu=0):
 # -- the rewriting engine ------------------------------------------------------
 
 _RANK = {"h": 3, "H": 2, "a": 1, "p": 0}
+
+# The most ordered monomial pairs (x, y) within the weight bound,
+# w(x) + w(y) <= bound, that one structure table or one antipode, Hopf
+# or degeneration verdict may range over.  The acceptance sweep needs at
+# most 3,276 (the 6-cycle families at weight 12); chain-root at d = 3
+# and weight 10,000 would need over a billion, and fill the product
+# memo with them.
+MAX_MONOMIAL_PAIRS = 10_000
+
+# The most normal monomials one confluence audit may predict and check.
+# The acceptance sweep predicts at most 114 (the 6-cycle at weight 18).
+MAX_AUDIT_MONOMIALS = 2_000
 
 
 class RewriteSystem:
@@ -433,6 +428,54 @@ class RewriteSystem:
                 or (self.p_weight == 0 and k):
             return None
         return PBWMonomial(k, j, i)
+
+    # -- the PBW basis --------------------------------------------------------
+
+    def shapes(self, weight_bound):
+        """The (k, j) of the normal monomials p^k a^j h^i of weight at
+        most weight_bound, the shapes that ``_parse_normal_word``
+        accepts, in weight order (j ascending within a weight); lazy, so
+        that a count can stop early however large the bound."""
+        pw, cap = self.p_weight, self.a_bound
+        if not pw and cap is not None:
+            weight_bound = min(weight_bound, cap - 1)
+        for w in range(weight_bound + 1):
+            for k in range(w // pw, -1, -1) if pw else (0,):
+                if cap is not None and w - k * pw >= cap:
+                    break
+                yield k, w - k * pw
+
+    def _i_values(self, window):
+        return range(self.h_order) if self.h_order is not None else window
+
+    def normal_monomials(self, weight_bound, window=(0,)):
+        """The normal monomials of weight at most weight_bound in shape
+        order, i over 0..n-1 on a cycle and over ``window`` on a chain."""
+        return [PBWMonomial(k, j, i) for k, j in self.shapes(weight_bound)
+                for i in self._i_values(window)]
+
+    def monomial_pairs(self, weight_bound, window=(0,)):
+        """The ordered pairs (x, y) of ``normal_monomials`` whose weights
+        sum to at most weight_bound."""
+        monos = self.normal_monomials(weight_bound, window)
+        weights = [self.monomial_weight(m) for m in monos]
+        for x, wx in zip(monos, weights):
+            for y, wy in zip(monos, weights):
+                if wx + wy > weight_bound:
+                    break
+                yield x, y
+
+    def pair_count(self, weight_bound, window=(0,)):
+        """The number of pairs ``monomial_pairs`` yields, counted from
+        the (k, j) shapes alone.  Every monomial pairs with the unit, so
+        once there are more shapes than MAX_MONOMIAL_PAIRS allows, the
+        count stops there and is only a lower bound."""
+        width = len(self._i_values(window))
+        limit = MAX_MONOMIAL_PAIRS // width ** 2 + 1
+        weights = [k * self.p_weight + j for k, j in
+                   islice(self.shapes(weight_bound), limit)]
+        return width ** 2 * sum(bisect_right(weights, weight_bound - w)
+                                for w in weights)
 
     # -- elements -----------------------------------------------------------
 
@@ -571,8 +614,11 @@ def presentation_of(desc):
     rules = []
     chain = desc.is_chain
     d = desc.d
-    a_bound = desc.a_bound
-    p_weight = desc.p_length
+    # p weighs its path length d (= n on cycle-deform); a graded family
+    # has p only at a root of unity of order d > 1
+    has_p = desc.family in (CYCLE_DEFORM, CYCLE_HALF, CHAIN_ROOT) or (
+        desc.family in (CYCLE_GRADED, CHAIN_GRADED) and (d or 0) > 1)
+    p_weight = d if has_p else 0
 
     if chain:
         rules.append(("hH", [("", one)]))
@@ -589,7 +635,7 @@ def presentation_of(desc):
         if chain:
             rules.append(("Ha", [("aH", q.inverse())]))
 
-    if desc.has_p:
+    if has_p:
         if desc.family == CHAIN_ROOT:
             # g p g^{-1} = p + lambda (1 - g^d) survives on the chain.
             rules.append(("hp", [("ph", one), ("h", lam),
@@ -601,14 +647,16 @@ def presentation_of(desc):
             if chain:
                 rules.append(("Hp", [("pH", one)]))
 
-    if a_bound is not None:
+    a_bound = None
+    if has_p or desc.family in (TYPE_ONE_CYCLE, TYPE_ONE_CHAIN):
+        a_bound = d
         if desc.family in (CYCLE_HALF, TYPE_ONE_CYCLE, TYPE_ONE_CHAIN):
             mu = desc.param
-            rules.append(("a" * a_bound, [("", mu), ("h" * d, -mu)]))
+            rules.append(("a" * d, [("", mu), ("h" * d, -mu)]))
         else:
-            rules.append(("a" * a_bound, []))
+            rules.append(("a" * d, []))
 
-    if desc.has_p:
+    if has_p:
         if desc.family == CYCLE_DEFORM:
             rules.append(("ap", [("pa", one), ("a", lam)]))
         elif desc.family == CYCLE_HALF:
@@ -742,8 +790,10 @@ def check_confluence(rs, degree_bound=None):
     Each ambiguity word is reduced through both overlapping redexes and
     the results compared.  When a degree bound is given, the irreducible
     monomials up to that weight are enumerated and counted against the
-    predicted normal-form basis, and short words are classified
-    exhaustively (reducible versus normal shape).
+    predicted normal-form basis (i = 0 on a chain), and short words over
+    the presentation's letters are classified exhaustively (reducible
+    versus normal shape).  A bound that predicts more than
+    MAX_AUDIT_MONOMIALS monomials is refused before the audit starts.
     """
     if degree_bound is not None and degree_bound < 0:
         raise ValueError("degree_bound must be non-negative")
@@ -754,18 +804,23 @@ def check_confluence(rs, degree_bound=None):
         diff = resolution_difference(rs, word, left, right)
         rep.add(f"ambiguity {word} at {left[0]}/{right[0]}", diff.is_zero(),
                 "" if diff.is_zero() else f"residual {diff}")
-    if degree_bound is not None and rs.descriptor is not None:
-        expected = _pbw_monomials(rs.descriptor, degree_bound)
+    if degree_bound is not None:
+        width = len(rs._i_values((0,)))
+        shapes = islice(rs.shapes(degree_bound),
+                        MAX_AUDIT_MONOMIALS // width + 1)
+        if width * sum(1 for _ in shapes) > MAX_AUDIT_MONOMIALS:
+            raise ValueError(
+                f"degree bound {degree_bound} predicts more than "
+                f"{MAX_AUDIT_MONOMIALS:,} normal monomials; lower it")
+        expected = rs.normal_monomials(degree_bound)
         irreducible = [m for m in expected
                        if rs._find_match(m.word()) is None]
         rep.add(
             f"normal-form count at weight <= {degree_bound}",
             len(irreducible) == len(expected),
             f"{len(irreducible)} irreducible of {len(expected)} predicted")
-        alphabet = "hHa" if rs.descriptor.is_chain else "ha"
-        if rs.descriptor.has_p:
-            alphabet += "p"
-        max_len = 5 if rs.descriptor.is_chain else 6
+        alphabet = sorted(rs.letters, key=_RANK.get, reverse=True)
+        max_len = 6 if rs.h_order is not None else 5
         bad = None
         for length in range(1, max_len + 1):
             for letters in product(alphabet, repeat=length):
@@ -779,30 +834,6 @@ def check_confluence(rs, degree_bound=None):
         rep.add("irreducible words are exactly the PBW words "
                 f"(length <= {max_len})", bad is None, bad or "")
     return rep
-
-
-def _pbw_monomials(desc, weight_bound, i_values=None):
-    """Predicted normal-form monomials of bounded weight.
-
-    The weightless h exponent ranges over 0..n-1 on cycles; for chains
-    it is unbounded and only i = 0 representatives are enumerated unless
-    explicit values are given.
-    """
-    if i_values is None:
-        i_values = range(desc.n) if not desc.is_chain else (0,)
-    return [PBWMonomial(k, j, i) for k, j in _pbw_shapes(desc, weight_bound)
-            for i in i_values]
-
-
-def _pbw_shapes(desc, weight_bound):
-    """The (k, j) of the normal monomials p^k a^j h^i of weight at most
-    weight_bound, in order, generated lazily."""
-    a_cap = desc.a_bound if desc.a_bound is not None else weight_bound + 1
-    k_max = weight_bound // desc.p_length if desc.has_p else 0
-    for k in range(k_max + 1):
-        base = k * desc.p_length
-        for j in range(min(a_cap, weight_bound - base + 1)):
-            yield k, j
 
 
 # -- basis change between PBW monomials and paths ------------------------------
@@ -828,22 +859,19 @@ def pbw_to_path(desc, mono):
     """
     ctx = desc.ctx
     kind = _path_kind(desc)
+    p_weight = presentation_of(desc).p_weight
     if desc.family not in (CYCLE_GRADED, CHAIN_GRADED):
         if mono.k == 0 and mono.j == 0:
             return Lin.from_path(ctx, Path(kind, mono.i, 0))
         if mono == PBWMonomial(0, 1, 0):
             return Lin.from_path(ctx, Path(kind, 0, 1))
         if mono == PBWMonomial(1, 0, 0):
-            return Lin.from_path(ctx, Path(kind, 0, desc.p_length))
+            return Lin.from_path(ctx, Path(kind, 0, p_weight))
         raise ValueError(
             "identification is generator-level only for deformed families")
-    d = desc.d
-    if desc.has_p:
-        length = mono.j + d * mono.k
-    else:
-        if mono.k:
-            raise ValueError("this family has no divided-power generator")
-        length = mono.j
+    if mono.k and not p_weight:
+        raise ValueError("this family has no divided-power generator")
+    length = mono.j + p_weight * mono.k
     coeff = math.factorial(mono.k) * desc.qfact.fact(mono.j)
     return Lin.from_path(ctx, Path(kind, mono.i, length), coeff)
 
@@ -855,11 +883,8 @@ def path_to_pbw(desc, path):
     if path.kind != kind:
         raise ValueError("path does not live on this family's quiver")
     rs = presentation_of(desc)
-    if desc.has_p:
-        d = desc.d
-        k, j = divmod(path.length, d)
-    else:
-        k, j = 0, path.length
+    k, j = divmod(path.length, rs.p_weight) if rs.p_weight \
+        else (0, path.length)
     mono = PBWMonomial(k, j, path.source)
     return rs.monomial(mono, desc.qfact.inverse(k, j))
 
@@ -885,22 +910,20 @@ def structure_rows(desc, weight_bound):
     """Structure constants of the presented algebra on bounded monomials.
 
     Rows are {left, right, result: [{coeff, k, j, i}, ...]}, ordered by
-    the (k, j, i) sort of both factors.
+    the (k, j, i) sort of both factors.  A bound that admits more than
+    MAX_MONOMIAL_PAIRS pairs is refused before any product is formed.
     """
     if weight_bound < 0:
         raise ValueError("weight_bound must be non-negative")
     rs = presentation_of(desc)
-    monos = sorted(_pbw_monomials(desc, weight_bound),
-                   key=PBWMonomial.sort_key)
-    rows = []
-    for x in monos:
-        for y in monos:
-            if rs.monomial_weight(x) + rs.monomial_weight(y) > weight_bound:
-                continue
-            prod = rs.multiply(rs.monomial(x), rs.monomial(y))
-            rows.append({"left": str(x), "right": str(y),
-                         "result": pbw_rows(prod)})
-    return rows
+    if rs.pair_count(weight_bound) > MAX_MONOMIAL_PAIRS:
+        raise ValueError(f"weight bound {weight_bound} gives more than "
+                         f"{MAX_MONOMIAL_PAIRS:,} monomial pairs; lower it")
+    pairs = sorted(rs.monomial_pairs(weight_bound),
+                   key=lambda xy: (xy[0].sort_key(), xy[1].sort_key()))
+    return [{"left": str(x), "right": str(y),
+             "result": pbw_rows(rs.multiply(rs.monomial(x), rs.monomial(y)))}
+            for x, y in pairs]
 
 
 # -- isomorphism classification -------------------------------------------------

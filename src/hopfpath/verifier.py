@@ -33,16 +33,12 @@ nonzero otherwise.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from itertools import islice
-
 from .graded import GradedHopfParams, multiply as graded_multiply
 from .linear import Lin
 from .presentations import (
-    PBWMonomial, RewriteSystem,
+    MAX_MONOMIAL_PAIRS, PBWMonomial, RewriteSystem,
     chain_graded, cycle_deform, cycle_graded, path_preimage, pbw_image,
-    presentation_of, resolution_difference,
-    _path_kind, _pbw_monomials, _pbw_shapes,
+    presentation_of, resolution_difference, _path_kind,
 )
 from .report import VerificationReport
 from .scalars import root_of_unity
@@ -61,13 +57,6 @@ __all__ = [
     "forced_vanishing_suite",
 ]
 
-
-# The most ordered monomial pairs (x, y) within the weight bound,
-# w(x) + w(y) <= bound, that one antipode, Hopf or degeneration verdict
-# may range over.  The acceptance sweep needs at most 3,276 (the
-# 6-cycle families at weight 12); chain-root at d = 3 and weight 10,000
-# would need over a billion, and fill the product memo with them.
-MAX_MONOMIAL_PAIRS = 10_000
 
 # the h exponents of the chain monomials the verifiers check
 _CHAIN_WINDOW = range(-2, 3)
@@ -263,22 +252,15 @@ def _antipode_elt(desc, x):
 
 
 def _monomials(desc, weight_bound):
-    return _pbw_monomials(desc, weight_bound,
-                          _CHAIN_WINDOW if desc.is_chain else None)
+    return presentation_of(desc).normal_monomials(weight_bound,
+                                                  _CHAIN_WINDOW)
 
 
 def _monomial_pairs(desc, weight_bound):
     """The ordered pairs of ``_monomials(desc, weight_bound)`` whose
-    weights sum to at most weight_bound, counted from the (k, j) shapes
-    alone.  Every monomial pairs with the unit, so once there are more
-    shapes than MAX_MONOMIAL_PAIRS allows, the count stops there and is
-    only a lower bound."""
-    width = len(_CHAIN_WINDOW) if desc.is_chain else desc.n
-    limit = MAX_MONOMIAL_PAIRS // width ** 2 + 1
-    weights = sorted(k * desc.p_length + j for k, j in
-                     islice(_pbw_shapes(desc, weight_bound), limit))
-    return width ** 2 * sum(bisect_right(weights, weight_bound - w)
-                            for w in weights)
+    weights sum to at most weight_bound, counted from the shapes alone
+    (a lower bound once it passes MAX_MONOMIAL_PAIRS)."""
+    return presentation_of(desc).pair_count(weight_bound, _CHAIN_WINDOW)
 
 
 def _check_degree_bound(desc, degree_bound):
@@ -411,30 +393,24 @@ def verify_degeneration(desc, degree_bound):
     gdesc = _graded_sibling(desc)
     params = GradedHopfParams(_path_kind(desc), gdesc.q)
     rep = VerificationReport(f"degeneration of {desc.label()}")
-    monos = _monomials(desc, degree_bound)
-    images = {m: pbw_image(gdesc, rs.monomial(m)) for m in monos}
-    weights = {m: rs.monomial_weight(m) for m in monos}
+    images = {m: pbw_image(gdesc, rs.monomial(m))
+              for m in _monomials(desc, degree_bound)}
     pairs = 0
     bad = None
-    for x in monos:
-        for y in monos:
-            w = weights[x] + weights[y]
-            if w > degree_bound:
-                continue
-            pairs += 1
-            deformed = rs.multiply(rs.monomial(x), rs.monomial(y))
-            top_weight = deformed.weight()
-            if top_weight is not None and top_weight > w:
-                bad = f"{x} * {y} has weight {top_weight} > {w}"
-                break
-            graded = path_preimage(
-                gdesc, graded_multiply(params, images[x], images[y]))
-            top = deformed.weight_part(w)
-            if top.terms != graded.terms:
-                bad = (f"{x} * {y}: leading part {top} "
-                       f"differs from graded {graded}")
-                break
-        if bad:
+    for x, y in rs.monomial_pairs(degree_bound, _CHAIN_WINDOW):
+        w = rs.monomial_weight(x) + rs.monomial_weight(y)
+        pairs += 1
+        deformed = rs.multiply(rs.monomial(x), rs.monomial(y))
+        top_weight = deformed.weight()
+        if top_weight is not None and top_weight > w:
+            bad = f"{x} * {y} has weight {top_weight} > {w}"
+            break
+        graded = path_preimage(
+            gdesc, graded_multiply(params, images[x], images[y]))
+        top = deformed.weight_part(w)
+        if top.terms != graded.terms:
+            bad = (f"{x} * {y}: leading part {top} "
+                   f"differs from graded {graded}")
             break
     rep.add(f"filtered products match the graded layer on {pairs} pairs",
             bad is None, bad or "")

@@ -18,7 +18,6 @@ from hopfpath import (
     simple_pointed_catalog, type_one_chain, type_one_cycle, verify_antipode,
     verify_degeneration, verify_graded_bialgebra, verify_relation_coproducts,
 )
-from hopfpath.presentations import _pbw_monomials
 from hopfpath.verifier import _monomials
 
 
@@ -79,7 +78,7 @@ def test_03_basis_change_isomorphisms():
         for desc in cases:
             rs = presentation_of(desc)
             params = GradedHopfParams.cycle(n, desc.q)
-            monos = _pbw_monomials(desc, 3 * n)
+            monos = rs.normal_monomials(3 * n)
             images = {m: pbw_to_path(desc, m) for m in monos}
             for x in monos:
                 wx = rs.monomial_weight(x)

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import hopfpath
 from hopfpath.cli import main
 
 
@@ -372,6 +377,42 @@ def test_verify_work_is_bounded_before_it_starts(capsys, command):
     assert (code, out) == (2, "")
     assert err == ("error: degree bound 10000 gives more than 10,000 "
                    "monomial pairs; lower it\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("table", "--family", "cycle-graded", "--n", "6", "--q-order", "1",
+      "--weight-bound", "400"),
+     "weight bound 400 gives more than 10,000 monomial pairs; lower it"),
+    (("table", "--family", "chain-q1", "--lambda", "1",
+      "--weight-bound", "400"),
+     "weight bound 400 gives more than 10,000 monomial pairs; lower it"),
+    (("confluence", "--family", "cycle-graded", "--n", "6", "--q-order", "1",
+      "--degree-bound", "20000"),
+     "degree bound 20000 predicts more than 2,000 normal monomials; "
+     "lower it"),
+], ids=["table-cycle", "table-chain", "confluence"])
+def test_present_work_is_bounded_before_it_starts(capsys, argv, message):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "present", *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
+def test_a_closed_stdout_exits_141_quietly():
+    # capsys has no file descriptor to close, so this needs a process
+    package_root = str(Path(hopfpath.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (package_root, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hopfpath", "graded", "table", "--kind",
+         "cycle", "--n", "6", "--q-order", "6", "--max-len", "6", "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), first, err) == (141, b"[\n", b"")
 
 
 @pytest.mark.parametrize("argv, message", [

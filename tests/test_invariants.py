@@ -1,5 +1,6 @@
-"""The descriptor's stored invariants and its q-factorial table, each
-against the computation it replaced."""
+"""The descriptor's stored invariants, the shape of its presentation's
+PBW basis and its q-factorial table, each against the computation it
+replaced."""
 
 import math
 
@@ -13,7 +14,6 @@ from hopfpath import (
     path_preimage, pbw_image, presentation_of, q_factorial, root_of_unity,
     simple_pointed_catalog,
 )
-from hopfpath.presentations import _pbw_monomials
 from hopfpath.scalars import order
 
 CTX = cyclotomic_context(60)
@@ -67,9 +67,10 @@ def ref_a_bound(desc):
 @pytest.mark.parametrize("desc", DESCRIPTORS + GRADED, ids=str)
 def test_stored_invariants_match_the_reference(desc):
     assert desc.d == order(desc.q)
-    assert desc.has_p == ref_has_p(desc)
-    assert desc.p_length == ref_p_length(desc)
-    assert desc.a_bound == ref_a_bound(desc)
+    rs = presentation_of(desc)
+    assert ("p" in rs.letters) == ref_has_p(desc)
+    assert rs.p_weight == ref_p_length(desc)
+    assert rs.a_bound == ref_a_bound(desc)
 
 
 def test_order_is_read_through_a_property():
@@ -104,8 +105,7 @@ def test_derived_fields_stay_out_of_comparison():
 @pytest.mark.parametrize("desc", GRADED, ids=str)
 def test_basis_change_round_trip(desc):
     rs = presentation_of(desc)
-    for mono in _pbw_monomials(desc, 8, None if not desc.is_chain
-                               else range(-2, 3)):
+    for mono in rs.normal_monomials(8, range(-2, 3)):
         x = rs.monomial(mono)
         assert path_preimage(desc, pbw_image(desc, x)) == x
 

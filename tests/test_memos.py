@@ -37,7 +37,7 @@ def reference_generators(desc):
         out["H"] = Lin(ctx, square, {(m(0, 0, -1), m(0, 0, -1)): one})
     out["a"] = Lin(ctx, square, {(m(0, 1, 0), m(0, 0, 0)): one,
                                  (m(0, 0, 1), m(0, 1, 0)): one})
-    if desc.has_p:
+    if "p" in rs.letters:
         d = desc.d
         terms = {(m(1, 0, 0), m(0, 0, 0)): one, (m(0, 0, d), m(1, 0, 0)): one}
         for l in range(1, d):

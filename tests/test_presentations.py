@@ -187,7 +187,7 @@ def test_rewrite_steps_within_quadratic_bound():
     for desc, n, d in cases:
         rs = presentation_of(desc)
         for word in words:
-            if not desc.has_p:
+            if "p" not in rs.letters:
                 word = word.replace("p", "a")
             if desc.is_chain:
                 word = word.replace("hhhh", "hhHH")
@@ -269,9 +269,64 @@ def test_pbw_count_matches_prediction():
     count_line = [c for c in rep.checks if "normal-form count" in c.name][0]
     assert count_line.passed
     # k = 0 layer: monomials a^j h^i with j < d, i < n
-    from hopfpath.presentations import _pbw_monomials
-    monos = _pbw_monomials(desc, 18)
+    monos = presentation_of(desc).normal_monomials(18)
     assert len([m for m in monos if m.k == 0]) == 6 * 6
+
+
+def _brute_force_basis(rs, bound, window):
+    """Every word p^k a^j h^i of weight <= bound that
+    ``_parse_normal_word`` accepts, ordered by weight, then j, then the
+    position of i in 0..n-1 (cycles) or in ``window`` (chains)."""
+    exponents = range(rs.h_order) if rs.h_order is not None else window
+    found = []
+    for j in range(bound + 1):
+        for k in range(bound + 1):
+            for i in exponents:
+                word = "p" * k + "a" * j + ("h" * i if i >= 0 else "H" * -i)
+                mono = rs._parse_normal_word(word)
+                if mono is not None and rs.word_weight(word) <= bound:
+                    found.append((rs.word_weight(word), mono))
+    found.sort(key=lambda wm: wm[0])  # stable: j, then i, within a weight
+    return found
+
+
+def test_the_presentation_enumerates_exactly_its_normal_words():
+    from test_acceptance import _family_sweep
+    for desc in [*_family_sweep(), simple_pointed_catalog(1)[0]]:
+        rs = presentation_of(desc)
+        for window in ((0,), range(-2, 3)):
+            basis = _brute_force_basis(rs, 12, window)
+            for bound in range(13):
+                monos = [m for w, m in basis if w <= bound]
+                assert rs.normal_monomials(bound, window) == monos, \
+                    (desc.label(), bound)
+                pairs = [(x, y) for x in monos for y in monos
+                         if rs.monomial_weight(x) + rs.monomial_weight(y)
+                         <= bound]
+                assert list(rs.monomial_pairs(bound, window)) == pairs, \
+                    (desc.label(), bound)
+                assert rs.pair_count(bound, window) == len(pairs)
+
+
+@pytest.mark.parametrize("desc", [
+    cycle_graded(1, CTX12.one()),
+    cycle_graded(4, root_of_unity(CTX12, 4)),
+    cycle_deform(3, root_of_unity(CTX12, 3), 1),
+    cycle_half(4, -CTX12.one(), 1),
+    type_one_cycle(4, -CTX12.one(), 1),
+    chain_graded(CTX12.from_rational(2)),
+    chain_q1(CTX12, 1),
+    chain_root(-CTX12.one(), 1),
+    type_one_chain(root_of_unity(CTX12, 3), 1),
+], ids=lambda d: d.label())
+def test_a_system_without_a_descriptor_gets_the_same_audit(desc):
+    from hopfpath.verifier import _trial_system
+    bound = 3 * (desc.n or 4)
+    trial = check_confluence(_trial_system(desc, {}, "no terms"), bound)
+    classified = check_confluence(presentation_of(desc), bound)
+    assert [(c.name, c.passed) for c in trial.checks] \
+        == [(c.name, c.passed) for c in classified.checks]
+    assert any("normal-form count" in c.name for c in trial.checks)
 
 
 def test_pbw_to_path_examples():
@@ -325,8 +380,7 @@ def test_basis_change_is_algebra_map(n, order):
     desc = cycle_graded(n, q)
     rs = presentation_of(desc)
     params = GradedHopfParams.cycle(n, q)
-    from hopfpath.presentations import _pbw_monomials
-    monos = _pbw_monomials(desc, 2 * n)
+    monos = rs.normal_monomials(2 * n)
     for x in monos:
         fx = pbw_to_path(desc, x)
         for y in monos:

@@ -151,11 +151,10 @@ class HopfFamilyDescriptor:
     The two agree for d <= 3; the factorial reading is the one the
     coproduct-compatibility checks single out, and is the default.
 
-    The derived invariants are set once, when the descriptor is built:
-    ``d`` is the order of q (the divided-power degree; None if
-    infinite) and ``qfact`` is the descriptor's own q-factorial table.
-    Neither takes part in comparison.  ``d`` stays a property over the
-    stored ``_d``, so that the perfbench tracer can count its reads.
+    The derived invariant ``d``, the order of q (the divided-power
+    degree; None if infinite), is set once, when the descriptor is
+    built, and takes no part in comparison.  It stays a property over
+    the stored ``_d``, so that the perfbench tracer can count its reads.
     """
 
     family: str
@@ -165,7 +164,6 @@ class HopfFamilyDescriptor:
     half_coeff: str = "factorial"
     notes: tuple = field(default=(), compare=False)
     _d: object = field(init=False, compare=False, repr=False)
-    qfact: QFactorialTable = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -206,7 +204,6 @@ class HopfFamilyDescriptor:
                     "type-one families need q a root of unity of order > 1")
             self._normalize_param("mu")
         object.__setattr__(self, "_d", d)
-        object.__setattr__(self, "qfact", QFactorialTable(self.q))
 
     def _normalize_param(self, name):
         # The classification normalizes these deformation scalars to
@@ -308,15 +305,17 @@ class RewriteSystem:
     Rules map a left-hand word to a linear combination of normal-form
     words.  Construction validates that every left-hand side is nonempty
     and that every rule strictly decreases the word order, which
-    guarantees termination of ``normal_form``.
+    guarantees termination of ``normal_form``.  ``qfact`` holds the
+    q-factorials of q, which delta(p) and the basis change read.
     """
 
     def __init__(self, ctx, rules, p_weight=0, h_order=None, a_bound=None,
-                 descriptor=None, name=""):
+                 qfact=None, descriptor=None, name=""):
         self.ctx = ctx
         self.p_weight = p_weight
         self.h_order = h_order
         self.a_bound = a_bound
+        self.qfact = qfact
         self.descriptor = descriptor
         self.name = name or (descriptor.label() if descriptor else "ad hoc system")
         self.rules = []
@@ -614,6 +613,7 @@ def presentation_of(desc):
     rules = []
     chain = desc.is_chain
     d = desc.d
+    qfact = QFactorialTable(q)
     # p weighs its path length d (= n on cycle-deform); a graded family
     # has p only at a root of unity of order d > 1
     has_p = desc.family in (CYCLE_DEFORM, CYCLE_HALF, CHAIN_ROOT) or (
@@ -661,7 +661,7 @@ def presentation_of(desc):
             rules.append(("ap", [("pa", one), ("a", lam)]))
         elif desc.family == CYCLE_HALF:
             mu = desc.param
-            den = desc.qfact.fact(d - 1) if desc.half_coeff == "factorial" \
+            den = qfact.fact(d - 1) if desc.half_coeff == "factorial" \
                 else q_int(d - 1, q)
             c = mu * (one - q) / den
             rules.append(("ap", [("pa", one), ("a", c), ("a" + "h" * d, c)]))
@@ -679,8 +679,16 @@ def presentation_of(desc):
         p_weight=p_weight,
         h_order=None if chain else desc.n,
         a_bound=a_bound,
+        qfact=qfact,
         descriptor=desc,
     )
+
+
+def as_presentation(system_or_desc):
+    """A RewriteSystem unchanged; a descriptor's interned presentation."""
+    if isinstance(system_or_desc, RewriteSystem):
+        return system_or_desc
+    return presentation_of(system_or_desc)
 
 
 _WORD_TOKEN = re.compile(r"([hHapeEgG])(?:\^(-?\d+))?")
@@ -725,9 +733,7 @@ def normal_form(system_or_desc, word, coeff=1):
     A word in the h^e notation is parsed with h powers taken modulo the
     cycle length of the presentation, if it has one.
     """
-    rs = system_or_desc
-    if isinstance(system_or_desc, HopfFamilyDescriptor):
-        rs = presentation_of(system_or_desc)
+    rs = as_presentation(system_or_desc)
     if not isinstance(word, str):
         word = "".join(word)
     if any(c not in "hHap" for c in word):
@@ -735,10 +741,9 @@ def normal_form(system_or_desc, word, coeff=1):
     return rs.normal_form(word, coeff)
 
 
-def multiply_alg(desc, x, y):
+def multiply_alg(system_or_desc, x, y):
     """Product in the presented algebra, through the monomial product table."""
-    rs = presentation_of(desc) if isinstance(desc, HopfFamilyDescriptor) else desc
-    return rs.multiply(x, y)
+    return as_presentation(system_or_desc).multiply(x, y)
 
 
 # -- confluence ----------------------------------------------------------------
@@ -797,8 +802,7 @@ def check_confluence(rs, degree_bound=None):
     """
     if degree_bound is not None and degree_bound < 0:
         raise ValueError("degree_bound must be non-negative")
-    if isinstance(rs, HopfFamilyDescriptor):
-        rs = presentation_of(rs)
+    rs = as_presentation(rs)
     rep = VerificationReport(f"confluence of {rs.name}")
     for word, left, right in _ambiguities(rs):
         diff = resolution_difference(rs, word, left, right)
@@ -859,20 +863,20 @@ def pbw_to_path(desc, mono):
     """
     ctx = desc.ctx
     kind = _path_kind(desc)
-    p_weight = presentation_of(desc).p_weight
+    rs = presentation_of(desc)
     if desc.family not in (CYCLE_GRADED, CHAIN_GRADED):
         if mono.k == 0 and mono.j == 0:
             return Lin.from_path(ctx, Path(kind, mono.i, 0))
         if mono == PBWMonomial(0, 1, 0):
             return Lin.from_path(ctx, Path(kind, 0, 1))
         if mono == PBWMonomial(1, 0, 0):
-            return Lin.from_path(ctx, Path(kind, 0, p_weight))
+            return Lin.from_path(ctx, Path(kind, 0, rs.p_weight))
         raise ValueError(
             "identification is generator-level only for deformed families")
-    if mono.k and not p_weight:
+    if mono.k and not rs.p_weight:
         raise ValueError("this family has no divided-power generator")
-    length = mono.j + p_weight * mono.k
-    coeff = math.factorial(mono.k) * desc.qfact.fact(mono.j)
+    length = mono.j + rs.p_weight * mono.k
+    coeff = math.factorial(mono.k) * rs.qfact.fact(mono.j)
     return Lin.from_path(ctx, Path(kind, mono.i, length), coeff)
 
 
@@ -886,7 +890,7 @@ def path_to_pbw(desc, path):
     k, j = divmod(path.length, rs.p_weight) if rs.p_weight \
         else (0, path.length)
     mono = PBWMonomial(k, j, path.source)
-    return rs.monomial(mono, desc.qfact.inverse(k, j))
+    return rs.monomial(mono, rs.qfact.inverse(k, j))
 
 
 def pbw_image(desc, x):

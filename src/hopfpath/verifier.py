@@ -8,10 +8,12 @@ checked by exact computation in the tensor-square algebra.  Antipodes
 are solved from the convolution equation, never assumed, and the
 two-sided axioms are then verified monomial by monomial.
 
-The memos live on the presentation that ``presentation_of`` interns
-for the descriptor: ``RewriteSystem._delta`` maps a word to its
-coproduct and holds every prefix that a fold meets (a generator's
-coproduct is the entry of its one-letter word), and
+Every public entry takes a ``RewriteSystem`` or a descriptor and
+resolves it once (``as_presentation``); the helpers take the
+presentation, whose q-factorial table ``qfact`` delta(p) reads.  The
+memos live on the presentation too: ``RewriteSystem._delta`` maps a
+word to its coproduct and holds every prefix that a fold meets (a
+generator's coproduct is the entry of its one-letter word), and
 ``RewriteSystem._antipode`` maps a PBW monomial to its antipode (a
 generator's antipode is the entry of its letter monomial).
 Every product in the presentation or its tensor square reads the
@@ -36,7 +38,7 @@ from __future__ import annotations
 from .graded import GradedHopfParams, multiply as graded_multiply
 from .linear import Lin
 from .presentations import (
-    MAX_MONOMIAL_PAIRS, PBWMonomial, RewriteSystem,
+    MAX_MONOMIAL_PAIRS, PBWMonomial, RewriteSystem, as_presentation,
     chain_graded, cycle_deform, cycle_graded, path_preimage, pbw_image,
     presentation_of, resolution_difference, _path_kind,
 )
@@ -71,7 +73,7 @@ def _letter(rs, sym):
     return _LETTER.get(sym) or rs.group_like(1 if sym == "h" else -1)
 
 
-def generator_coproducts(desc):
+def generator_coproducts(system):
     """Coproducts of the generators, as tensor-square elements.
 
     delta(h) = h (x) h, delta(a) = a (x) 1 + h (x) a, and for the
@@ -80,11 +82,11 @@ def generator_coproducts(desc):
         delta(p) = p (x) 1 + h^d (x) p
                  + sum_{l=1..d-1} a^(d-l) h^l (x) a^l / ((d-l)!_q l!_q).
     """
-    letters = presentation_of(desc).letters
-    return {sym: _delta_word(desc, sym) for sym in "hHap" if sym in letters}
+    rs = as_presentation(system)
+    return {sym: _delta_word(rs, sym) for sym in "hHap" if sym in rs.letters}
 
 
-def _delta_word(desc, word):
+def _delta_word(rs, word):
     """Coproduct of a generator word: delta(w s) = delta(w) * delta(s).
 
     The fold starts at the longest prefix of word already in the
@@ -92,7 +94,6 @@ def _delta_word(desc, word):
     square), multiplies in the remaining letters one at a time and
     memoizes every prefix it reaches, so no word is too long for it.
     """
-    rs = presentation_of(desc)
     memo = rs._delta
     start = len(word)
     while start and word[:start] not in memo:
@@ -103,15 +104,15 @@ def _delta_word(desc, word):
         out = memo[""] = Lin(rs.ctx, (rs, rs),
                              {(unit, unit): rs.ctx.one()})
     for end in range(start + 1, len(word) + 1):
-        out = out * _generator_delta(desc, rs, word[end - 1])
+        out = out * _generator_delta(rs, word[end - 1])
         memo[word[:end]] = out
     return out
 
 
-def _generator_delta(desc, rs, sym):
+def _generator_delta(rs, sym):
     """The coproduct of one generator: h and H are group-like, and
     delta(a) and delta(p) are the formulas of ``generator_coproducts``.
-    A letter outside the presentation raises ValueError."""
+    A non-generator, or p without ``rs.qfact``, raises ValueError."""
     out = rs._delta.get(sym)
     if out is not None:
         return out
@@ -126,10 +127,11 @@ def _generator_delta(desc, rs, sym):
         a1, h1 = _LETTER["a"], rs.group_like(1)
         out = Lin(ctx, square, {(a1, unit): one, (h1, a1): one})
     else:
-        d = desc.d
+        if rs.qfact is None:
+            raise ValueError(f"{rs.name} has no q-factorial table")
+        d, fact = rs.p_weight, rs.qfact.fact
         terms = {(_LETTER["p"], unit): one,
                  (rs.group_like(d), _LETTER["p"]): one}
-        fact = desc.qfact.fact
         for l in range(1, d):
             coeff = (fact(d - l) * fact(l)).inverse()
             left = PBWMonomial(0, d - l, rs.group_like(l).i)
@@ -139,26 +141,27 @@ def _generator_delta(desc, rs, sym):
     return out
 
 
-def coproduct(desc, x):
+def coproduct(system, x):
     """Coproduct of an algebra element, linearly extended."""
-    rs = presentation_of(desc)
-    return x.map_terms(lambda mono: _delta_word(desc, mono.word()), (rs, rs))
+    rs = as_presentation(system)
+    return x.map_terms(lambda mono: _delta_word(rs, mono.word()), (rs, rs))
 
 
-def _word_counit(desc, word):
+def _word_counit(rs, word):
     """Counit of a generator word: 0 once a or p occurs, else 1 (h^i)."""
-    return desc.ctx.zero() if ("a" in word or "p" in word) else desc.ctx.one()
+    return rs.ctx.zero() if ("a" in word or "p" in word) else rs.ctx.one()
 
 
-def counit_alg(desc, x):
+def counit_alg(system, x):
     """Counit of an algebra element: the word counit, linearly extended."""
-    total = desc.ctx.zero()
+    rs = as_presentation(system)
+    total = rs.ctx.zero()
     for mono, c in x.terms.items():
-        total = total + _word_counit(desc, mono.word()) * c
+        total = total + _word_counit(rs, mono.word()) * c
     return total
 
 
-def verify_relation_coproducts(desc):
+def verify_relation_coproducts(system):
     """Check that delta and epsilon respect every defining relation.
 
     For a rule L -> R this computes delta(L) letterwise and delta(R)
@@ -166,20 +169,20 @@ def verify_relation_coproducts(desc):
     then the same for the counit.  This is the deformation-constraint
     computation run forward.
     """
-    rs = presentation_of(desc)
-    rep = VerificationReport(f"coproduct compatibility of {desc.label()}")
+    rs = as_presentation(system)
+    rep = VerificationReport(f"coproduct compatibility of {rs.name}")
     for lhs, rhs in rs.rules:
-        delta_l = _delta_word(desc, lhs)
+        delta_l = _delta_word(rs, lhs)
         delta_r = Lin(rs.ctx, (rs, rs))
-        eps_r = desc.ctx.zero()
+        eps_r = rs.ctx.zero()
         for rword, rcoeff in rhs:
-            delta_r.add_scaled(_delta_word(desc, rword), rcoeff)
-            eps_r = eps_r + _word_counit(desc, rword) * rcoeff
+            delta_r.add_scaled(_delta_word(rs, rword), rcoeff)
+            eps_r = eps_r + _word_counit(rs, rword) * rcoeff
         rhs_text = " + ".join(f"({c}) {w or '1'}" for w, c in rhs) or "0"
         diff = delta_l - delta_r
         rep.add(f"delta respects {lhs} -> {rhs_text}", diff.is_zero(),
                 "" if diff.is_zero() else f"residual {diff}")
-        eps_l = _word_counit(desc, lhs)
+        eps_l = _word_counit(rs, lhs)
         rep.add(f"counit respects {lhs} -> {rhs_text}",
                 (eps_l - eps_r).is_zero(),
                 "" if (eps_l - eps_r).is_zero() else
@@ -189,16 +192,15 @@ def verify_relation_coproducts(desc):
 
 # -- antipode -------------------------------------------------------------------
 
-def _antipode_generators(desc):
+def _antipode_generators(rs):
     """Solve S on the generators from the left convolution equation.
 
     The images go into the presentation's antipode memo under the
     letter monomials, the group-likes first, so the lower terms of a
     and p meet only letters that are already solved.
     """
-    rs = presentation_of(desc)
     memo = rs._antipode
-    gen_delta = generator_coproducts(desc)
+    gen_delta = generator_coproducts(rs)
     if all(_letter(rs, sym) in memo for sym in gen_delta):
         return
     unit = PBWMonomial(0, 0, 0)
@@ -224,14 +226,13 @@ def _antipode_generators(desc):
             if sym in u.word():
                 raise ArithmeticError(
                     "no antipode: coproduct is not filtration-triangular")
-            return rs.multiply(_antipode_mono(desc, u), rs.monomial(v))
+            return rs.multiply(_antipode_mono(rs, u), rs.monomial(v))
         # S(x) = -sum of the lower terms, since epsilon(a) = epsilon(p) = 0
         memo[lead[0]] = -delta.map_terms(lower, rs)
 
 
-def _antipode_mono(desc, mono):
+def _antipode_mono(rs, mono):
     """S(mono): the generator images multiplied in reverse order."""
-    rs = presentation_of(desc)
     memo = rs._antipode
     out = memo.get(mono)
     if out is None:
@@ -239,7 +240,7 @@ def _antipode_mono(desc, mono):
         # the solve asks only for words over letters it has solved, so
         # testing the letters (not the memo) keeps it from re-entering
         if any(_letter(rs, sym) not in memo for sym in word):
-            _antipode_generators(desc)
+            _antipode_generators(rs)
         out = rs.one()
         for sym in reversed(word):
             out = rs.multiply(out, memo[_letter(rs, sym)])
@@ -247,47 +248,35 @@ def _antipode_mono(desc, mono):
     return out
 
 
-def _antipode_elt(desc, x):
-    return x.map_terms(lambda mono: _antipode_mono(desc, mono))
+def _monomials(system, weight_bound):
+    return as_presentation(system).normal_monomials(weight_bound,
+                                                    _CHAIN_WINDOW)
 
 
-def _monomials(desc, weight_bound):
-    return presentation_of(desc).normal_monomials(weight_bound,
-                                                  _CHAIN_WINDOW)
-
-
-def _monomial_pairs(desc, weight_bound):
-    """The ordered pairs of ``_monomials(desc, weight_bound)`` whose
-    weights sum to at most weight_bound, counted from the shapes alone
-    (a lower bound once it passes MAX_MONOMIAL_PAIRS)."""
-    return presentation_of(desc).pair_count(weight_bound, _CHAIN_WINDOW)
-
-
-def _check_degree_bound(desc, degree_bound):
+def _check_degree_bound(rs, degree_bound):
     """Refuse, before any product is formed, a bound below 1 (it would
     check nothing and still pass) or one over MAX_MONOMIAL_PAIRS."""
     if degree_bound < 1:
         raise ValueError("degree_bound must be at least 1")
-    if _monomial_pairs(desc, degree_bound) > MAX_MONOMIAL_PAIRS:
+    if rs.pair_count(degree_bound, _CHAIN_WINDOW) > MAX_MONOMIAL_PAIRS:
         raise ValueError(f"degree bound {degree_bound} gives more than "
                          f"{MAX_MONOMIAL_PAIRS:,} monomial pairs; lower it")
 
 
-def _antipode_axiom_failures(desc, monos):
+def _antipode_axiom_failures(rs, monos):
     """First monomial violating each of the two convolution axioms."""
-    rs = presentation_of(desc)
 
     def s_left(uv):
-        return rs.multiply(_antipode_mono(desc, uv[0]), rs.monomial(uv[1]))
+        return rs.multiply(_antipode_mono(rs, uv[0]), rs.monomial(uv[1]))
 
     def s_right(uv):
-        return rs.multiply(rs.monomial(uv[0]), _antipode_mono(desc, uv[1]))
+        return rs.multiply(rs.monomial(uv[0]), _antipode_mono(rs, uv[1]))
 
     bad_left = bad_right = None
     for mono in monos:
         word = mono.word()
-        delta = _delta_word(desc, word)
-        expected = rs.one().scale(_word_counit(desc, word))
+        delta = _delta_word(rs, word)
+        expected = rs.one().scale(_word_counit(rs, word))
         left = delta.map_terms(s_left, rs)
         right = delta.map_terms(s_right, rs)
         if bad_left is None and left != expected:
@@ -299,36 +288,38 @@ def _antipode_axiom_failures(desc, monos):
     return bad_left, bad_right
 
 
-def compute_antipode(desc, degree_bound):
+def compute_antipode(system, degree_bound):
     """The antipode on all PBW monomials of weight <= degree_bound.
 
     S is solved on the generators from m(S (x) id)delta = unit counit,
     recursing along the coradical filtration, and extended
     anti-multiplicatively; both convolution axioms are then verified on
     the returned monomials, not assumed.  A failure raises: it
-    falsifies the descriptor rather than returning a bogus map.
+    falsifies the presentation rather than returning a bogus map.
     """
-    _check_degree_bound(desc, degree_bound)
-    monos = _monomials(desc, degree_bound)
-    table = {mono: _antipode_mono(desc, mono) for mono in monos}
-    bad_left, bad_right = _antipode_axiom_failures(desc, monos)
+    rs = as_presentation(system)
+    _check_degree_bound(rs, degree_bound)
+    monos = _monomials(rs, degree_bound)
+    table = {mono: _antipode_mono(rs, mono) for mono in monos}
+    bad_left, bad_right = _antipode_axiom_failures(rs, monos)
     if bad_left or bad_right:
         raise ArithmeticError(f"no antipode: {bad_left or bad_right}")
     return table
 
 
-def verify_antipode(desc, degree_bound):
+def verify_antipode(system, degree_bound):
     """Both antipode axioms on every monomial of bounded weight."""
-    _check_degree_bound(desc, degree_bound)
-    rep = VerificationReport(f"antipode of {desc.label()}")
+    rs = as_presentation(system)
+    _check_degree_bound(rs, degree_bound)
+    rep = VerificationReport(f"antipode of {rs.name}")
     try:
-        _antipode_generators(desc)
+        _antipode_generators(rs)
     except ArithmeticError as exc:
         rep.add("antipode solve", False, str(exc))
         return rep
     rep.add("antipode solve", True)
-    monos = _monomials(desc, degree_bound)
-    bad_left, bad_right = _antipode_axiom_failures(desc, monos)
+    monos = _monomials(rs, degree_bound)
+    bad_left, bad_right = _antipode_axiom_failures(rs, monos)
     rep.add(f"left antipode axiom on {len(monos)} monomials",
             bad_left is None, bad_left or "")
     rep.add(f"right antipode axiom on {len(monos)} monomials",
@@ -336,30 +327,30 @@ def verify_antipode(desc, degree_bound):
     return rep
 
 
-def verify_hopf(desc, degree_bound):
+def verify_hopf(system, degree_bound):
     """Relations + antipode + multiplicativity of the counit."""
-    _check_degree_bound(desc, degree_bound)
-    rep = verify_relation_coproducts(desc)
-    rep.extend(verify_antipode(desc, degree_bound))
-    rs = presentation_of(desc)
-    monos = _monomials(desc, max(1, degree_bound // 2))
+    rs = as_presentation(system)
+    _check_degree_bound(rs, degree_bound)
+    rep = verify_relation_coproducts(rs)
+    rep.extend(verify_antipode(rs, degree_bound))
+    monos = _monomials(rs, max(1, degree_bound // 2))
     bad_eps = bad_anti = None
     for x in monos:
         ex = rs.monomial(x)
-        sx = _antipode_mono(desc, x)
+        sx = _antipode_mono(rs, x)
         for y in monos:
             if rs.monomial_weight(x) + rs.monomial_weight(y) > degree_bound:
                 continue
             ey = rs.monomial(y)
             prod = rs.multiply(ex, ey)
             if bad_eps is None:
-                eps_prod = counit_alg(desc, prod)
-                eps_xy = counit_alg(desc, ex) * counit_alg(desc, ey)
+                eps_prod = counit_alg(rs, prod)
+                eps_xy = counit_alg(rs, ex) * counit_alg(rs, ey)
                 if eps_prod != eps_xy:
                     bad_eps = f"epsilon({x} * {y})"
             if bad_anti is None:
-                s_prod = _antipode_elt(desc, prod)
-                s_rev = rs.multiply(_antipode_mono(desc, y), sx)
+                s_prod = prod.map_terms(lambda m: _antipode_mono(rs, m))
+                s_rev = rs.multiply(_antipode_mono(rs, y), sx)
                 if s_prod != s_rev:
                     bad_anti = f"S({x} * {y}) != S({y}) S({x})"
         if bad_eps and bad_anti:
@@ -378,7 +369,7 @@ def _graded_sibling(desc):
         else cycle_graded(desc.n, desc.q)
 
 
-def verify_degeneration(desc, degree_bound):
+def verify_degeneration(system, degree_bound):
     """Leading-weight structure constants must be the graded ones.
 
     Monomials carry the filtration weight w(p^k a^j h^i) = k*d_p + j.
@@ -386,15 +377,18 @@ def verify_degeneration(desc, degree_bound):
     deformed product is compared against the graded product computed
     independently on the path side (closed product formula transported
     through the basis identification); the difference must sit in
-    strictly lower weight.
+    strictly lower weight.  A system without a descriptor raises ValueError.
     """
-    _check_degree_bound(desc, degree_bound)
-    rs = presentation_of(desc)
+    rs = as_presentation(system)
+    desc = rs.descriptor
+    if desc is None:
+        raise ValueError(f"{rs.name} has no descriptor, so no graded layer")
+    _check_degree_bound(rs, degree_bound)
     gdesc = _graded_sibling(desc)
     params = GradedHopfParams(_path_kind(desc), gdesc.q)
-    rep = VerificationReport(f"degeneration of {desc.label()}")
+    rep = VerificationReport(f"degeneration of {rs.name}")
     images = {m: pbw_image(gdesc, rs.monomial(m))
-              for m in _monomials(desc, degree_bound)}
+              for m in _monomials(rs, degree_bound)}
     pairs = 0
     bad = None
     for x, y in rs.monomial_pairs(degree_bound, _CHAIN_WINDOW):
@@ -422,13 +416,13 @@ def verify_degeneration(desc, degree_bound):
 def _trial_system(desc, terms, name):
     """``presentation_of(desc)`` with the (word, scalar) terms that
     ``terms`` maps a left-hand side to appended to that rule's right-hand
-    side; rule order, weights and bounds are kept, the descriptor is not.
+    side; rule order, weights, bounds and qfact stay, the descriptor does not.
     """
     base = presentation_of(desc)
     rules = [(lhs, rhs + tuple(terms.get(lhs, ()))) for lhs, rhs in base.rules]
     return RewriteSystem(base.ctx, rules, p_weight=base.p_weight,
                          h_order=base.h_order, a_bound=base.a_bound,
-                         name=name)
+                         qfact=base.qfact, name=name)
 
 
 def _is_obstruction(diff, expected):
@@ -445,10 +439,12 @@ def forced_vanishing_suite(ctx, n=4, d=2, trials=(1, 2)):
     overlap ambiguity that encodes the argument is resolved both ways.
     The residual must vanish exactly at the classified parameter values
     and equal its closed form, up to sign, at every trial value.
-    Requires d | n with 1 < d < n and conductor divisible by n.
+    Requires d | n with 1 < d < n, nonzero trials and conductor divisible by n.
     """
     if not (1 < d < n) or n % d != 0:
         raise ValueError("need a proper divisor 1 < d < n")
+    if any(t == 0 for t in trials):
+        raise ValueError("trial values must be nonzero; 0 is always checked")
     one = ctx.one()
     rep = VerificationReport(
         f"forced-vanishing obstructions at n = {n}, d = {d}")
@@ -514,7 +510,7 @@ def forced_vanishing_suite(ctx, n=4, d=2, trials=(1, 2)):
     chain = chain_graded(qd)
 
     def chain_coeff(lam):
-        return lam * (one - qd) / chain.qfact.fact(d - 1)
+        return lam * (one - qd) / presentation_of(chain).qfact.fact(d - 1)
 
     def chain_trial(lam, mu, alpha):
         c = chain_coeff(lam)

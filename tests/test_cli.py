@@ -162,6 +162,16 @@ def test_verify_forced_vanishing(capsys):
     assert json.loads(out)["pass"] is True
 
 
+def test_a_zero_trial_is_a_usage_error(capsys):
+    # the suite checks the value 0 itself; as a trial, its zero residual
+    # would read as a failed obstruction
+    code, out, err = run(capsys, "verify", "forced-vanishing", "--n", "4",
+                         "--d", "2", "--trials", "0,1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "must be nonzero" in err
+
+
 def test_verify_degeneration(capsys):
     code, out, _ = run(capsys, "verify", "degeneration", "--family",
                        "chain-root", "--q-order", "2", "--lambda", "1",

@@ -99,12 +99,12 @@ def test_results_do_not_alias_caches_or_arguments():
     one = ctx.one()
     extra = PBWMonomial(0, 0, 3)
 
-    cached = _delta_word(desc, "pa")
+    cached = _delta_word(rs, "pa")
     before = dict(cached.terms)
     delta = coproduct(desc, rs.monomial(PBWMonomial(1, 1, 0)))
     assert delta.terms == before
     delta.add_term((extra, extra), one).add_scaled(delta)
-    assert _delta_word(desc, "pa") is cached and cached.terms == before
+    assert _delta_word(rs, "pa") is cached and cached.terms == before
 
     nf = rs.normal_form("ap")
     memo = rs._nf["ap"]

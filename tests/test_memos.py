@@ -42,7 +42,7 @@ def reference_generators(desc):
         terms = {(m(1, 0, 0), m(0, 0, 0)): one, (m(0, 0, d), m(1, 0, 0)): one}
         for l in range(1, d):
             terms[(m(0, d - l, l), m(0, l, 0))] = (
-                desc.qfact.fact(d - l) * desc.qfact.fact(l)).inverse()
+                rs.qfact.fact(d - l) * rs.qfact.fact(l)).inverse()
         out["p"] = Lin(ctx, square, terms)
     return out
 
@@ -65,7 +65,7 @@ def test_generator_coproducts_keep_their_keys_and_values():
         assert list(gen) == list(ref)
         for sym in ref:
             assert gen[sym] == ref[sym]
-            assert gen[sym] is _delta_word(desc, sym)
+            assert gen[sym] is _delta_word(presentation_of(desc), sym)
 
 
 def test_one_cycle_coproduct_is_multiplicative():
@@ -108,8 +108,9 @@ def _words(desc):
     lambda desc: st.tuples(st.just(desc), _words(desc), _words(desc))))
 def test_delta_word_is_multiplicative(case):
     desc, u, v = case
-    whole = _delta_word(desc, u + v)
-    assert whole == _delta_word(desc, u) * _delta_word(desc, v)
+    rs = presentation_of(desc)
+    whole = _delta_word(rs, u + v)
+    assert whole == _delta_word(rs, u) * _delta_word(rs, v)
     assert whole == fold(desc, u + v)
 
 
@@ -129,12 +130,12 @@ def test_memos_live_on_the_interned_presentation():
     rs = presentation_of(first)
     assert presentation_of(second) is rs
 
-    delta = _delta_word(first, "pa")
-    assert _delta_word(second, "pa") is delta
+    delta = _delta_word(presentation_of(first), "pa")
+    assert _delta_word(presentation_of(second), "pa") is delta
     assert rs._delta["pa"] is delta
     mono = PBWMonomial(1, 1, 2)
-    anti = _antipode_mono(first, mono)
-    assert _antipode_mono(second, mono) is anti
+    anti = _antipode_mono(presentation_of(first), mono)
+    assert _antipode_mono(presentation_of(second), mono) is anti
     assert rs._antipode[mono] is anti
 
     assert verify_hopf(second, 4).passed
@@ -147,16 +148,16 @@ def test_cache_clear_rebuilds_equal_values():
     monos = [PBWMonomial(k, j, i) for k in range(2) for j in range(2)
              for i in range(4)]
     old = presentation_of(desc)
-    deltas = {w: _delta_word(desc, w).terms for w in words}
-    antis = {m: _antipode_mono(desc, m).terms for m in monos}
+    deltas = {w: _delta_word(old, w).terms for w in words}
+    antis = {m: _antipode_mono(old, m).terms for m in monos}
 
     presentation_of.cache_clear()
     rs = presentation_of(desc)
     assert rs is not old and not rs._delta and not rs._antipode
     for w in words:
-        assert _delta_word(desc, w).terms == deltas[w]
+        assert _delta_word(rs, w).terms == deltas[w]
     for m in monos:
-        assert _antipode_mono(desc, m).terms == antis[m]
+        assert _antipode_mono(rs, m).terms == antis[m]
 
 
 def _middle_word(j, i, k, j2):
@@ -215,7 +216,7 @@ def test_products_do_not_alias_the_table():
     prod.terms.clear()
     assert rs.multiply(x, y).terms == expected
 
-    dx, dy = _delta_word(desc, "ap"), _delta_word(desc, "pa")
+    dx, dy = _delta_word(rs, "ap"), _delta_word(rs, "pa")
     square = dx * dy
     expected = dict(square.terms)
     square.terms.clear()

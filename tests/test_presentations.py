@@ -12,7 +12,7 @@ from hopfpath import (
     descriptor_to_dict, multiply, multiply_alg, normal_form, parse_word,
     path_to_pbw, pbw_image, pbw_to_path, presentation_of, q_factorial,
     root_of_unity, simple_pointed_catalog, type_one_chain, type_one_cycle,
-    GradedHopfParams,
+    verify_degeneration, verify_hopf, GradedHopfParams,
 )
 
 CTX12 = cyclotomic_context(12)
@@ -322,11 +322,20 @@ def test_the_presentation_enumerates_exactly_its_normal_words():
 def test_a_system_without_a_descriptor_gets_the_same_audit(desc):
     from hopfpath.verifier import _trial_system
     bound = 3 * (desc.n or 4)
-    trial = check_confluence(_trial_system(desc, {}, "no terms"), bound)
+    system = _trial_system(desc, {}, "no terms")
+    trial = check_confluence(system, bound)
     classified = check_confluence(presentation_of(desc), bound)
     assert [(c.name, c.passed) for c in trial.checks] \
         == [(c.name, c.passed) for c in classified.checks]
     assert any("normal-form count" in c.name for c in trial.checks)
+    # the coproduct and antipode verdicts read only the presentation
+    trial = verify_hopf(system, 6)
+    classified = verify_hopf(presentation_of(desc), 6)
+    assert [(c.name, c.passed) for c in trial.checks] \
+        == [(c.name, c.passed) for c in classified.checks]
+    # the graded layer is the descriptor's
+    with pytest.raises(ValueError, match="no descriptor"):
+        verify_degeneration(system, 6)
 
 
 def test_pbw_to_path_examples():

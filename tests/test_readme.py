@@ -1,4 +1,5 @@
-"""The README's ``hopfpath`` calls keep their exit status and output.
+"""The README's ``hopfpath`` calls keep their exit status and output,
+and the attributes it names exist.
 
 Each call of the README's usage block runs in-process through
 ``cli.main`` and is compared with ``tests/readme_golden.json``.  To
@@ -13,6 +14,7 @@ import re
 import shlex
 from pathlib import Path
 
+from hopfpath import cycle_half, cyclotomic_context, presentation_of
 from hopfpath.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -47,6 +49,21 @@ def test_readme_calls_match_the_golden_file():
     assert [g["argv"] for g in golden] == calls
     for expected in golden:
         assert run_call(expected["argv"]) == expected
+
+
+def test_readme_attributes_resolve():
+    # every backticked desc.<name>, rs.<name> and RewriteSystem.<name>
+    # is an attribute of a descriptor or of its presentation
+    desc = cycle_half(4, -cyclotomic_context(2).one(), 1)
+    rs = presentation_of(desc)
+    owners = {"desc": desc, "rs": rs, "RewriteSystem": rs}
+    text = (ROOT / "README.md").read_text()
+    named = [ref for span in re.findall(r"`([^`\n]+)`", text)
+             for ref in re.findall(r"\b(desc|rs|RewriteSystem)\.(\w+)", span)]
+    assert ("desc", "d") in named and ("rs", "qfact") in named
+    missing = [f"{owner}.{name}" for owner, name in named
+               if not hasattr(owners[owner], name)]
+    assert not missing
 
 
 if __name__ == "__main__":

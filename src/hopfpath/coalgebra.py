@@ -115,7 +115,9 @@ def _exp_correction(x, lam, step):
     are coalgebra automorphisms, with exp(-lam G) the exact inverse.
     Where G^2 = 0 (no index wrap-around) this is just id + lam G.
     """
-    out = Lin(x.ctx, x.space).add_scaled(x)
+    out = x.copy()
+    if lam.is_zero():
+        return out
     term = x
     k = 0
     factor = x.ctx.one()
@@ -143,10 +145,7 @@ def cycle_automorphism(n, d, lam, j, x):
     if x.space != ("cycle", n):
         raise ValueError("element does not live on the given cycle")
     ctx = x.ctx
-    lam = ctx.scalar(lam)
-    if lam.is_zero():
-        return x
-    return _exp_correction(x, lam,
+    return _exp_correction(x, ctx.scalar(lam),
                            lambda path: _correction(n, d, j, ctx, path))
 
 
@@ -164,8 +163,5 @@ def chain_automorphism(d, lam, x):
     if x.space != ("chain",):
         raise ValueError("element does not live on the chain")
     ctx = x.ctx
-    lam = ctx.scalar(lam)
-    if lam.is_zero():
-        return x
-    return _exp_correction(x, lam,
+    return _exp_correction(x, ctx.scalar(lam),
                            lambda path: _correction(None, d, 0, ctx, path))

@@ -50,6 +50,10 @@ class Lin:
         out.terms = terms
         return out
 
+    def copy(self):
+        """A new element with the same terms, safe to change in place."""
+        return self._like(dict(self.terms))
+
     def _check(self, other):
         if self.space is not other.space and self.space != other.space:
             raise ValueError("elements live in different spaces")
@@ -114,11 +118,11 @@ class Lin:
 
     def __add__(self, other):
         self._check(other)
-        return self._like(dict(self.terms)).add_scaled(other)
+        return self.copy().add_scaled(other)
 
     def __sub__(self, other):
         self._check(other)
-        return self._like(dict(self.terms)).add_scaled(other, -1)
+        return self.copy().add_scaled(other, -1)
 
     def __neg__(self):
         return self._like({k: -c for k, c in self.terms.items()})

@@ -3,7 +3,9 @@
 Every classified multiplication is presented on generators h (the
 group-like), a (the arrow at the identity), optionally H (the inverse of
 h, chains only) and p (the degree-d divided-power generator).  Each
-presentation is an oriented rewriting system whose rules strictly
+presentation is the graded relations on its quiver with the family's
+lower-weight deformation terms appended (``_deformation_terms``), as
+an oriented rewriting system whose rules strictly
 decrease a degree-lexicographic word order, so reduction terminates and,
 once the overlap ambiguities resolve (checked, not assumed), normal
 forms p^k a^j h^i are a basis.
@@ -72,6 +74,7 @@ FAMILIES = (
 
 _CYCLE_FAMILIES = {CYCLE_GRADED, CYCLE_DEFORM, CYCLE_HALF, TYPE_ONE_CYCLE}
 _LAMBDA_FAMILIES = {CYCLE_DEFORM, CHAIN_Q1, CHAIN_ROOT}
+_TYPE_ONE_FAMILIES = {TYPE_ONE_CYCLE, TYPE_ONE_CHAIN}
 
 
 @dataclass(frozen=True)
@@ -145,7 +148,7 @@ class HopfFamilyDescriptor:
     """A named point of the classification: family tag plus parameters.
 
     ``param`` is the deformation scalar (lambda or mu depending on the
-    family; zero when unused).  ``half_coeff`` selects the reading of
+    family); a graded family refuses a nonzero one.  ``half_coeff`` selects the reading of
     the mixed-commutator coefficient in the half-order cycle family:
     "factorial" divides by (d-1)!_q, "integer" by the q-integer (d-1)_q.
     The two agree for d <= 3; the factorial reading is the one the
@@ -183,6 +186,8 @@ class HopfFamilyDescriptor:
             if self.q.is_zero():
                 raise ValueError("chain families need a nonzero q")
         d = order(self.q) if not self.q.is_zero() else None
+        if self.is_graded and not self.param.is_zero():
+            raise ValueError(f"{self.family} carries no deformation parameter")
         if self.family == CYCLE_DEFORM:
             if d != self.n or self.n < 2:
                 raise ValueError("order(q) must equal n for cycle-deform")
@@ -198,7 +203,7 @@ class HopfFamilyDescriptor:
             if d is None or d < 2:
                 raise ValueError(
                     "chain-root needs q a root of unity of order > 1")
-        elif self.family in (TYPE_ONE_CYCLE, TYPE_ONE_CHAIN):
+        elif self.family in _TYPE_ONE_FAMILIES:
             if d is None or d < 2:
                 raise ValueError(
                     "type-one families need q a root of unity of order > 1")
@@ -231,6 +236,10 @@ class HopfFamilyDescriptor:
         return self.family not in _CYCLE_FAMILIES
 
     @property
+    def is_graded(self):
+        return self.family in (CYCLE_GRADED, CHAIN_GRADED)
+
+    @property
     def param_name(self):
         return "lambda" if self.family in _LAMBDA_FAMILIES else "mu"
 
@@ -239,7 +248,7 @@ class HopfFamilyDescriptor:
         if self.n is not None:
             bits.append(f"n={self.n}")
         bits.append(f"q={self.q}")
-        if self.family not in (CYCLE_GRADED, CHAIN_GRADED):
+        if not self.is_graded:
             bits.append(f"{self.param_name}={self.param}")
         return ", ".join(bits)
 
@@ -603,81 +612,85 @@ class RewriteSystem:
 
 # -- presentations of the classified families ---------------------------------
 
-@lru_cache(maxsize=None)
-def presentation_of(desc):
-    """The oriented defining relations of a family, as a RewriteSystem."""
-    ctx = desc.ctx
-    one = ctx.one()
-    q = desc.q
-    lam = desc.param
-    rules = []
-    chain = desc.is_chain
-    d = desc.d
-    qfact = QFactorialTable(q)
-    # p weighs its path length d (= n on cycle-deform); a graded family
-    # has p only at a root of unity of order d > 1
-    has_p = desc.family in (CYCLE_DEFORM, CYCLE_HALF, CHAIN_ROOT) or (
-        desc.family in (CYCLE_GRADED, CHAIN_GRADED) and (d or 0) > 1)
-    p_weight = d if has_p else 0
-
+def _graded_relations(n, q, p_weight, a_bound):
+    """The relations of the graded structure on the quiver, oriented
+    toward p^k a^j h^i: on the n-cycle (the chain when n is None) the
+    group-likes h (and H = h^-1), q-commuting with a, p central when it
+    has a weight, and a^d = 0 when a is bounded by d."""
+    one = q.ctx.one()
+    chain = n is None
+    rules = [("hH", [("", one)]), ("Hh", [("", one)])] if chain \
+        else [("h" * n, [("", one)])]
+    rules.append(("ha", [("ah", q)]))
     if chain:
-        rules.append(("hH", [("", one)]))
-        rules.append(("Hh", [("", one)]))
-    else:
-        rules.append(("h" * desc.n, [("", one)]))
-
-    if desc.family == CHAIN_Q1:
-        # g a g^{-1} = a + lambda (1 - g), oriented toward a h.
-        rules.append(("ha", [("ah", one), ("h", lam), ("hh", -lam)]))
-        rules.append(("Ha", [("aH", one), ("", lam), ("H", -lam)]))
-    else:
-        rules.append(("ha", [("ah", q)]))
+        rules.append(("Ha", [("aH", q.inverse())]))
+    if p_weight:
+        rules.append(("hp", [("ph", one)]))
         if chain:
-            rules.append(("Ha", [("aH", q.inverse())]))
+            rules.append(("Hp", [("pH", one)]))
+    if a_bound is not None:
+        rules.append(("a" * a_bound, []))
+    if p_weight:
+        rules.append(("ap", [("pa", one)]))
+    return rules
 
-    if has_p:
-        if desc.family == CHAIN_ROOT:
-            # g p g^{-1} = p + lambda (1 - g^d) survives on the chain.
-            rules.append(("hp", [("ph", one), ("h", lam),
-                                 ("h" * (d + 1), -lam)]))
-            rules.append(("Hp", [("pH", one), ("H", -lam),
-                                 ("h" * (d - 1), lam)]))
-        else:
-            rules.append(("hp", [("ph", one)]))
-            if chain:
-                rules.append(("Hp", [("pH", one)]))
 
-    a_bound = None
-    if has_p or desc.family in (TYPE_ONE_CYCLE, TYPE_ONE_CHAIN):
-        a_bound = d
-        if desc.family in (CYCLE_HALF, TYPE_ONE_CYCLE, TYPE_ONE_CHAIN):
-            mu = desc.param
-            rules.append(("a" * d, [("", mu), ("h" * d, -mu)]))
-        else:
-            rules.append(("a" * d, []))
-
-    if has_p:
-        if desc.family == CYCLE_DEFORM:
-            rules.append(("ap", [("pa", one), ("a", lam)]))
-        elif desc.family == CYCLE_HALF:
-            mu = desc.param
+def _deformation_terms(desc, qfact):
+    """The lower-weight (word, scalar) terms that the family of ``desc``
+    adds to the right-hand side of each graded relation, keyed by its
+    left-hand side; empty on the graded families.  A zero parameter
+    gives zero terms, so the graded relations come back unchanged."""
+    family, q, d = desc.family, desc.q, desc.d
+    lam = mu = desc.param
+    if family == CHAIN_Q1:
+        # g a g^{-1} = a + lambda (1 - g), oriented toward a h.
+        return {"ha": [("h", lam), ("hh", -lam)],
+                "Ha": [("", lam), ("H", -lam)]}
+    if family == CHAIN_ROOT:
+        # g p g^{-1} = p + lambda (1 - g^d) survives on the chain.  It
+        # forces the commutator [a, p] = lambda a: the coproduct
+        # cross-terms leave lambda (g - g^{d+1}) (x) a, and lambda a is
+        # the unique skew-primitive completion.
+        return {"hp": [("h", lam), ("h" * (d + 1), -lam)],
+                "Hp": [("H", -lam), ("h" * (d - 1), lam)],
+                "ap": [("a", lam)]}
+    if family == CYCLE_DEFORM:
+        return {"ap": [("a", lam)]}
+    if family in _TYPE_ONE_FAMILIES or family == CYCLE_HALF:
+        # a^d = mu (1 - g^d)
+        terms = {"a" * d: [("", mu), ("h" * d, -mu)]}
+        if family == CYCLE_HALF:
             den = qfact.fact(d - 1) if desc.half_coeff == "factorial" \
                 else q_int(d - 1, q)
-            c = mu * (one - q) / den
-            rules.append(("ap", [("pa", one), ("a", c), ("a" + "h" * d, c)]))
-        elif desc.family == CHAIN_ROOT:
-            # The group-action deformation on p forces the commutator
-            # [a, p] = lambda a: with g p g^{-1} = p + lambda (1 - g^d),
-            # the coproduct cross-terms leave lambda (g - g^{d+1}) (x) a,
-            # and lambda a is the unique skew-primitive completion.
-            rules.append(("ap", [("pa", one), ("a", lam)]))
-        else:
-            rules.append(("ap", [("pa", one)]))
+            c = mu * (q.ctx.one() - q) / den
+            terms["ap"] = [("a", c), ("a" + "h" * d, c)]
+        return terms
+    return {}
 
+
+def _with_terms(rules, terms):
+    """``rules`` with the (word, scalar) terms that ``terms`` maps a
+    left-hand side to appended to that rule's right-hand side."""
+    return [(lhs, (*rhs, *terms.get(lhs, ()))) for lhs, rhs in rules]
+
+
+@lru_cache(maxsize=None)
+def presentation_of(desc):
+    """The oriented defining relations of a family, as a RewriteSystem:
+    the graded relations on its quiver plus the family's lower-weight
+    deformation terms."""
+    d = desc.d
+    # p weighs its path length d (= n on cycle-deform); every family but
+    # the type-one ones has p exactly when q has order d > 1
+    has_p = (d or 0) > 1 and desc.family not in _TYPE_ONE_FAMILIES
+    p_weight = d if has_p else 0
+    a_bound = d if has_p or desc.family in _TYPE_ONE_FAMILIES else None
+    qfact = QFactorialTable(desc.q)
+    rules = _graded_relations(desc.n, desc.q, p_weight, a_bound)
     return RewriteSystem(
-        ctx, rules,
+        desc.ctx, _with_terms(rules, _deformation_terms(desc, qfact)),
         p_weight=p_weight,
-        h_order=None if chain else desc.n,
+        h_order=desc.n,
         a_bound=a_bound,
         qfact=qfact,
         descriptor=desc,
@@ -847,7 +860,7 @@ def _path_kind(desc):
 
 
 def _graded_check(desc):
-    if desc.family not in (CYCLE_GRADED, CHAIN_GRADED):
+    if not desc.is_graded:
         raise ValueError(
             "identification is generator-level only for deformed families")
 
@@ -864,7 +877,7 @@ def pbw_to_path(desc, mono):
     ctx = desc.ctx
     kind = _path_kind(desc)
     rs = presentation_of(desc)
-    if desc.family not in (CYCLE_GRADED, CHAIN_GRADED):
+    if not desc.is_graded:
         if mono.k == 0 and mono.j == 0:
             return Lin.from_path(ctx, Path(kind, mono.i, 0))
         if mono == PBWMonomial(0, 1, 0):
@@ -935,31 +948,19 @@ def structure_rows(desc, weight_bound):
 def classify_iso(d1, d2):
     """Isomorphism decision between two classified descriptors.
 
-    Deformation scalars on the full cycle families are compared up to
-    rescaling over an algebraically closed field, which collapses to
-    "both zero or both nonzero"; the half-coefficient reading and
-    provenance notes are presentation details and are ignored.
-    Descriptors should share a coefficient context.
+    Isomorphic descriptors share family, cycle length and q.  Deformation
+    scalars on the full cycle families are then compared up to rescaling
+    over an algebraically closed field, which collapses to "both zero or
+    both nonzero"; every other family compares its scalar exactly (zero
+    on the graded ones).  The half-coefficient reading and provenance
+    notes are presentation details and are ignored.  Descriptors should
+    share a coefficient context.
     """
-    if d1.family != d2.family:
+    if (d1.family, d1.n, d1.q) != (d2.family, d2.n, d2.q):
         return False
-    f = d1.family
-    if f == CYCLE_GRADED:
-        return d1.n == d2.n and d1.q == d2.q
-    if f == CYCLE_DEFORM or f == CYCLE_HALF:
-        return (d1.n == d2.n and d1.q == d2.q
-                and d1.param.is_zero() == d2.param.is_zero())
-    if f == CHAIN_GRADED:
-        return d1.q == d2.q
-    if f == CHAIN_Q1:
-        return d1.param == d2.param
-    if f == CHAIN_ROOT:
-        return d1.d == d2.d and d1.q == d2.q and d1.param == d2.param
-    if f == TYPE_ONE_CYCLE:
-        return d1.n == d2.n and d1.q == d2.q and d1.param == d2.param
-    if f == TYPE_ONE_CHAIN:
-        return d1.q == d2.q and d1.param == d2.param
-    raise AssertionError(f)
+    if d1.family in (CYCLE_DEFORM, CYCLE_HALF):
+        return d1.param.is_zero() == d2.param.is_zero()
+    return d1.param == d2.param
 
 
 def simple_pointed_catalog(max_n, ctx=None):
@@ -1019,7 +1020,7 @@ def descriptor_to_dict(desc):
     else:
         out["q"] = str(desc.q.rational_value()) if desc.q.is_rational() \
             else str(desc.q)
-    if desc.family not in (CYCLE_GRADED, CHAIN_GRADED):
+    if not desc.is_graded:
         out[desc.param_name] = str(desc.param)
     if desc.family == CYCLE_HALF and desc.half_coeff != "factorial":
         out["coeffReading"] = desc.half_coeff

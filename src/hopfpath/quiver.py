@@ -428,18 +428,11 @@ class Path:
         return self._hash
 
     @property
-    def is_vertex(self):
-        return self.length == 0
-
-    @property
     def target(self):
         t = self.source + self.length
         if self.kind[0] == "cycle":
             t %= self.kind[1]
         return t
-
-    def shift(self, offset, length_delta=0):
-        return Path(self.kind, self.source + offset, self.length + length_delta)
 
     def sort_key(self):
         return (self.length, self.source)

@@ -40,7 +40,7 @@ from .linear import Lin
 from .presentations import (
     MAX_MONOMIAL_PAIRS, PBWMonomial, RewriteSystem, as_presentation,
     chain_graded, cycle_deform, cycle_graded, path_preimage, pbw_image,
-    presentation_of, resolution_difference, _path_kind,
+    presentation_of, resolution_difference, _path_kind, _with_terms,
 )
 from .report import VerificationReport
 from .scalars import root_of_unity
@@ -83,7 +83,8 @@ def generator_coproducts(system):
                  + sum_{l=1..d-1} a^(d-l) h^l (x) a^l / ((d-l)!_q l!_q).
     """
     rs = as_presentation(system)
-    return {sym: _delta_word(rs, sym) for sym in "hHap" if sym in rs.letters}
+    return {sym: _delta_word(rs, sym).copy()
+            for sym in "hHap" if sym in rs.letters}
 
 
 def _delta_word(rs, word):
@@ -300,7 +301,7 @@ def compute_antipode(system, degree_bound):
     rs = as_presentation(system)
     _check_degree_bound(rs, degree_bound)
     monos = _monomials(rs, degree_bound)
-    table = {mono: _antipode_mono(rs, mono) for mono in monos}
+    table = {mono: _antipode_mono(rs, mono).copy() for mono in monos}
     bad_left, bad_right = _antipode_axiom_failures(rs, monos)
     if bad_left or bad_right:
         raise ArithmeticError(f"no antipode: {bad_left or bad_right}")
@@ -419,10 +420,9 @@ def _trial_system(desc, terms, name):
     side; rule order, weights, bounds and qfact stay, the descriptor does not.
     """
     base = presentation_of(desc)
-    rules = [(lhs, rhs + tuple(terms.get(lhs, ()))) for lhs, rhs in base.rules]
-    return RewriteSystem(base.ctx, rules, p_weight=base.p_weight,
-                         h_order=base.h_order, a_bound=base.a_bound,
-                         qfact=base.qfact, name=name)
+    return RewriteSystem(base.ctx, _with_terms(base.rules, terms),
+                         p_weight=base.p_weight, h_order=base.h_order,
+                         a_bound=base.a_bound, qfact=base.qfact, name=name)
 
 
 def _is_obstruction(diff, expected):

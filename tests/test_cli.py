@@ -479,6 +479,8 @@ def test_quiver_ramification_classes_are_not_recomputed_per_entry(capsys):
      "descriptor field 'lambda' must be a string or an integer, not 0.1"),
     ('{"family":"chain-graded","q":0.5}',
      "descriptor field 'q' must be a string or an integer, not 0.5"),
+    ('{"family":"cycle-graded","n":3,"qOrder":3,"lambda":"1"}',
+     "cycle-graded carries no deformation parameter"),
 ])
 def test_malformed_descriptor_json_is_a_usage_error(capsys, right, message):
     left = '{"family":"cycle-deform","n":3,"qOrder":3,"lambda":1}'

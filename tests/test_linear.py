@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hopfpath import (
-    CoalgElement, Lin, PBWMonomial, TensorAlg, TensorElement, comultiply,
-    coproduct, cycle_automorphism, cycle_deform, cycle_kind, cycle_path,
-    cyclotomic_context, enumerate_paths, presentation_of, root_of_unity,
-    type_one_cycle,
+    CoalgElement, Lin, PBWMonomial, TensorAlg, TensorElement,
+    chain_automorphism, chain_path, comultiply, compute_antipode, coproduct,
+    cycle_automorphism, cycle_deform, cycle_kind, cycle_path,
+    cyclotomic_context, enumerate_paths, generator_coproducts,
+    presentation_of, root_of_unity, type_one_cycle,
 )
 from hopfpath.verifier import _delta_word
 
@@ -112,8 +113,22 @@ def test_results_do_not_alias_caches_or_arguments():
     nf.add_term(extra, one).add_scaled(nf)
     assert rs._nf["ap"] is memo and memo == before
 
-    x = Lin.from_path(ctx, cycle_path(4, 0, 3), Fraction(1, 2))
-    before = dict(x.terms)
-    image = cycle_automorphism(4, 2, 1, 0, x)
-    image.add_term(cycle_path(4, 0, 3), one).add_scaled(image)
-    assert x.terms == before
+    for sym, delta in generator_coproducts(rs).items():
+        before = dict(_delta_word(rs, sym).terms)
+        delta.add_term((extra, extra), one).add_scaled(delta)
+        assert _delta_word(rs, sym).terms == before
+
+    table = compute_antipode(rs, 4)
+    for mono, image in table.items():
+        before = dict(rs._antipode[mono].terms)
+        image.add_term(extra, one).add_scaled(image)
+        assert rs._antipode[mono].terms == before
+
+    for lam in (1, 0):
+        x = Lin.from_path(ctx, cycle_path(4, 0, 3), Fraction(1, 2))
+        y = Lin.from_path(ctx, chain_path(0, 3), Fraction(1, 2))
+        for arg, image in ((x, cycle_automorphism(4, 2, lam, 0, x)),
+                           (y, chain_automorphism(2, lam, y))):
+            before = dict(arg.terms)
+            image.add_term(arg.sorted_terms()[0][0], one).add_scaled(image)
+            assert arg.terms == before

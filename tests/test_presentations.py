@@ -42,6 +42,21 @@ def test_descriptor_validation():
         type_one_cycle(4, ctx.one(), 1)
 
 
+def test_graded_families_refuse_a_deformation_parameter():
+    ctx = cyclotomic_context(3)
+    w = root_of_unity(ctx, 3)
+    for family, n in ((CYCLE_GRADED, 3), (CHAIN_GRADED, None)):
+        with pytest.raises(ValueError, match="no deformation parameter"):
+            cycle_graded(3, w).__class__(family, n, w, ctx.one())
+    data = {"family": "cycle-graded", "n": 3, "qOrder": 3, "lambda": "1"}
+    with pytest.raises(ValueError, match="no deformation parameter"):
+        descriptor_from_dict(data)
+    # at a zero parameter the descriptor round-trips to an equal value
+    desc = descriptor_from_dict(dict(data, **{"lambda": "0"}))
+    assert descriptor_from_dict(descriptor_to_dict(desc)) == desc
+    assert desc.is_graded and not cycle_deform(3, w, 0).is_graded
+
+
 def test_param_normalization():
     ctx = cyclotomic_context(2)
     d1 = chain_q1(ctx, 5)

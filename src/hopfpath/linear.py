@@ -15,6 +15,8 @@ and are meant for accumulators the caller has just created.
 
 from __future__ import annotations
 
+from .scalars import Scalar
+
 __all__ = ["Lin"]
 
 
@@ -84,7 +86,8 @@ class Lin:
     def add_scaled(self, x, coeff=1):
         """Add coeff * x in place."""
         self._check(x)
-        c = self.ctx.scalar(coeff)
+        c = coeff if type(coeff) is Scalar and coeff.ctx is self.ctx \
+            else self.ctx.scalar(coeff)
         if c.is_zero():
             return self
         if c == 1:

@@ -20,13 +20,17 @@ word.  In p^k a^j h^i * p^k' a^j' h^i' only the middle a^j h^i p^k' a^j'
 changes; ``RewriteSystem.mono_product`` memoizes its normal form in
 ``_prod``, keyed (j, i, k', j'), beside the word memo ``_nf``, and
 carries p^k and h^i' through by shifting exponents.  A middle is
-straightened once, through the normal forms of short words (h^i p^m,
-a^j p^m, h^g a^j and a^x), which ``_nf`` memoizes.  ``multiply`` and
-the tensor-square product of ``Lin`` read that table, so the basis
-change and the degeneration check reach ``reduce_word`` only through
-its entries.  ``normal_form``,
-``check_confluence`` and ``resolution_difference`` (and through it the
-verifier's forced-vanishing trials) call ``reduce_word`` on whole words.
+straightened once.  The powers h^i p^m and h^g a^j are folded one letter
+at a time and memoized in ``_power``, keyed (i, letter, exponent), so a
+middle reduces only the words h^g p, h^g a, p^m, a^x and a^j p^m, which
+``_nf`` memoizes.  Every monomial these tables hold comes from
+the presentation's table ``_monos``, keyed (k, j, i), so equal
+monomials are one object.  ``multiply`` and the tensor-square product
+of ``Lin`` read the product table, so the basis change and the
+degeneration check reach ``reduce_word`` only through its entries.
+``normal_form``, ``check_confluence`` and ``resolution_difference``
+(and through it the verifier's forced-vanishing trials) call
+``reduce_word`` on whole words.
 """
 
 from __future__ import annotations
@@ -348,6 +352,10 @@ class RewriteSystem:
         # (j, i, k', j') -> normal form of a^j h^i p^k' a^j', kept by
         # mono_product
         self._prod = {}
+        # (i, x, e) -> normal form of h^i x^e for x in "ap", kept by
+        # _h_power
+        self._power = {}
+        self._monos = {}  # (k, j, i) -> the one PBWMonomial p^k a^j h^i
         self._delta = {}  # word -> coproduct, kept by verifier._delta_word
         self._antipode = {}  # PBW monomial -> antipode, kept by the verifier
 
@@ -435,7 +443,16 @@ class RewriteSystem:
                 or (self.h_order is not None and i >= self.h_order) \
                 or (self.p_weight == 0 and k):
             return None
-        return PBWMonomial(k, j, i)
+        return self.interned(k, j, i)
+
+    def interned(self, k, j, i):
+        """The normal monomial p^k a^j h^i from the presentation's
+        monomial table, built on first use; i must be normal."""
+        key = (k, j, i)
+        mono = self._monos.get(key)
+        if mono is None:
+            mono = self._monos[key] = PBWMonomial(k, j, i)
+        return mono
 
     # -- the PBW basis --------------------------------------------------------
 
@@ -459,7 +476,7 @@ class RewriteSystem:
     def normal_monomials(self, weight_bound, window=(0,)):
         """The normal monomials of weight at most weight_bound in shape
         order, i over 0..n-1 on a cycle and over ``window`` on a chain."""
-        return [PBWMonomial(k, j, i) for k, j in self.shapes(weight_bound)
+        return [self.interned(k, j, i) for k, j in self.shapes(weight_bound)
                 for i in self._i_values(window)]
 
     def monomial_pairs(self, weight_bound, window=(0,)):
@@ -491,7 +508,7 @@ class RewriteSystem:
         return Lin(self.ctx, self)
 
     def one(self):
-        return self.monomial(PBWMonomial(0, 0, 0))
+        return self.monomial(self.interned(0, 0, 0))
 
     def monomial(self, mono, coeff=1):
         return Lin(self.ctx, self, {mono: self.ctx.scalar(coeff)})
@@ -522,8 +539,10 @@ class RewriteSystem:
         unchanged.  ``_prod`` memoizes the normal form of the middle,
         keyed (j, i, k', j'), and this method shifts its p exponents by k
         and its h exponents by i' (modulo n on cycles), which maps
-        distinct monomials to distinct monomials.  When k = i' = 0 the
-        dict is the memo entry itself: callers must not change it.
+        distinct monomials to distinct monomials; the shifted monomials
+        are looked up in the monomial table, not built.  When
+        k = i' = 0 the dict is the memo entry itself: callers must not
+        change it.
         """
         key = (x.j, x.i, y.k, y.j)
         mid = self._prod.get(key)
@@ -531,41 +550,78 @@ class RewriteSystem:
             mid = self._prod[key] = self._middle(*key)
         if not x.k and not y.i:
             return mid
-        k, i, h_exp = x.k, y.i, self._h_exp
-        return {PBWMonomial(k + m.k, m.j, h_exp(m.i + i)): c
-                for m, c in mid.items()}
+        k, i, n, monos = x.k, y.i, self.h_order, self._monos
+        out = {}
+        for m, c in mid.items():
+            e = m.i + i
+            key = (k + m.k, m.j, e if n is None else e % n)
+            out[monos.get(key) or self.interned(*key)] = c
+        return out
 
     def _middle(self, j, i, k, j2):
         """The normal form of a^j h^i p^k a^j2 as a {monomial: scalar} dict.
 
-        It is straightened in four steps, each the normal form of a short
-        generator-power word: h^i moves past p^k, a^j past the resulting
-        p^m, the collected h^g past a^j2, and the collected a^x is
-        reduced; h exponents add, modulo n on cycles.  Each step rewrites
-        a factor of the word, so the result is its normal form when the
-        rule set is confluent.  Confluence is not assumed here;
-        ``check_confluence`` checks it separately.
+        It is straightened in four steps: h^i moves past p^k and the
+        collected h^g past a^j2 (``_h_power``), a^j moves past the
+        resulting p^m, and the collected a^x is reduced; h exponents add,
+        modulo n on cycles.  Each step rewrites a factor of the word, so
+        the result is its normal form when the rule set is confluent.
+        Confluence is not assumed here; ``check_confluence`` checks it
+        separately.
         """
         zero = self.ctx.zero()
         acc = {}
         # 1. h^i p^k = sum of p^m h^g
-        for m1, c1 in self._power_form(self._h_word(i) + "p" * k,
-                                       "a").items():
+        for m1, c1 in self._h_power(i, "p", k).items():
             # 2. a^j p^m = sum of p^m2 a^x h^g2
             for m2, c2 in self.reduce_word("a" * j + "p" * m1.k)[0].items():
                 c12 = c1 * c2
                 # 3. h^(g + g2) a^j2 = sum of a^y h^g3
-                h_word = self._h_word(m1.i + m2.i)
-                for m3, c3 in self._power_form(h_word + "a" * j2,
-                                               "p").items():
+                g = self._h_exp(m1.i + m2.i)
+                for m3, c3 in self._h_power(g, "a", j2).items():
                     c123 = c12 * c3
                     # 4. a^(x + y) = sum of a^z h^w
                     for m4, c4 in self._power_form("a" * (m2.j + m3.j),
                                                    "p").items():
-                        mono = PBWMonomial(m2.k, m4.j,
-                                           self._h_exp(m4.i + m3.i))
+                        mono = self.interned(m2.k, m4.j,
+                                             self._h_exp(m4.i + m3.i))
                         acc[mono] = acc.get(mono, zero) + c123 * c4
         return {m: c for m, c in acc.items() if not c.is_zero()}
+
+    def _h_power(self, i, x, e):
+        """The normal form of h^i x^e, for x "a" or "p" and i normal, as a
+        {monomial: scalar} dict.
+
+        It is folded one letter at a time from the longest memoized
+        power: NF(h^i x^e) is the sum of c x^f NF(h^g x) over the terms
+        c x^f h^g of NF(h^i x^(e-1)), and x^f x^f2 h^w is
+        NF(x^(f+f2)) h^w.  Every power it reaches is memoized in
+        ``_power``; only the one-letter words h^g x and the powers x^m
+        are reduced as words.
+        """
+        memo = self._power
+        start = e
+        while start and (i, x, start) not in memo:
+            start -= 1
+        out = memo.get((i, x, start))
+        if out is None:
+            out = memo[(i, x, 0)] = {self.group_like(i): self.ctx.one()}
+        absent = "p" if x == "a" else "a"
+        zero = self.ctx.zero()
+        for f in range(start + 1, e + 1):
+            acc = {}
+            for m, c in out.items():
+                step = self._power_form(self._h_word(m.i) + x, absent)
+                for m2, c2 in step.items():
+                    cc = c * c2
+                    power = m.j + m2.j if x == "a" else m.k + m2.k
+                    for m3, c3 in self._power_form(x * power, absent).items():
+                        mono = self.interned(m3.k, m3.j,
+                                             self._h_exp(m3.i + m2.i))
+                        acc[mono] = acc.get(mono, zero) + cc * c3
+            out = memo[(i, x, f)] = {m: v for m, v in acc.items()
+                                     if not v.is_zero()}
+        return out
 
     def _power_form(self, word, absent):
         """The normal form of a generator-power word, which must not
@@ -584,7 +640,7 @@ class RewriteSystem:
     def group_like(self, i):
         """The normal monomial h^i: i modulo n on a cycle, signed on a
         chain."""
-        return PBWMonomial(0, 0, self._h_exp(i))
+        return self.interned(0, 0, self._h_exp(i))
 
     def _h_word(self, i):
         i = self._h_exp(i)
@@ -593,15 +649,20 @@ class RewriteSystem:
     def multiply(self, x, y):
         if x.space is not self or y.space is not self:
             raise ValueError("elements belong to a different presentation")
-        acc = {}
+        return Lin(self.ctx, self, self.accumulate({}, x.terms, y.terms))
+
+    def accumulate(self, acc, x, y):
+        """Add x * y to ``acc`` and return it; x, y and acc are
+        {normal monomial: scalar} dicts.  A sum that cancels stays in
+        ``acc`` as a zero coefficient."""
         zero = self.ctx.zero()
-        for ma, ca in x.terms.items():
-            for mb, cb in y.terms.items():
-                terms = self.mono_product(ma, mb)
+        product = self.mono_product
+        for ma, ca in x.items():
+            for mb, cb in y.items():
                 c = ca * cb
-                for m, v in terms.items():
+                for m, v in product(ma, mb).items():
                     acc[m] = acc.get(m, zero) + c * v
-        return Lin(self.ctx, self, acc)
+        return acc
 
     def monomial_weight(self, mono):
         return mono.k * self.p_weight + mono.j

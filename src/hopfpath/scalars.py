@@ -185,7 +185,7 @@ class CyclotomicContext:
     def scalar(self, value):
         """Coerce an int, Fraction, Scalar or text rendering to a Scalar."""
         if isinstance(value, Scalar):
-            if value.ctx != self:
+            if value.ctx is not self and value.ctx != self:
                 raise ValueError("scalar belongs to a different context")
             return value
         if isinstance(value, str):

@@ -20,7 +20,9 @@ Every product in the presentation or its tensor square reads the
 presentation's monomial product table, ``RewriteSystem._prod``, keyed
 by the middle a^j h^i p^k' a^j' of the product; only the
 forced-vanishing trials reduce whole words, through
-``resolution_difference``.  This module keeps no cache of its own;
+``resolution_difference``.  The antipode convolutions add each product
+straight into one dict per axiom through ``RewriteSystem.accumulate``,
+the loop that ``RewriteSystem.multiply`` runs.  This module keeps no cache of its own;
 ``presentation_of.cache_clear()`` frees every memo.  A degree bound that
 admits more than MAX_MONOMIAL_PAIRS monomial pairs is refused before any
 product is formed.
@@ -264,22 +266,24 @@ def _check_degree_bound(rs, degree_bound):
                          f"{MAX_MONOMIAL_PAIRS:,} monomial pairs; lower it")
 
 
+def _convolutions(rs, delta):
+    """m(S (x) id)(delta) and m(id (x) S)(delta) for a tensor-square
+    element delta: each term c u (x) v adds c S(u) v, and c u S(v), to
+    one accumulator."""
+    left, right = {}, {}
+    for (u, v), c in delta.terms.items():
+        rs.accumulate(left, _antipode_mono(rs, u).terms, {v: c})
+        rs.accumulate(right, {u: c}, _antipode_mono(rs, v).terms)
+    return Lin(rs.ctx, rs, left), Lin(rs.ctx, rs, right)
+
+
 def _antipode_axiom_failures(rs, monos):
     """First monomial violating each of the two convolution axioms."""
-
-    def s_left(uv):
-        return rs.multiply(_antipode_mono(rs, uv[0]), rs.monomial(uv[1]))
-
-    def s_right(uv):
-        return rs.multiply(rs.monomial(uv[0]), _antipode_mono(rs, uv[1]))
-
     bad_left = bad_right = None
     for mono in monos:
         word = mono.word()
-        delta = _delta_word(rs, word)
         expected = rs.one().scale(_word_counit(rs, word))
-        left = delta.map_terms(s_left, rs)
-        right = delta.map_terms(s_right, rs)
+        left, right = _convolutions(rs, _delta_word(rs, word))
         if bad_left is None and left != expected:
             bad_left = f"{mono}: m(S (x) id)delta = {left}"
         if bad_right is None and right != expected:

@@ -2,7 +2,9 @@
 
 Each mutant is a trial system (``verifier._trial_system``) with one term
 appended to one rule's right-hand side.  The Hopf verdict must reject it
-unless the mutant is itself a classified presentation.
+unless the mutant is itself a classified presentation.  The antipode
+witnesses, the first monomial that fails each convolution axiom and
+its convolution, are pinned as text.
 """
 
 import pytest
@@ -16,19 +18,25 @@ from hopfpath.verifier import _trial_system
 I4 = root_of_unity(cyclotomic_context(4), 4)
 
 
-@pytest.mark.parametrize("base, terms, failing, classified", [
+@pytest.mark.parametrize("base, terms, failing, antipode, classified", [
     # hp -> 2 ph breaks the coproduct of hp
     (cycle_graded(4, I4), {"hp": [("ph", 1)]},
-     ["delta respects hp -> "], None),
+     ["delta respects hp -> "], ("", "p h: m(id (x) S)delta = -15 * p"),
+     None),
     # ap -> pa + a + 1 breaks both the coproduct and the counit of ap
     (cycle_deform(4, I4, 1), {"ap": [("", 1)]},
-     ["delta respects ap -> ", "counit respects ap -> "], None),
+     ["delta respects ap -> ", "counit respects ap -> "],
+     ("", "p a: m(id (x) S)delta = (-1 - z)"), None),
     # ap -> pa + 2a is cycle-deform at lambda = 2
-    (cycle_deform(4, I4, 1), {"ap": [("a", 1)]}, [], cycle_deform(4, I4, 2)),
+    (cycle_deform(4, I4, 1), {"ap": [("a", 1)]}, [], ("", ""),
+     cycle_deform(4, I4, 2)),
 ], ids=["graded-hp-doubled", "deform-ap-unit", "deform-ap-lambda-doubled"])
 def test_a_mutant_fails_unless_it_is_classified(base, terms, failing,
-                                                classified):
+                                                antipode, classified):
     rep = verify_hopf(_trial_system(base, terms, "mutant"), 6)
+    witness = {c.name: c.witness for c in rep.checks}
+    assert (witness["left antipode axiom on 28 monomials"],
+            witness["right antipode axiom on 28 monomials"]) == antipode
     if classified is None:
         assert not rep.passed
         names = [c.name for c in rep.failures()]

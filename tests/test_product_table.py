@@ -4,15 +4,21 @@
 generator-power normal forms.  For every family of the acceptance sweep
 and every monomial pair within the acceptance weight bound (chains on
 the h window -2..2), it must equal the normal form of the concatenated
-word.
+word.  The powers h^i a^e and h^i p^e it straightens through are folded
+one letter at a time, and each must equal the normal form of its whole
+word.  The antipode convolutions accumulate products into one dict, and
+must equal the sum of one product of whole elements per coproduct term.
 """
 
 import pytest
 
 from hopfpath import (
     PBWMonomial, RewriteSystem, cyclotomic_context, presentation_of,
+    simple_pointed_catalog,
 )
-from hopfpath.verifier import _monomials
+from hopfpath.verifier import (
+    _antipode_mono, _convolutions, _delta_word, _monomials,
+)
 
 from test_acceptance import _family_sweep, _hopf_bound
 
@@ -44,3 +50,48 @@ def test_a_misshapen_power_form_is_refused():
                         p_weight=2, name="misshapen")
     with pytest.raises(AssertionError, match="contains a"):
         bad.mono_product(PBWMonomial(0, 0, 1), PBWMonomial(1, 0, 0))
+
+
+def _fresh(rs):
+    """A presentation with the rules of rs and empty memos."""
+    return RewriteSystem(rs.ctx, rs.rules, p_weight=rs.p_weight,
+                         h_order=rs.h_order, a_bound=rs.a_bound,
+                         qfact=rs.qfact, name=rs.name)
+
+
+def test_power_fold_equals_the_normal_form_of_the_whole_word():
+    cases = 0
+    for desc in [*_family_sweep(), simple_pointed_catalog(1)[0]]:
+        rs = _fresh(presentation_of(desc))
+        exponents = range(2 * max(rs.a_bound or 0, 3) + 1)
+        for x in sorted(rs.letters & set("ap")):
+            for i in range(desc.n) if desc.n is not None else range(-4, 5):
+                for e in exponents:
+                    cases += 1
+                    folded = rs._h_power(i, x, e)
+                    expected, _ = rs.reduce_word(rs._h_word(i) + x * e)
+                    assert folded == expected, (desc.label(), i, x, e)
+    assert cases == 8_165
+
+
+def _reference_convolutions(rs, delta):
+    """m(S (x) id)delta and m(id (x) S)delta as one product of whole
+    elements per term of delta, merged in through map_terms."""
+    left = delta.map_terms(lambda uv: rs.multiply(
+        _antipode_mono(rs, uv[0]), rs.monomial(uv[1])), rs)
+    right = delta.map_terms(lambda uv: rs.multiply(
+        rs.monomial(uv[0]), _antipode_mono(rs, uv[1])), rs)
+    return left, right
+
+
+def test_convolutions_equal_the_products_of_whole_elements():
+    monos = 0
+    for desc in _family_sweep():
+        rs = presentation_of(desc)
+        bound = 2 * desc.n if desc.n is not None else 8
+        for mono in _monomials(rs, bound):
+            monos += 1
+            delta = _delta_word(rs, mono.word())
+            assert _convolutions(rs, delta) \
+                == _reference_convolutions(rs, delta), (desc.label(), mono)
+    assert monos == 3_406

@@ -292,21 +292,10 @@ def cmd_present_classify(args):
 
 # -- verify ---------------------------------------------------------------------
 
-def cmd_verify_hopf(args):
+def cmd_verify(args):
+    """verify hopf|antipode|degeneration: the subparser sets ``verifier``."""
     desc = _descriptor(args)
-    rep = ver.verify_hopf(desc, args.degree)
-    return _report_result(args, rep, _family_payload(desc))
-
-
-def cmd_verify_antipode(args):
-    desc = _descriptor(args)
-    rep = ver.verify_antipode(desc, args.degree)
-    return _report_result(args, rep, _family_payload(desc))
-
-
-def cmd_verify_degeneration(args):
-    desc = _descriptor(args)
-    rep = ver.verify_degeneration(desc, args.degree)
+    rep = args.verifier(desc, args.degree)
     return _report_result(args, rep, _family_payload(desc))
 
 
@@ -400,18 +389,18 @@ def build_parser():
 
     verify = groups.add_parser("verify", help="Hopf-axiom verification")
     vsub = verify.add_subparsers(dest="command", required=True)
-    for name, func, helptext in (
-            ("hopf", cmd_verify_hopf,
+    for name, verifier, helptext in (
+            ("hopf", ver.verify_hopf,
              "relations, antipode and counit checks"),
-            ("antipode", cmd_verify_antipode, "two-sided antipode axioms"),
-            ("degeneration", cmd_verify_degeneration,
+            ("antipode", ver.verify_antipode, "two-sided antipode axioms"),
+            ("degeneration", ver.verify_degeneration,
              "leading terms match the graded structure constants")):
         vp = vsub.add_parser(name, help=helptext)
         _add_family_opts(vp)
         vp.add_argument("--degree", type=int, default=6,
                         help="weight bound (default 6)")
         _add_output_opts(vp)
-        vp.set_defaults(func=func)
+        vp.set_defaults(func=cmd_verify, verifier=verifier)
     vf = vsub.add_parser("forced-vanishing",
                          help="replay the obstruction arguments")
     vf.add_argument("--n", type=int, default=4)

@@ -20,12 +20,13 @@ word.  In p^k a^j h^i * p^k' a^j' h^i' only the middle a^j h^i p^k' a^j'
 changes; ``RewriteSystem.mono_product`` memoizes its normal form in
 ``_prod``, keyed (j, i, k', j'), beside the word memo ``_nf``, and
 carries p^k and h^i' through by shifting exponents.  A middle is
-straightened once.  The powers h^i p^m and h^g a^j are folded one letter
-at a time and memoized in ``_power``, keyed (i, letter, exponent), so a
-middle reduces only the words h^g p, h^g a, p^m, a^x and a^j p^m, which
-``_nf`` memoizes.  Every monomial these tables hold comes from
-the presentation's table ``_monos``, keyed (k, j, i), so equal
-monomials are one object.  ``multiply`` and the tensor-square product
+straightened once.  The generator powers h^i p^e and h^i a^e are the
+middles (0, i, e, 0) and (0, i, 0, e) of ``_prod``, each folded from the
+one before it by one product with the letter, so a middle reduces only
+the words h^i p, h^i a, a^x and a^j p^m, which ``_nf`` memoizes.  Every
+monomial these tables hold comes from the presentation's table
+``_monos``, keyed (k, j, i), so equal monomials are one object.
+``multiply`` and the tensor-square product
 of ``Lin`` read the product table, so the basis change and the
 degeneration check reach ``reduce_word`` only through its entries.
 ``normal_form``, ``check_confluence`` and ``resolution_difference``
@@ -42,6 +43,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice, product
+from typing import NamedTuple
 
 from .linear import Lin
 from .quiver import Path, chain_kind, cycle_kind
@@ -81,26 +83,19 @@ _LAMBDA_FAMILIES = {CYCLE_DEFORM, CHAIN_Q1, CHAIN_ROOT}
 _TYPE_ONE_FAMILIES = {TYPE_ONE_CYCLE, TYPE_ONE_CHAIN}
 
 
-@dataclass(frozen=True)
-class PBWMonomial:
+class PBWMonomial(NamedTuple):
     """The normal-form word p^k a^j h^i; i is signed for chains.
 
-    The hash is computed once: monomials key every normal-form memo and
-    every PBW element.
+    A tuple (k, j, i), so hash, equality and order are the tuple's own:
+    monomials key every normal-form memo and every PBW element.
     """
 
     k: int
     j: int
     i: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.k, self.j, self.i)))
-
-    def __hash__(self):
-        return self._hash
-
     def sort_key(self):
-        return (self.k, self.j, self.i)
+        return self
 
     def word(self):
         tail = "h" * self.i if self.i >= 0 else "H" * (-self.i)
@@ -350,11 +345,9 @@ class RewriteSystem:
             lhs + "".join(w for w, _ in rhs) for lhs, rhs in self.rules))
         self._nf = {}
         # (j, i, k', j') -> normal form of a^j h^i p^k' a^j', kept by
-        # mono_product
+        # mono_product; the generator powers h^i p^e and h^i a^e are its
+        # middles (0, i, e, 0) and (0, i, 0, e), kept by _h_power
         self._prod = {}
-        # (i, x, e) -> normal form of h^i x^e for x in "ap", kept by
-        # _h_power
-        self._power = {}
         self._monos = {}  # (k, j, i) -> the one PBWMonomial p^k a^j h^i
         self._delta = {}  # word -> coproduct, kept by verifier._delta_word
         self._antipode = {}  # PBW monomial -> antipode, kept by the verifier
@@ -567,8 +560,12 @@ class RewriteSystem:
         modulo n on cycles.  Each step rewrites a factor of the word, so
         the result is its normal form when the rule set is confluent.
         Confluence is not assumed here; ``check_confluence`` checks it
-        separately.
+        separately.  A generator power h^i p^k or h^i a^j2 is the entry
+        that ``_h_power`` keeps.
         """
+        if not j and not (k and j2):
+            return self._h_power(i, "a", j2) if j2 \
+                else self._h_power(i, "p", k)
         zero = self.ctx.zero()
         acc = {}
         # 1. h^i p^k = sum of p^m h^g
@@ -592,35 +589,33 @@ class RewriteSystem:
         """The normal form of h^i x^e, for x "a" or "p" and i normal, as a
         {monomial: scalar} dict.
 
-        It is folded one letter at a time from the longest memoized
-        power: NF(h^i x^e) is the sum of c x^f NF(h^g x) over the terms
-        c x^f h^g of NF(h^i x^(e-1)), and x^f x^f2 h^w is
-        NF(x^(f+f2)) h^w.  Every power it reaches is memoized in
-        ``_power``; only the one-letter words h^g x and the powers x^m
-        are reduced as words.
+        It is the middle of h^i * x^e and is kept in ``_prod`` under its
+        middle key, (0, i, e, 0) for p and (0, i, 0, e) for a.  It is
+        folded from the longest power there: NF(h^i x^e) is
+        NF(h^i x^(e-1)) * x, formed by ``accumulate``.  Only the
+        one-letter words h^i x are reduced as words.
         """
-        memo = self._power
+        memo = self._prod
+
+        def key(f):
+            return (0, i, f, 0) if x == "p" else (0, i, 0, f)
+
         start = e
-        while start and (i, x, start) not in memo:
+        while start and key(start) not in memo:
             start -= 1
-        out = memo.get((i, x, start))
+        out = memo.get(key(start))
         if out is None:
-            out = memo[(i, x, 0)] = {self.group_like(i): self.ctx.one()}
-        absent = "p" if x == "a" else "a"
-        zero = self.ctx.zero()
+            out = memo[key(0)] = {self.group_like(i): self.ctx.one()}
+        letter = {self.interned(1, 0, 0) if x == "p"
+                  else self.interned(0, 1, 0): self.ctx.one()}
         for f in range(start + 1, e + 1):
-            acc = {}
-            for m, c in out.items():
-                step = self._power_form(self._h_word(m.i) + x, absent)
-                for m2, c2 in step.items():
-                    cc = c * c2
-                    power = m.j + m2.j if x == "a" else m.k + m2.k
-                    for m3, c3 in self._power_form(x * power, absent).items():
-                        mono = self.interned(m3.k, m3.j,
-                                             self._h_exp(m3.i + m2.i))
-                        acc[mono] = acc.get(mono, zero) + cc * c3
-            out = memo[(i, x, f)] = {m: v for m, v in acc.items()
-                                     if not v.is_zero()}
+            if f == 1:
+                out = self._power_form(self._h_word(i) + x,
+                                       "p" if x == "a" else "a")
+            else:
+                acc = self.accumulate({}, out, letter)
+                out = {m: c for m, c in acc.items() if not c.is_zero()}
+            memo[key(f)] = out
         return out
 
     def _power_form(self, word, absent):
@@ -941,9 +936,9 @@ def pbw_to_path(desc, mono):
     if not desc.is_graded:
         if mono.k == 0 and mono.j == 0:
             return Lin.from_path(ctx, Path(kind, mono.i, 0))
-        if mono == PBWMonomial(0, 1, 0):
+        if mono == (0, 1, 0):
             return Lin.from_path(ctx, Path(kind, 0, 1))
-        if mono == PBWMonomial(1, 0, 0):
+        if mono == (1, 0, 0):
             return Lin.from_path(ctx, Path(kind, 0, rs.p_weight))
         raise ValueError(
             "identification is generator-level only for deformed families")
@@ -963,8 +958,8 @@ def path_to_pbw(desc, path):
     rs = presentation_of(desc)
     k, j = divmod(path.length, rs.p_weight) if rs.p_weight \
         else (0, path.length)
-    mono = PBWMonomial(k, j, path.source)
-    return rs.monomial(mono, rs.qfact.inverse(k, j))
+    return rs.monomial(rs.interned(k, j, path.source),
+                       rs.qfact.inverse(k, j))
 
 
 def pbw_image(desc, x):
@@ -997,8 +992,7 @@ def structure_rows(desc, weight_bound):
     if rs.pair_count(weight_bound) > MAX_MONOMIAL_PAIRS:
         raise ValueError(f"weight bound {weight_bound} gives more than "
                          f"{MAX_MONOMIAL_PAIRS:,} monomial pairs; lower it")
-    pairs = sorted(rs.monomial_pairs(weight_bound),
-                   key=lambda xy: (xy[0].sort_key(), xy[1].sort_key()))
+    pairs = sorted(rs.monomial_pairs(weight_bound))
     return [{"left": str(x), "right": str(y),
              "result": pbw_rows(rs.multiply(rs.monomial(x), rs.monomial(y)))}
             for x, y in pairs]

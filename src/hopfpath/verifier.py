@@ -40,9 +40,9 @@ from __future__ import annotations
 from .graded import GradedHopfParams, multiply as graded_multiply
 from .linear import Lin
 from .presentations import (
-    MAX_MONOMIAL_PAIRS, PBWMonomial, RewriteSystem, as_presentation,
-    chain_graded, cycle_deform, cycle_graded, path_preimage, pbw_image,
-    presentation_of, resolution_difference, _path_kind, _with_terms,
+    MAX_MONOMIAL_PAIRS, RewriteSystem, as_presentation, chain_graded,
+    cycle_deform, cycle_graded, path_preimage, pbw_image, presentation_of,
+    resolution_difference, _path_kind, _with_terms,
 )
 from .report import VerificationReport
 from .scalars import root_of_unity
@@ -67,12 +67,14 @@ _CHAIN_WINDOW = range(-2, 3)
 
 TensorAlg = Lin  # the square of a presentation rs is a Lin over (rs, rs)
 
-_LETTER = {"a": PBWMonomial(0, 1, 0), "p": PBWMonomial(1, 0, 0)}
-
 
 def _letter(rs, sym):
     """The normal monomial of a one-letter word (h is 1 on the 1-cycle)."""
-    return _LETTER.get(sym) or rs.group_like(1 if sym == "h" else -1)
+    if sym == "a":
+        return rs.interned(0, 1, 0)
+    if sym == "p":
+        return rs.interned(1, 0, 0)
+    return rs.group_like(1 if sym == "h" else -1)
 
 
 def generator_coproducts(system):
@@ -103,7 +105,7 @@ def _delta_word(rs, word):
         start -= 1
     out = memo.get(word[:start])
     if out is None:
-        unit = PBWMonomial(0, 0, 0)
+        unit = rs.interned(0, 0, 0)
         out = memo[""] = Lin(rs.ctx, (rs, rs),
                              {(unit, unit): rs.ctx.one()})
     for end in range(start + 1, len(word) + 1):
@@ -122,23 +124,20 @@ def _generator_delta(rs, sym):
     if sym not in rs.letters:
         raise ValueError(f"letter {sym!r} is not a generator of {rs.name}")
     ctx, square, one = rs.ctx, (rs, rs), rs.ctx.one()
-    unit = PBWMonomial(0, 0, 0)
+    unit, x = rs.interned(0, 0, 0), _letter(rs, sym)
     if sym in ("h", "H"):
-        g = _letter(rs, sym)
-        out = Lin(ctx, square, {(g, g): one})
+        out = Lin(ctx, square, {(x, x): one})
     elif sym == "a":
-        a1, h1 = _LETTER["a"], rs.group_like(1)
-        out = Lin(ctx, square, {(a1, unit): one, (h1, a1): one})
+        out = Lin(ctx, square, {(x, unit): one, (rs.group_like(1), x): one})
     else:
         if rs.qfact is None:
             raise ValueError(f"{rs.name} has no q-factorial table")
         d, fact = rs.p_weight, rs.qfact.fact
-        terms = {(_LETTER["p"], unit): one,
-                 (rs.group_like(d), _LETTER["p"]): one}
+        terms = {(x, unit): one, (rs.group_like(d), x): one}
         for l in range(1, d):
             coeff = (fact(d - l) * fact(l)).inverse()
-            left = PBWMonomial(0, d - l, rs.group_like(l).i)
-            terms[(left, PBWMonomial(0, l, 0))] = coeff
+            left = rs.interned(0, d - l, rs.group_like(l).i)
+            terms[(left, rs.interned(0, l, 0))] = coeff
         out = Lin(ctx, square, terms)
     rs._delta[sym] = out
     return out
@@ -200,38 +199,40 @@ def _antipode_generators(rs):
 
     The images go into the presentation's antipode memo under the
     letter monomials, the group-likes first, so the lower terms of a
-    and p meet only letters that are already solved.
+    and p meet only letters that are already solved.  S(x) is minus the
+    sum of the lower terms c S(u) v of delta(x), since epsilon(a) =
+    epsilon(p) = 0; they are added into one dict, as in ``_convolutions``.
     """
     memo = rs._antipode
-    gen_delta = generator_coproducts(rs)
-    if all(_letter(rs, sym) in memo for sym in gen_delta):
+    syms = [sym for sym in "hHap" if sym in rs.letters]
+    if all(_letter(rs, sym) in memo for sym in syms):
         return
-    unit = PBWMonomial(0, 0, 0)
+    unit = rs.interned(0, 0, 0)
     inverse = {"h": rs.group_like(-1), "H": rs.group_like(1)}
-    for sym, delta in gen_delta.items():
+    for sym in syms:
+        letter = _letter(rs, sym)
         if sym in inverse:
             # check the group-like solve: S(h) h = 1
             image = rs.monomial(inverse[sym])
             if rs.multiply(image, rs.generator(sym)) != rs.one():
                 raise ArithmeticError(
                     "no antipode: group-like is not invertible")
-            memo[_letter(rs, sym)] = image
+            memo[letter] = image
             continue
-        lead = (_letter(rs, sym), unit)
+        delta = _generator_delta(rs, sym)
+        lead = (letter, unit)
         if delta.coefficient(lead) != 1:
             raise ArithmeticError(
                 "no antipode: convolution equation is not monic")
-
-        def lower(uv):
-            u, v = uv
-            if uv == lead:
-                return rs.zero_element()
+        acc = {}
+        for (u, v), c in delta.terms.items():
+            if (u, v) == lead:
+                continue
             if sym in u.word():
                 raise ArithmeticError(
                     "no antipode: coproduct is not filtration-triangular")
-            return rs.multiply(_antipode_mono(rs, u), rs.monomial(v))
-        # S(x) = -sum of the lower terms, since epsilon(a) = epsilon(p) = 0
-        memo[lead[0]] = -delta.map_terms(lower, rs)
+            rs.accumulate(acc, _antipode_mono(rs, u).terms, {v: -c})
+        memo[letter] = Lin(rs.ctx, rs, acc)
 
 
 def _antipode_mono(rs, mono):

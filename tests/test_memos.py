@@ -223,3 +223,25 @@ def test_products_do_not_alias_the_table():
     expected = dict(square.terms)
     square.terms.clear()
     assert (dx * dy).terms == expected
+
+
+def _memo_monomials(rs):
+    """Every monomial in the keys and terms of the presentation's memos."""
+    for terms in [*rs._nf.values(), *rs._prod.values()]:
+        yield from terms
+    for delta in rs._delta.values():
+        for pair in delta.terms:
+            yield from pair
+    for mono, anti in rs._antipode.items():
+        yield mono
+        yield from anti.terms
+
+
+def test_memos_hold_only_the_monomial_table_objects():
+    presentation_of.cache_clear()
+    for desc in [*DESCS, simple_pointed_catalog(1)[0]]:
+        assert verify_hopf(desc, 6).passed
+        rs = presentation_of(desc)
+        strays = [m for m in _memo_monomials(rs)
+                  if rs._monos.get((m.k, m.j, m.i)) is not m]
+        assert not strays, (desc.label(), strays)

@@ -5,9 +5,10 @@ generator-power normal forms.  For every family of the acceptance sweep
 and every monomial pair within the acceptance weight bound (chains on
 the h window -2..2), it must equal the normal form of the concatenated
 word.  The powers h^i a^e and h^i p^e it straightens through are folded
-one letter at a time, and each must equal the normal form of its whole
-word.  The antipode convolutions accumulate products into one dict, and
-must equal the sum of one product of whole elements per coproduct term.
+one letter at a time into the table, under the middle key of
+h^i * x^e, and each must equal the normal form of its whole word.  The
+antipode convolutions accumulate products into one dict, and must equal
+the sum of one product of whole elements per coproduct term.
 """
 
 import pytest
@@ -71,6 +72,13 @@ def test_power_fold_equals_the_normal_form_of_the_whole_word():
                     folded = rs._h_power(i, x, e)
                     expected, _ = rs.reduce_word(rs._h_word(i) + x * e)
                     assert folded == expected, (desc.label(), i, x, e)
+                    # the power is the middle of h^i * x^e in the table
+                    middle = (0, i, e, 0) if x == "p" else (0, i, 0, e)
+                    assert rs._prod[middle] is folded, (desc.label(), i, x, e)
+                    power = rs.interned(*((e, 0, 0) if x == "p"
+                                          else (0, e, 0)))
+                    assert rs.mono_product(rs.group_like(i), power) \
+                        == folded, (desc.label(), i, x, e)
     assert cases == 8_165
 
 

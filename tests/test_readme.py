@@ -14,7 +14,9 @@ import re
 import shlex
 from pathlib import Path
 
-from hopfpath import cycle_half, cyclotomic_context, presentation_of
+from hopfpath import (
+    cycle_half, cyclotomic_context, presentation_of, presentations, verifier,
+)
 from hopfpath.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -63,6 +65,13 @@ def test_readme_attributes_resolve():
     assert ("desc", "d") in named and ("rs", "qfact") in named
     missing = [f"{owner}.{name}" for owner, name in named
                if not hasattr(owners[owner], name)]
+    # a span that is one private name (`_nf`, `_graded_relations`) names
+    # a memo or helper of the presentation or of a module that uses it
+    private = re.findall(r"`(_\w+)`", text)
+    assert "_prod" in private and "_graded_relations" in private
+    missing += [name for name in private
+                if not any(hasattr(owner, name) for owner in
+                           (rs, presentations, verifier))]
     assert not missing
 
 

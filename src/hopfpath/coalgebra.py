@@ -14,7 +14,6 @@ deformed multiplications.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .linear import Lin
@@ -113,21 +112,30 @@ def _exp_correction(x, lam, step):
 
     The sum is finite on any element, and exponentials of coderivations
     are coalgebra automorphisms, with exp(-lam G) the exact inverse.
-    Where G^2 = 0 (no index wrap-around) this is just id + lam G.
+    Where G^2 = 0 (no index wrap-around) this is just id + lam G.  The
+    series runs on term dicts: one pass over step(path) per order gives
+    G^k x, and lam^k / k! is formed once per order from the one before.
     """
     out = x.copy()
     if lam.is_zero():
         return out
-    term = x
+    ctx = x.ctx
+    term = x.terms
+    factor = ctx.one()
     k = 0
-    factor = x.ctx.one()
     while True:
-        term = term.map_terms(step)
-        if term.is_zero():
+        acc = {}
+        for path, c in term.items():
+            for image, ci in step(path).terms.items():
+                old = acc.get(image)
+                acc[image] = c * ci if old is None else old + c * ci
+        term = {p: c for p, c in acc.items() if not c.is_zero()}
+        if not term:
             return out
         k += 1
-        factor = factor * lam
-        out.add_scaled(term, factor * Fraction(1, math.factorial(k)))
+        factor = factor * lam * Fraction(1, k)
+        for path, c in term.items():
+            out.add_term(path, factor * c)
 
 
 def cycle_automorphism(n, d, lam, j, x):

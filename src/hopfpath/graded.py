@@ -10,6 +10,10 @@ with the index sum taken modulo n on the cycle and in Z on the chain.
 Rather than constructing the bimodule machinery behind the formula, the
 bialgebra axioms are checked exhaustively on bounded path sets; the
 verifier doubles as the oracle for every product identity used later.
+
+The checks run on basis paths, which are tuples: a product is one
+(path, coefficient) pair from the memo of ``_mul_path_raw`` or zero, and
+each path the coproduct check meets is split once per verdict.
 """
 
 from __future__ import annotations
@@ -229,18 +233,28 @@ def _bialgebra_pair_failure(params, basis):
 
     delta(a) delta(b) is summed over the split pairs of a and b in the
     component-wise tensor-square product; delta(a*b) is the splits of
-    the one product path.  Both sides keep only nonzero coefficients.
+    the one product path.  Every path met, basis or product, is split
+    once per verdict, into canonical paths.  Both sides keep only
+    nonzero coefficients.
     """
     zero, one = params.ctx.zero(), params.ctx.one()
     canon = params._paths
-    cut = {p: [(canon.setdefault(l, l), canon.setdefault(r, r))
-               for l, r in splits(p)] for p in basis}
-    for a in basis:
-        for b in basis:
+    cuts = {}
+
+    def cut(p):
+        out = cuts.get(p)
+        if out is None:
+            out = cuts[p] = [(canon.setdefault(l, l), canon.setdefault(r, r))
+                             for l, r in splits(p)]
+        return out
+
+    basis_cuts = [(p, cut(p)) for p in basis]
+    for a, cut_a in basis_cuts:
+        for b, cut_b in basis_cuts:
             out = _mul_path_raw(params, a, b)
             acc = {}
-            for al, ar in cut[a]:
-                for bl, br in cut[b]:
+            for al, ar in cut_a:
+                for bl, br in cut_b:
                     left = _mul_path_raw(params, al, bl)
                     if left is None:
                         continue
@@ -251,7 +265,7 @@ def _bialgebra_pair_failure(params, basis):
                     c = left[1] * right[1]
                     old = acc.get(key)
                     acc[key] = c if old is None else old + c
-            lhs = {} if out is None else dict.fromkeys(splits(out[0]), out[1])
+            lhs = {} if out is None else dict.fromkeys(cut(out[0]), out[1])
             if {k: c for k, c in acc.items() if not c.is_zero()} != lhs:
                 return f"delta({a} * {b})"
             eps = out[1] if out is not None and out[0].length == 0 else zero

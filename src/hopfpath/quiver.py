@@ -11,6 +11,7 @@ the basis of everything downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "MAX_GROUP_ORDER",
@@ -401,31 +402,36 @@ def chain_kind():
     return ("chain",)
 
 
-@dataclass(frozen=True)
-class Path:
-    """The path p_i^l: source index i, length l, in a cycle or chain.
-
-    Cycle sources are reduced modulo n; length 0 is the vertex g^i.
-    The hash is computed once, from the reduced source: paths key every
-    dict in the package.
-    """
-
+class _PathFields(NamedTuple):
     kind: tuple
     source: int
     length: int
 
-    def __post_init__(self):
-        if self.length < 0:
-            raise ValueError("path length must be nonnegative")
-        if self.kind[0] == "cycle":
-            object.__setattr__(self, "source", self.source % self.kind[1])
-        elif self.kind[0] != "chain":
-            raise ValueError(f"unknown quiver kind {self.kind!r}")
-        object.__setattr__(self, "_hash",
-                           hash((self.kind, self.source, self.length)))
 
-    def __hash__(self):
-        return self._hash
+class Path(_PathFields):
+    """The path p_i^l: source index i, length l, in a cycle or chain.
+
+    A tuple (kind, source, length), so hash and equality are the
+    tuple's own: paths key every dict in the package.  Cycle sources
+    are reduced modulo n on construction, so equal paths are equal
+    tuples; length 0 is the vertex g^i.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kind, source, length):
+        if length < 0:
+            raise ValueError("path length must be nonnegative")
+        if kind[0] == "cycle":
+            source %= kind[1]
+        elif kind[0] != "chain":
+            raise ValueError(f"unknown quiver kind {kind!r}")
+        return tuple.__new__(cls, (kind, source, length))
+
+    @classmethod
+    def _make(cls, iterable):
+        # the tuple API (_make, _replace) validates and reduces as well
+        return cls(*iterable)
 
     @property
     def target(self):

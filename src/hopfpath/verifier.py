@@ -236,7 +236,10 @@ def _antipode_generators(rs):
 
 
 def _antipode_mono(rs, mono):
-    """S(mono): the generator images multiplied in reverse order."""
+    """S(mono): the generator images multiplied in reverse order.
+
+    A miss is stored under the presentation's own monomial, so the memo
+    holds only monomial-table objects whatever the caller passed."""
     memo = rs._antipode
     out = memo.get(mono)
     if out is None:
@@ -248,7 +251,7 @@ def _antipode_mono(rs, mono):
         out = rs.one()
         for sym in reversed(word):
             out = rs.multiply(out, memo[_letter(rs, sym)])
-        memo[mono] = out
+        memo[rs.interned(*mono)] = out
     return out
 
 

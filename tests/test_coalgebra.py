@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -243,3 +244,62 @@ def test_merged_correction_matches_the_cycle_and_chain_versions():
                 (d, path)
             cases += 1
     assert cases > 30_000
+
+
+def _reference_exp_correction(x, lam, step):
+    """exp(lam * G) summed on elements, as written before the series ran
+    on term dicts: G^k x by ``map_terms``, each order added in with
+    lam^k / k! formed from a ``Fraction``."""
+    out = x.copy()
+    if lam.is_zero():
+        return out
+    term = x
+    k = 0
+    factor = x.ctx.one()
+    while True:
+        term = term.map_terms(step)
+        if term.is_zero():
+            return out
+        k += 1
+        factor = factor * lam
+        out.add_scaled(term, factor * Fraction(1, math.factorial(k)))
+
+
+SERIES_LAMBDAS = [0, 1, -1, Fraction(1, 2), CTX.zeta()]
+
+
+def test_automorphism_series_matches_the_element_reference():
+    # criterion 04's sweep; n = 2d wraps around, so G^2 != 0 there
+    cases = []
+    for n in range(2, 7):
+        for d in range(2, n + 1):
+            if n % d:
+                continue
+            for j in range(n):
+                def step(p, n=n, d=d, j=j):
+                    return _correction(n, d, j, CTX, p)
+
+                def auto(lam, x, n=n, d=d, j=j):
+                    return cycle_automorphism(n, d, lam, j, x)
+                cases.append((step, auto,
+                              enumerate_paths(cycle_kind(n), 3 * d)))
+    for d in range(1, 4):
+        def step(p, d=d):
+            return _correction(None, d, 0, CTX, p)
+
+        def auto(lam, x, d=d):
+            return chain_automorphism(d, lam, x)
+        cases.append((step, auto, enumerate_paths(
+            chain_kind(), 3 * d, window=(-2 * d - 1, 2 * d + 1))))
+    second_order = 0
+    for step, auto, paths in cases:
+        for path in paths:
+            x = elem(path)
+            second_order += not x.map_terms(step).map_terms(step).is_zero()
+            for lam in SERIES_LAMBDAS:
+                lam = CTX.scalar(lam)
+                fx = auto(lam, x)
+                assert fx.terms == _reference_exp_correction(
+                    x, lam, step).terms, (path, lam)
+                assert auto(-lam, fx) == x, (path, lam)
+    assert second_order > 0

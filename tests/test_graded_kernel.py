@@ -230,6 +230,21 @@ def test_kernel_builds_elements_only_for_unitality(monkeypatch):
     assert len(built) == 1 + 3 * len(enumerate_paths(params.kind, 5))
 
 
+def test_pair_check_splits_each_path_once(monkeypatch):
+    # the basis paths and every product path are split once per verdict,
+    # not once per pair that meets them
+    split = []
+    splits = graded.splits
+
+    def counting(path):
+        split.append(path)
+        return splits(path)
+
+    monkeypatch.setattr(graded, "splits", counting)
+    assert verify_graded_bialgebra(cycle(6, 6), 5, 4).passed
+    assert split and len(split) == len(set(split))
+
+
 def test_verdicts_agree_on_the_criterion_sweep_at_small_lengths():
     for n in range(1, 7):
         zn = root_of_unity(cyclotomic_context(n), n)

@@ -101,6 +101,15 @@ def test_antipode_memo_keys_are_normal_monomials():
         assert 0 <= mono.i < desc.n, mono
 
 
+def test_antipode_memo_stores_a_miss_under_the_table_monomial():
+    # the caller's monomial is an equal copy, not the table's object
+    presentation_of.cache_clear()
+    rs = presentation_of(DESCS[0])
+    _antipode_mono(rs, PBWMonomial(1, 1, 2))
+    assert (1, 1, 2) in rs._antipode
+    assert all(rs._monos.get(tuple(mono)) is mono for mono in rs._antipode)
+
+
 def _words(desc):
     return st.text(alphabet=sorted(presentation_of(desc).letters),
                    max_size=5)

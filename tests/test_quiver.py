@@ -1,3 +1,5 @@
+import copy
+import pickle
 from itertools import product
 
 import pytest
@@ -250,3 +252,21 @@ def test_quiver_json_shape():
 def test_connectivity_requires_finite_group():
     with pytest.raises(ValueError, match="finite group"):
         is_connected_hopf_quiver(GroupSpec.infinite_cyclic(), {"g": 1})
+
+
+def test_path_keeps_its_validation_and_survives_copy_and_pickle():
+    with pytest.raises(ValueError, match="^path length must be nonnegative$"):
+        Path(("cycle", 3), 0, -1)
+    with pytest.raises(ValueError,
+                       match=r"^unknown quiver kind \('loop', 3\)$"):
+        Path(("loop", 3), 0, 1)
+    for path in (Path(("cycle", 6), 7, 2), Path(("chain",), -3, 4)):
+        for twin in (copy.copy(path), copy.deepcopy(path),
+                     pickle.loads(pickle.dumps(path))):
+            assert type(twin) is Path
+            assert twin == path and hash(twin) == hash(path)
+    # the tuple API builds through the same validation
+    assert Path(("cycle", 6), 1, 2)._replace(source=7) \
+        == Path(("cycle", 6), 7, 2)
+    with pytest.raises(ValueError, match="^path length must be nonnegative$"):
+        Path(("chain",), 0, 1)._replace(length=-1)

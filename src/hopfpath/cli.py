@@ -14,13 +14,11 @@ source).
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
 import os
 import sys
-import traceback
 from fractions import Fraction
 
 from . import presentations as pres
@@ -213,6 +211,7 @@ def cmd_graded_table(args):
     params = _graded_params(args)
     rows = structure_table(params, args.max_len)
     if args.csv:
+        import csv
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=["left", "right", "coeff",
                                                  "result"])
@@ -254,6 +253,7 @@ def cmd_present_table(args):
     desc = _descriptor(args)
     rows = structure_rows(desc, args.weight_bound)
     if args.csv:
+        import csv
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["left", "right", "coeff", "k", "j", "i"])
@@ -437,6 +437,7 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
+        import traceback
         traceback.print_exc()
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

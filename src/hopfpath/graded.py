@@ -13,7 +13,12 @@ verifier doubles as the oracle for every product identity used later.
 
 The checks run on basis paths, which are tuples: a product is one
 (path, coefficient) pair from the memo of ``_mul_path_raw`` or zero, and
-each path the coproduct check meets is split once per verdict.
+each path the coproduct check meets is split once per verdict.  A
+verdict meets only a few distinct structure coefficients, so the params
+keep one canonical ``Scalar`` per coefficient value, and the pair and
+triple checks read every product (and every sum) of two of them from a
+table on the params: each is formed once per params, and the results
+compare by identity before equality is tried.
 """
 
 from __future__ import annotations
@@ -66,6 +71,13 @@ class GradedHopfParams:
         # one copy of each path the products meet, so that the keys of
         # _pair_cache match by identity before equality is tried
         self._paths = {}
+        # one Scalar per structure-coefficient value (zero seeded, so a
+        # sum that cancels is ctx.zero()), and the products and sums of
+        # those Scalars, each formed once per params
+        zero = self.ctx.zero()
+        self._coeffs = {zero: zero}
+        self._products = {}
+        self._sums = {}
 
     @classmethod
     def cycle(cls, n, q):
@@ -87,6 +99,24 @@ class GradedHopfParams:
             row = self._binom_rows[n] = gauss_binom_row(n, self.q)
         return row[k]
 
+    def _canonical(self, c):
+        """The one Scalar of c's value that this params keeps."""
+        return self._coeffs.setdefault(c, c)
+
+    def _product(self, x, y):
+        """The canonical x * y, formed once per pair of values."""
+        out = self._products.get((x, y))
+        if out is None:
+            out = self._products[x, y] = self._canonical(x * y)
+        return out
+
+    def _sum(self, x, y):
+        """The canonical x + y, formed once per pair of values."""
+        out = self._sums.get((x, y))
+        if out is None:
+            out = self._sums[x, y] = self._canonical(x + y)
+        return out
+
     def __repr__(self):
         return f"GradedHopfParams({self.kind}, q={self.q})"
 
@@ -97,8 +127,8 @@ def _mul_path_raw(params, a, b):
     hit = params._pair_cache.get(key, False)
     if hit is not False:
         return hit
-    coeff = params.q_power(a.source * b.length) \
-        * params.binom(a.length + b.length, a.length)
+    coeff = params._product(params.q_power(a.source * b.length),
+                            params.binom(a.length + b.length, a.length))
     if coeff.is_zero():
         out = None
     else:
@@ -234,11 +264,14 @@ def _bialgebra_pair_failure(params, basis):
     delta(a) delta(b) is summed over the split pairs of a and b in the
     component-wise tensor-square product; delta(a*b) is the splits of
     the one product path.  Every path met, basis or product, is split
-    once per verdict, into canonical paths.  Both sides keep only
-    nonzero coefficients.
+    once per verdict, into canonical paths.  The products and running
+    sums of coefficients are read from the params' tables, so every
+    coefficient is canonical and a sum that cancels is the canonical
+    zero.  Both sides keep only nonzero coefficients.
     """
     zero, one = params.ctx.zero(), params.ctx.one()
     canon = params._paths
+    prods, sums = params._products, params._sums
     cuts = {}
 
     def cut(p):
@@ -262,11 +295,16 @@ def _bialgebra_pair_failure(params, basis):
                     if right is None:
                         continue
                     key = (left[0], right[0])
-                    c = left[1] * right[1]
+                    c = prods.get((left[1], right[1]))
+                    if c is None:
+                        c = params._product(left[1], right[1])
                     old = acc.get(key)
-                    acc[key] = c if old is None else old + c
+                    if old is not None:
+                        total = sums.get((old, c))
+                        c = params._sum(old, c) if total is None else total
+                    acc[key] = c
             lhs = {} if out is None else dict.fromkeys(cut(out[0]), out[1])
-            if {k: c for k, c in acc.items() if not c.is_zero()} != lhs:
+            if {k: c for k, c in acc.items() if c is not zero} != lhs:
                 return f"delta({a} * {b})"
             eps = out[1] if out is not None and out[0].length == 0 else zero
             if eps != (one if a.length == 0 == b.length else zero):
@@ -275,7 +313,13 @@ def _bialgebra_pair_failure(params, basis):
 
 
 def _associativity_failure(params, basis):
-    """The first triple with (a*b)*c != a*(b*c), as a witness, or None."""
+    """The first triple with (a*b)*c != a*(b*c), as a witness, or None.
+
+    Each side is one (path, coefficient) pair or None; the product of
+    the two coefficients is read from the params' table, so each
+    distinct product is formed once per params, not once per triple.
+    """
+    prods = params._products
     for a in basis:
         for b in basis:
             ab = _mul_path_raw(params, a, b)
@@ -284,12 +328,18 @@ def _associativity_failure(params, basis):
                 if ab is not None:
                     out = _mul_path_raw(params, ab[0], c)
                     if out is not None:
-                        lhs = out[0], ab[1] * out[1]
+                        coeff = prods.get((ab[1], out[1]))
+                        if coeff is None:
+                            coeff = params._product(ab[1], out[1])
+                        lhs = out[0], coeff
                 bc = _mul_path_raw(params, b, c)
                 if bc is not None:
                     out = _mul_path_raw(params, a, bc[0])
                     if out is not None:
-                        rhs = out[0], out[1] * bc[1]
+                        coeff = prods.get((out[1], bc[1]))
+                        if coeff is None:
+                            coeff = params._product(out[1], bc[1])
+                        rhs = out[0], coeff
                 if lhs != rhs:
                     return f"({a} * {b}) * {c}"
     return None

@@ -39,7 +39,6 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice, product
@@ -142,7 +141,6 @@ class QFactorialTable:
         return value
 
 
-@dataclass(frozen=True)
 class HopfFamilyDescriptor:
     """A named point of the classification: family tag plus parameters.
 
@@ -157,17 +155,18 @@ class HopfFamilyDescriptor:
     degree; None if infinite), is set once, when the descriptor is
     built, and takes no part in comparison.  It stays a property over
     the stored ``_d``, so that the perfbench tracer can count its reads.
+    Provenance ``notes`` take no part in comparison either.
+
+    A descriptor is immutable: assignment raises ``AttributeError``.
+    Its fields live in the instance ``__dict__``, so that ``copy``,
+    ``deepcopy`` and ``pickle`` restore them without assigning.
     """
 
-    family: str
-    n: object  # int for cycles, None for chains
-    q: object
-    param: object
-    half_coeff: str = "factorial"
-    notes: tuple = field(default=(), compare=False)
-    _d: object = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
+    def __init__(self, family, n, q, param, half_coeff="factorial",
+                 notes=()):
+        # n is an int for cycles, None for chains
+        vars(self).update(family=family, n=n, q=q, param=param,
+                          half_coeff=half_coeff, notes=notes)
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         ctx = self.q.ctx
@@ -218,6 +217,28 @@ class HopfFamilyDescriptor:
                 self, "notes",
                 self.notes + (f"{name} rescaled to 1 (was {self.param})",))
             object.__setattr__(self, "param", self.ctx.one())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self):
+        return self.family, self.n, self.q, self.param, self.half_coeff
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"HopfFamilyDescriptor(family={self.family!r}, n={self.n!r}, "
+                f"q={self.q!r}, param={self.param!r}, "
+                f"half_coeff={self.half_coeff!r}, notes={self.notes!r})")
 
     # -- derived structure --------------------------------------------------
 

@@ -10,7 +10,6 @@ the basis of everything downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 __all__ = [
@@ -266,18 +265,26 @@ def _check_arrows(count):
 
 # -- quivers -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(NamedTuple):
     src: str
     tgt: str
     cls: str
     copy: int
 
 
-@dataclass
 class HopfQuiver:
-    vertices: list
-    arrows: list
+    def __init__(self, vertices, arrows):
+        self.vertices = vertices
+        self.arrows = arrows
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.vertices, self.arrows) == (other.vertices, other.arrows)
+
+    def __repr__(self):
+        return (f"HopfQuiver(vertices={self.vertices!r}, "
+                f"arrows={self.arrows!r})")
 
     def out_degree(self, vertex):
         return sum(1 for a in self.arrows if a.src == vertex)

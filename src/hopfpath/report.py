@@ -2,16 +2,26 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 __all__ = ["Check", "VerificationReport"]
 
 
-@dataclass
 class Check:
-    name: str
-    passed: bool
-    witness: str = ""
+    """One named check: whether it passed, and a witness if it failed."""
+
+    def __init__(self, name, passed, witness=""):
+        self.name = name
+        self.passed = passed
+        self.witness = witness
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.passed, self.witness) \
+            == (other.name, other.passed, other.witness)
+
+    def __repr__(self):
+        return (f"Check(name={self.name!r}, passed={self.passed!r}, "
+                f"witness={self.witness!r})")
 
     def to_dict(self):
         d = {"name": self.name, "pass": self.passed}
@@ -20,12 +30,21 @@ class Check:
         return d
 
 
-@dataclass
 class VerificationReport:
     """An ordered list of named checks; passes iff no check failed."""
 
-    subject: str
-    checks: list = field(default_factory=list)
+    def __init__(self, subject, checks=None):
+        self.subject = subject
+        self.checks = [] if checks is None else checks
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.subject, self.checks) == (other.subject, other.checks)
+
+    def __repr__(self):
+        return (f"VerificationReport(subject={self.subject!r}, "
+                f"checks={self.checks!r})")
 
     def add(self, name, passed, witness=""):
         self.checks.append(Check(name, bool(passed), witness))

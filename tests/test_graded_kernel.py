@@ -7,13 +7,14 @@ agree with it check for check and witness for witness, on correct
 products and on deliberately wrong ones.
 """
 
+import sys
 from fractions import Fraction
 
 import pytest
 
 from hopfpath import (
     CoalgElement, GradedHopfParams, Lin, comultiply, counit,
-    cyclotomic_context, enumerate_paths, multiply, root_of_unity,
+    Scalar, cyclotomic_context, enumerate_paths, multiply, root_of_unity,
     tensor_multiply, unit, verify_graded_bialgebra,
 )
 from hopfpath import graded
@@ -243,6 +244,36 @@ def test_pair_check_splits_each_path_once(monkeypatch):
     monkeypatch.setattr(graded, "splits", counting)
     assert verify_graded_bialgebra(cycle(6, 6), 5, 4).passed
     assert split and len(split) == len(set(split))
+
+
+def test_each_coefficient_product_and_sum_is_formed_once_per_params(
+        monkeypatch):
+    # the pair and triple checks read products and sums of structure
+    # coefficients from tables on the params: a pair of values is
+    # multiplied or added once, however many pairs and triples meet it.
+    # Unitality runs on the element API, `multiply`, which is not tabled.
+    formed = {"*": [], "+": []}
+
+    def recording(op, method):
+        def wrapped(x, y):
+            code = sys._getframe(1).f_code
+            if code.co_filename == graded.__file__ \
+                    and code.co_name != "multiply":
+                formed[op].append((x, y))
+            return method(x, y)
+        return wrapped
+
+    monkeypatch.setattr(Scalar, "__mul__", recording("*", Scalar.__mul__))
+    monkeypatch.setattr(Scalar, "__add__", recording("+", Scalar.__add__))
+    params = cycle(6, 6)
+    assert verify_graded_bialgebra(params, 5, 4).passed
+    for op, pairs in formed.items():
+        assert pairs, op
+        assert len(pairs) == len(set(pairs)), op
+    # a second verdict on the same params forms nothing new
+    formed["*"][:], formed["+"][:] = [], []
+    assert verify_graded_bialgebra(params, 5, 4).passed
+    assert formed == {"*": [], "+": []}
 
 
 def test_verdicts_agree_on_the_criterion_sweep_at_small_lengths():

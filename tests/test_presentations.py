@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -65,6 +67,33 @@ def test_param_normalization():
     d2 = type_one_cycle(2, -ctx.one(), 3)
     assert d2.param == ctx.one()
     assert classify_iso(d1, chain_q1(ctx, 1))
+
+
+def test_descriptors_are_frozen_and_survive_copy_and_pickle():
+    ctx = cyclotomic_context(4)
+    z = root_of_unity(ctx, 4)
+    descs = (cycle_deform(4, z, 2), chain_q1(ctx, 5), chain_graded(z),
+             cycle_half(4, z ** 2, 1, "integer"))
+    for desc in descs:
+        for twin in (copy.copy(desc), copy.deepcopy(desc),
+                     pickle.loads(pickle.dumps(desc))):
+            assert type(twin) is type(desc)
+            assert twin == desc and hash(twin) == hash(desc)
+            assert (twin.d, twin.notes, repr(twin)) \
+                == (desc.d, desc.notes, repr(desc))
+        for name in ("family", "param", "notes", "_d", "label"):
+            with pytest.raises(AttributeError, match=f"^cannot assign to "
+                                                     f"field '{name}'$"):
+                setattr(desc, name, None)
+        with pytest.raises(AttributeError):
+            del desc.family
+    # notes and d take no part in comparison
+    assert chain_q1(ctx, 5) == chain_q1(ctx, 1)
+    assert hash(chain_q1(ctx, 5)) == hash(chain_q1(ctx, 1))
+    assert chain_q1(ctx, 5).notes != chain_q1(ctx, 1).notes
+    assert repr(chain_q1(ctx, 1)) == (
+        "HopfFamilyDescriptor(family='chain-q1', n=None, q=Scalar('1', N=4), "
+        "param=Scalar('1', N=4), half_coeff='factorial', notes=())")
 
 
 def test_taft_style_rules():

@@ -269,9 +269,10 @@ def _bialgebra_pair_failure(params, basis):
     coefficient is canonical and a sum that cancels is the canonical
     zero.  Both sides keep only nonzero coefficients.
     """
-    zero, one = params.ctx.zero(), params.ctx.one()
+    # every value in acc comes from _product or _sum, so it is canonical,
+    # and the one canonical zero is the table's
+    zero, one = params._canonical(params.ctx.zero()), params.ctx.one()
     canon = params._paths
-    prods, sums = params._products, params._sums
     cuts = {}
 
     def cut(p):
@@ -295,14 +296,9 @@ def _bialgebra_pair_failure(params, basis):
                     if right is None:
                         continue
                     key = (left[0], right[0])
-                    c = prods.get((left[1], right[1]))
-                    if c is None:
-                        c = params._product(left[1], right[1])
+                    c = params._product(left[1], right[1])
                     old = acc.get(key)
-                    if old is not None:
-                        total = sums.get((old, c))
-                        c = params._sum(old, c) if total is None else total
-                    acc[key] = c
+                    acc[key] = c if old is None else params._sum(old, c)
             lhs = {} if out is None else dict.fromkeys(cut(out[0]), out[1])
             if {k: c for k, c in acc.items() if c is not zero} != lhs:
                 return f"delta({a} * {b})"
@@ -319,7 +315,6 @@ def _associativity_failure(params, basis):
     the two coefficients is read from the params' table, so each
     distinct product is formed once per params, not once per triple.
     """
-    prods = params._products
     for a in basis:
         for b in basis:
             ab = _mul_path_raw(params, a, b)
@@ -328,18 +323,12 @@ def _associativity_failure(params, basis):
                 if ab is not None:
                     out = _mul_path_raw(params, ab[0], c)
                     if out is not None:
-                        coeff = prods.get((ab[1], out[1]))
-                        if coeff is None:
-                            coeff = params._product(ab[1], out[1])
-                        lhs = out[0], coeff
+                        lhs = out[0], params._product(ab[1], out[1])
                 bc = _mul_path_raw(params, b, c)
                 if bc is not None:
                     out = _mul_path_raw(params, a, bc[0])
                     if out is not None:
-                        coeff = prods.get((out[1], bc[1]))
-                        if coeff is None:
-                            coeff = params._product(out[1], bc[1])
-                        rhs = out[0], coeff
+                        rhs = out[0], params._product(out[1], bc[1])
                 if lhs != rhs:
                     return f"({a} * {b}) * {c}"
     return None

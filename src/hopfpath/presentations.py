@@ -224,16 +224,16 @@ class HopfFamilyDescriptor:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
-    def _key(self):
-        return self.family, self.n, self.q, self.param, self.half_coeff
-
+    # presentation_of hashes a descriptor on every call, so the field
+    # tuple is spelled out rather than built by a helper method
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._key() == other._key()
+        return (self.family, self.n, self.q, self.param, self.half_coeff) \
+            == (other.family, other.n, other.q, other.param, other.half_coeff)
 
     def __hash__(self):
-        return hash(self._key())
+        return hash((self.family, self.n, self.q, self.param, self.half_coeff))
 
     def __repr__(self):
         return (f"HopfFamilyDescriptor(family={self.family!r}, n={self.n!r}, "

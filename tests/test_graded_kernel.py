@@ -246,12 +246,17 @@ def test_pair_check_splits_each_path_once(monkeypatch):
     assert split and len(split) == len(set(split))
 
 
+@pytest.mark.parametrize("make, lengths", [
+    (lambda: cycle(6, 6), (5, 4)),
+    (lambda: chain(2), (3, 2)),
+], ids=["cycle", "chain"])
 def test_each_coefficient_product_and_sum_is_formed_once_per_params(
-        monkeypatch):
+        monkeypatch, make, lengths):
     # the pair and triple checks read products and sums of structure
     # coefficients from tables on the params: a pair of values is
-    # multiplied or added once, however many pairs and triples meet it.
-    # Unitality runs on the element API, `multiply`, which is not tabled.
+    # multiplied or added once, however many pairs and triples meet it,
+    # on the chain with q of infinite order too.  Unitality runs on the
+    # element API, `multiply`, which is not tabled.
     formed = {"*": [], "+": []}
 
     def recording(op, method):
@@ -265,14 +270,14 @@ def test_each_coefficient_product_and_sum_is_formed_once_per_params(
 
     monkeypatch.setattr(Scalar, "__mul__", recording("*", Scalar.__mul__))
     monkeypatch.setattr(Scalar, "__add__", recording("+", Scalar.__add__))
-    params = cycle(6, 6)
-    assert verify_graded_bialgebra(params, 5, 4).passed
+    params = make()
+    assert verify_graded_bialgebra(params, *lengths).passed
     for op, pairs in formed.items():
         assert pairs, op
         assert len(pairs) == len(set(pairs)), op
     # a second verdict on the same params forms nothing new
     formed["*"][:], formed["+"][:] = [], []
-    assert verify_graded_bialgebra(params, 5, 4).passed
+    assert verify_graded_bialgebra(params, *lengths).passed
     assert formed == {"*": [], "+": []}
 
 

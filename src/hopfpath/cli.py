@@ -391,7 +391,7 @@ def build_parser():
     vsub = verify.add_subparsers(dest="command", required=True)
     for name, verifier, helptext in (
             ("hopf", ver.verify_hopf,
-             "relations, antipode and counit checks"),
+             "relations, confluence and antipode checks"),
             ("antipode", ver.verify_antipode, "two-sided antipode axioms"),
             ("degeneration", ver.verify_degeneration,
              "leading terms match the graded structure constants")):

@@ -217,7 +217,7 @@ def power_formula_check(params, l, j):
     return lhs == rhs
 
 
-def verify_graded_bialgebra(params, max_len, assoc_len=None, window=None):
+def verify_graded_bialgebra(params, max_len, assoc_len=None):
     """Exhaustive bialgebra axioms on paths of bounded length.
 
     Checks associativity (on triples up to assoc_len, default
@@ -234,13 +234,13 @@ def verify_graded_bialgebra(params, max_len, assoc_len=None, window=None):
         assoc_len = max(2, max_len - 1)
     if not 0 <= assoc_len <= max_len:
         raise ValueError("assoc_len must be between 0 and max_len")
-    window = window or (-max_len, max_len)
-    _check_work(params.kind, max_len, window, assoc_len)
+    _check_work(params.kind, max_len, assoc_len)
     rep = VerificationReport(f"graded bialgebra on {_kind_name(params.kind)}, "
                              f"q = {params.q}")
     canon = params._paths
     basis = [canon.setdefault(p, p)
-             for p in enumerate_paths(params.kind, max_len, window)]
+             for p in enumerate_paths(params.kind, max_len,
+                                      (-max_len, max_len))]
     one = unit(params)
     bad = None
     for a in basis:
@@ -334,10 +334,10 @@ def _associativity_failure(params, basis):
     return None
 
 
-def _check_work(kind, max_len, window, assoc_len=None):
+def _check_work(kind, max_len, assoc_len=None):
     """Refuse, before any work, a check or table over more than
     MAX_BASIS_TUPLES basis pairs, split pairs or triples."""
-    width = kind[1] if kind[0] == "cycle" else max(0, window[1] - window[0] + 1)
+    width = kind[1] if kind[0] == "cycle" else max(0, 2 * max_len + 1)
     lengths = max(0, max_len + 1)
     sizes = {"basis pairs": (width * lengths) ** 2}
     if assoc_len is not None:
@@ -349,11 +349,10 @@ def _check_work(kind, max_len, window, assoc_len=None):
                              f"{MAX_BASIS_TUPLES:,}; lower the length bound")
 
 
-def structure_table(params, max_len, window=None):
+def structure_table(params, max_len):
     """Structure constants of the graded product on bounded paths."""
-    window = window or (-max_len, max_len)
-    _check_work(params.kind, max_len, window)
-    basis = enumerate_paths(params.kind, max_len, window)
+    _check_work(params.kind, max_len)
+    basis = enumerate_paths(params.kind, max_len, (-max_len, max_len))
     rows = []
     for a in basis:
         for b in basis:

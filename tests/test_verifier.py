@@ -3,16 +3,17 @@ from fractions import Fraction
 import pytest
 
 from hopfpath import (
-    PBWMonomial, chain_q1, chain_root, compute_antipode, coproduct,
-    counit_alg, cycle_deform, cycle_graded, cycle_half, cyclotomic_context,
-    forced_vanishing_suite, generator_coproducts, multiply_alg,
-    presentation_of, root_of_unity, type_one_chain, type_one_cycle,
-    verify_antipode, verify_degeneration, verify_hopf,
-    verify_relation_coproducts,
+    PBWMonomial, chain_q1, chain_root, comultiply, compute_antipode,
+    coproduct, counit_alg, cycle_deform, cycle_graded, cycle_half,
+    cyclotomic_context, forced_vanishing_suite, generator_coproducts,
+    multiply_alg, pbw_to_path, presentation_of, root_of_unity,
+    type_one_chain, type_one_cycle, verify_antipode, verify_degeneration,
+    verify_hopf, verify_relation_coproducts,
 )
 from hopfpath.verifier import (
-    MAX_MONOMIAL_PAIRS, TensorAlg, _delta_word, _monomials,
+    MAX_MONOMIAL_PAIRS, TensorAlg, _antipode_mono, _delta_word, _monomials,
 )
+from test_acceptance import _family_sweep
 
 
 def small_descriptors():
@@ -36,34 +37,41 @@ def small_descriptors():
     ]
 
 
-def test_generator_coproducts_counit_axiom():
-    # (eps (x) id) delta(x) = x for every generator coproduct
-    for desc in small_descriptors():
-        rs = presentation_of(desc)
-        for sym, delta in generator_coproducts(desc).items():
-            left = rs.zero_element()
-            right = rs.zero_element()
-            for (u, v), c in delta.terms.items():
-                eps_u = desc.ctx.one() if u.j == 0 and u.k == 0 \
-                    else desc.ctx.zero()
-                eps_v = desc.ctx.one() if v.j == 0 and v.k == 0 \
-                    else desc.ctx.zero()
-                left = left + rs.monomial(v).scale(c * eps_u)
-                right = right + rs.monomial(u).scale(c * eps_v)
-            gen = rs.generator(sym)
-            assert left == gen and right == gen, (desc.label(), sym)
+# every generator of every family of the acceptance sweep: the premises
+# of the relation-by-relation Hopf verdict
+SWEEP_GENERATORS = [(desc, sym) for desc in _family_sweep()
+                    for sym in generator_coproducts(desc)]
 
 
-def test_coproduct_is_coassociative_on_generators():
-    # (delta (x) id) delta = (id (x) delta) delta on p, the only
-    # generator with a nontrivial middle part
-    ctx = cyclotomic_context(4)
-    desc = cycle_deform(4, root_of_unity(ctx, 4), 1)
+def _generator_id(param):
+    return param if isinstance(param, str) else param.label()
+
+
+@pytest.mark.parametrize("desc, sym", SWEEP_GENERATORS, ids=_generator_id)
+def test_generator_coproducts_counit_axiom(desc, sym):
+    # (eps (x) id) delta(x) = x = (id (x) eps) delta(x)
     rs = presentation_of(desc)
-    delta_p = generator_coproducts(desc)["p"]
+    left = rs.zero_element()
+    right = rs.zero_element()
+    for (u, v), c in generator_coproducts(desc)[sym].terms.items():
+        eps_u = desc.ctx.one() if u.j == 0 and u.k == 0 \
+            else desc.ctx.zero()
+        eps_v = desc.ctx.one() if v.j == 0 and v.k == 0 \
+            else desc.ctx.zero()
+        left = left + rs.monomial(v).scale(c * eps_u)
+        right = right + rs.monomial(u).scale(c * eps_v)
+    gen = rs.generator(sym)
+    assert left == gen and right == gen
+
+
+@pytest.mark.parametrize("desc, sym", SWEEP_GENERATORS, ids=_generator_id)
+def test_coproduct_is_coassociative_on_generators(desc, sym):
+    # (delta (x) id) delta = (id (x) delta) delta
+    ctx = desc.ctx
+    rs = presentation_of(desc)
     left = {}
     right = {}
-    for (u, v), c in delta_p.terms.items():
+    for (u, v), c in generator_coproducts(desc)[sym].terms.items():
         for (u1, u2), cu in coproduct(desc, rs.monomial(u)).terms.items():
             key = (u1, u2, v)
             left[key] = left.get(key, ctx.zero()) + c * cu
@@ -72,6 +80,21 @@ def test_coproduct_is_coassociative_on_generators():
             right[key] = right.get(key, ctx.zero()) + c * cv
     clean = lambda m: {k: v for k, v in m.items() if not v.is_zero()}
     assert clean(left) == clean(right)
+
+
+@pytest.mark.parametrize("desc", [d for d in _family_sweep() if d.is_graded],
+                         ids=lambda d: d.label())
+def test_pbw_coproduct_is_the_path_coproduct(desc):
+    # on a graded family the PBW coproduct, carried factor by factor
+    # through pbw_to_path, is deconcatenation of the image path
+    rs = presentation_of(desc)
+    bound = 8 if desc.is_chain else 2 * desc.n
+    monos = rs.normal_monomials(bound, range(-2, 3))
+    assert monos
+    to_path = lambda m: pbw_to_path(desc, m)
+    for m in monos:
+        carried = _delta_word(rs, m.word()).map_factors(to_path, to_path)
+        assert carried.terms == comultiply(to_path(m)).terms, m
 
 
 @pytest.mark.parametrize("desc", small_descriptors(),
@@ -163,11 +186,20 @@ def test_antipode_axioms(desc):
 
 def test_verify_hopf_all_checks():
     ctx = cyclotomic_context(4)
-    rep = verify_hopf(cycle_deform(4, root_of_unity(ctx, 4), 1), 8)
+    desc = cycle_deform(4, root_of_unity(ctx, 4), 1)
+    rep = verify_hopf(desc, 8)
     assert rep.passed
+    assert rep.subject == f"Hopf axioms of {desc.label()}"
     names = [c.name for c in rep.checks]
-    assert any("counit is an algebra map" in n for n in names)
-    assert any("anti-multiplicative" in n for n in names)
+    lhs = [lhs for lhs, _ in presentation_of(desc).rules]
+    for what in ("delta", "counit", "antipode"):
+        assert [n.split(" -> ")[0] for n in names
+                if n.startswith(f"{what} respects ")] \
+            == [f"{what} respects {l}" for l in lhs]
+    assert any(n.startswith("ambiguity ") for n in names)
+    assert "antipode solve" in names
+    assert any("left antipode axiom" in n for n in names)
+    assert any("right antipode axiom" in n for n in names)
 
 
 @pytest.mark.parametrize("desc", [
@@ -196,16 +228,20 @@ def test_degeneration_counterexample_detection():
 
 
 def test_counit_algebra_map():
-    ctx = cyclotomic_context(3)
-    desc = cycle_deform(3, root_of_unity(ctx, 3), 1)
-    rs = presentation_of(desc)
-    monos = _monomials(desc, 6)
-    for x in monos[::2]:
-        for y in monos[::2]:
+    # epsilon(xy) = epsilon(x) epsilon(y) and S(xy) = S(y) S(x) on every
+    # monomial pair within the bound, which verify_hopf no longer loops over
+    for desc in small_descriptors():
+        rs = presentation_of(desc)
+        S = compute_antipode(desc, 6)
+        for x, y in rs.monomial_pairs(6, range(-2, 3)):
             prod = multiply_alg(desc, rs.monomial(x), rs.monomial(y))
             ex = counit_alg(desc, rs.monomial(x))
             ey = counit_alg(desc, rs.monomial(y))
-            assert counit_alg(desc, prod) == ex * ey
+            assert counit_alg(desc, prod) == ex * ey, (desc.label(), x, y)
+            # prod may leave the chain window, so its terms are looked
+            # up through the memo rather than the bounded table
+            assert prod.map_terms(lambda m: _antipode_mono(rs, m)) \
+                == multiply_alg(desc, S[y], S[x]), (desc.label(), x, y)
 
 
 def test_forced_vanishing_suite_shapes():

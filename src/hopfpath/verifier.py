@@ -192,8 +192,9 @@ def verify_relation_coproducts(system):
         rep.add(f"delta respects {rule}", diff.is_zero(),
                 "" if diff.is_zero() else f"residual {diff}")
         eps_l = _word_counit(rs, lhs)
-        rep.add(f"counit respects {rule}", eps_l == eps_r,
-                "" if eps_l == eps_r else
+        rep.add(f"counit respects {rule}",
+                (eps_l - eps_r).is_zero(),
+                "" if (eps_l - eps_r).is_zero() else
                 f"epsilon(L) = {eps_l}, epsilon(R) = {eps_r}")
     return rep
 
@@ -359,7 +360,7 @@ def verify_hopf(system, degree_bound):
     rep.extend(check_confluence(rs))
     antipode = verify_antipode(rs, degree_bound)
     rep.extend(antipode)
-    if not antipode.checks[0].passed:  # the antipode solve
+    if not {c.name: c for c in antipode.checks}["antipode solve"].passed:
         return rep
     for lhs, rhs in rs.rules:
         diff = _antipode_word(rs, lhs)

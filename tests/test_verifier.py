@@ -227,19 +227,32 @@ def test_degeneration_counterexample_detection():
     assert rest.weight() == 1  # the lam * a remainder sits in lower weight
 
 
-def test_counit_algebra_map():
-    # epsilon(xy) = epsilon(x) epsilon(y) and S(xy) = S(y) S(x) on every
-    # monomial pair within the bound, which verify_hopf no longer loops over
+def _counit_and_antipode_pairs():
+    # cycle-deform(3, zeta_3, 1) on alternate monomials of weight <= 6
+    # (pairs up to weight 12), then every pair of total weight <= 6 on
+    # each small descriptor
+    ctx = cyclotomic_context(3)
+    desc = cycle_deform(3, root_of_unity(ctx, 3), 1)
+    monos = _monomials(desc, 6)[::2]
+    yield desc, [(x, y) for x in monos for y in monos]
     for desc in small_descriptors():
         rs = presentation_of(desc)
+        yield desc, list(rs.monomial_pairs(6, range(-2, 3)))
+
+
+def test_counit_algebra_map():
+    # epsilon(xy) = epsilon(x) epsilon(y) and S(xy) = S(y) S(x) on
+    # monomial pairs, which verify_hopf no longer loops over
+    for desc, pairs in _counit_and_antipode_pairs():
+        rs = presentation_of(desc)
         S = compute_antipode(desc, 6)
-        for x, y in rs.monomial_pairs(6, range(-2, 3)):
+        for x, y in pairs:
             prod = multiply_alg(desc, rs.monomial(x), rs.monomial(y))
             ex = counit_alg(desc, rs.monomial(x))
             ey = counit_alg(desc, rs.monomial(y))
             assert counit_alg(desc, prod) == ex * ey, (desc.label(), x, y)
-            # prod may leave the chain window, so its terms are looked
-            # up through the memo rather than the bounded table
+            # prod may weigh more than 6 or leave the chain window, so
+            # its terms are looked up through the memo, not the table
             assert prod.map_terms(lambda m: _antipode_mono(rs, m)) \
                 == multiply_alg(desc, S[y], S[x]), (desc.label(), x, y)
 

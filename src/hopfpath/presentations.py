@@ -32,6 +32,14 @@ degeneration check reach ``reduce_word`` only through its entries.
 ``normal_form``, ``check_confluence`` and ``resolution_difference``
 (and through it the verifier's forced-vanishing trials) call
 ``reduce_word`` on whole words.
+
+The PBW <-> path identification of a descriptor's presentation is one
+table on the presentation in two memos: ``_to_path`` maps a monomial to
+its (path, scalar) image and ``_to_pbw`` maps a path to its (monomial,
+scalar) preimage, each filled on first use by ``_path_term`` and
+``_pbw_term`` with monomials from ``_monos``.  ``pbw_to_path`` and
+``path_to_pbw`` build a new element from an entry; ``pbw_image`` and
+``path_preimage`` add every term's entry into one dict.
 """
 
 from __future__ import annotations
@@ -372,6 +380,11 @@ class RewriteSystem:
         self._monos = {}  # (k, j, i) -> the one PBWMonomial p^k a^j h^i
         self._delta = {}  # word -> coproduct, kept by verifier._delta_word
         self._antipode = {}  # PBW monomial -> antipode, kept by the verifier
+        # the PBW <-> path identification of a descriptor's presentation:
+        # monomial -> (path, scalar) and path -> (monomial, scalar), kept
+        # by _path_term and _pbw_term
+        self._to_path = {}
+        self._to_pbw = {}
 
     # -- word order ---------------------------------------------------------
 
@@ -936,10 +949,51 @@ def _path_kind(desc):
     return cycle_kind(desc.n) if not desc.is_chain else chain_kind()
 
 
-def _graded_check(desc):
+def _path_term(rs, mono):
+    """The (path, coefficient) that p^k a^j h^i maps to, from the memo
+    ``rs._to_path``, keyed by the presentation's monomial; ``rs`` is a
+    descriptor's presentation."""
+    term = rs._to_path.get(mono)
+    if term is not None:
+        return term
+    desc, ctx = rs.descriptor, rs.ctx
+    kind = _path_kind(desc)
+    if not desc.is_graded:
+        if mono.k == 0 and mono.j == 0:
+            term = Path(kind, mono.i, 0), ctx.one()
+        elif mono == (0, 1, 0):
+            term = Path(kind, 0, 1), ctx.one()
+        elif mono == (1, 0, 0):
+            term = Path(kind, 0, rs.p_weight), ctx.one()
+        else:
+            raise ValueError("identification is generator-level only for "
+                             "deformed families")
+    elif mono.k and not rs.p_weight:
+        raise ValueError("this family has no divided-power generator")
+    else:
+        term = (Path(kind, mono.i, mono.j + rs.p_weight * mono.k),
+                math.factorial(mono.k) * rs.qfact.fact(mono.j))
+    rs._to_path[rs.interned(*mono)] = term
+    return term
+
+
+def _pbw_term(rs, path):
+    """The (monomial, coefficient) that a basis path maps back to, from
+    the memo ``rs._to_pbw``; the monomial is the presentation's own."""
+    term = rs._to_pbw.get(path)
+    if term is not None:
+        return term
+    desc = rs.descriptor
     if not desc.is_graded:
         raise ValueError(
             "identification is generator-level only for deformed families")
+    if path.kind != _path_kind(desc):
+        raise ValueError("path does not live on this family's quiver")
+    k, j = divmod(path.length, rs.p_weight) if rs.p_weight \
+        else (0, path.length)
+    term = rs._to_pbw[path] = (rs.interned(k, j, path.source),
+                               rs.qfact.inverse(k, j))
+    return term
 
 
 def pbw_to_path(desc, mono):
@@ -949,49 +1003,42 @@ def pbw_to_path(desc, mono):
     degree-d divided power satisfies p^k = k! p_0^(dk) at a root of
     unity of order d (the Gaussian binomial binom(2d, d)_q collapses to
     the integer 2, and so on).  For deformed families only the three
-    generators are identified with paths.
+    generators are identified with paths.  The result is a new element
+    built from the presentation's memo ``_to_path``.
     """
-    ctx = desc.ctx
-    kind = _path_kind(desc)
-    rs = presentation_of(desc)
-    if not desc.is_graded:
-        if mono.k == 0 and mono.j == 0:
-            return Lin.from_path(ctx, Path(kind, mono.i, 0))
-        if mono == (0, 1, 0):
-            return Lin.from_path(ctx, Path(kind, 0, 1))
-        if mono == (1, 0, 0):
-            return Lin.from_path(ctx, Path(kind, 0, rs.p_weight))
-        raise ValueError(
-            "identification is generator-level only for deformed families")
-    if mono.k and not rs.p_weight:
-        raise ValueError("this family has no divided-power generator")
-    length = mono.j + rs.p_weight * mono.k
-    coeff = math.factorial(mono.k) * rs.qfact.fact(mono.j)
-    return Lin.from_path(ctx, Path(kind, mono.i, length), coeff)
+    path, coeff = _path_term(presentation_of(desc), mono)
+    return Lin.from_path(desc.ctx, path, coeff)
 
 
 def path_to_pbw(desc, path):
-    """Inverse of pbw_to_path on basis paths of a graded family."""
-    _graded_check(desc)
-    kind = _path_kind(desc)
-    if path.kind != kind:
-        raise ValueError("path does not live on this family's quiver")
+    """Inverse of pbw_to_path on basis paths of a graded family, a new
+    element built from the presentation's memo ``_to_pbw``."""
     rs = presentation_of(desc)
-    k, j = divmod(path.length, rs.p_weight) if rs.p_weight \
-        else (0, path.length)
-    return rs.monomial(rs.interned(k, j, path.source),
-                       rs.qfact.inverse(k, j))
+    mono, coeff = _pbw_term(rs, path)
+    return rs.monomial(mono, coeff)
+
+
+def _map_basis(term, rs, elt, space):
+    """The linear extension to ``elt`` of a basis map whose image of each
+    key is one (key, scalar) term, ``term(rs, key)``, as an element of
+    ``space``; every term adds into one dict."""
+    zero = elt.ctx.zero()
+    acc = {}
+    for key, c in elt.terms.items():
+        image, coeff = term(rs, key)
+        acc[image] = acc.get(image, zero) + c * coeff
+    return Lin(elt.ctx, space, acc)
 
 
 def pbw_image(desc, x):
     """Linear extension of pbw_to_path to an element of the presentation."""
-    return x.map_terms(lambda mono: pbw_to_path(desc, mono), _path_kind(desc))
+    return _map_basis(_path_term, presentation_of(desc), x, _path_kind(desc))
 
 
 def path_preimage(desc, elt):
     """Linear extension of path_to_pbw to a path element."""
-    return elt.map_terms(lambda path: path_to_pbw(desc, path),
-                         presentation_of(desc))
+    rs = presentation_of(desc)
+    return _map_basis(_pbw_term, rs, elt, rs)
 
 
 def pbw_rows(x):

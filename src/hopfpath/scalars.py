@@ -408,8 +408,11 @@ class Scalar:
         return NotImplemented
 
     def __hash__(self):
+        # CPython hashes -1 as -2, so coordinates -1 and -2 would collide;
+        # doubling keeps every small coordinate's hash distinct
         if self._hash is None:
-            self._hash = hash((self.ctx.N, self.num, self.den))
+            self._hash = hash((self.ctx.N, self.den,
+                               *[c + c for c in self.num]))
         return self._hash
 
     def __str__(self):

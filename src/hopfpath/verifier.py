@@ -23,7 +23,11 @@ ambiguities of ``verify_hopf`` and the forced-vanishing trials reduce
 whole words, through ``resolution_difference``.  The antipode
 convolutions add each product straight into one dict per axiom through
 ``RewriteSystem.accumulate``, the loop that ``RewriteSystem.multiply``
-runs.  This module keeps no cache of its own;
+runs.  The degeneration verdict works on monomial and path pairs: it
+reads the deformed product from the product table and maps the graded
+path product back through the graded presentation's PBW <-> path table
+(``RewriteSystem._to_path`` and ``_to_pbw``).  This module keeps no
+cache of its own;
 ``presentation_of.cache_clear()`` frees every memo.  A degree bound that
 admits more than MAX_MONOMIAL_PAIRS monomial pairs is refused before any
 product is formed.
@@ -38,12 +42,12 @@ nonzero otherwise.
 
 from __future__ import annotations
 
-from .graded import GradedHopfParams, multiply as graded_multiply
+from .graded import GradedHopfParams, _mul_path_raw
 from .linear import Lin
 from .presentations import (
     MAX_MONOMIAL_PAIRS, RewriteSystem, as_presentation, chain_graded,
-    check_confluence, cycle_deform, cycle_graded, path_preimage, pbw_image,
-    presentation_of, resolution_difference, _path_kind, _with_terms,
+    check_confluence, cycle_deform, cycle_graded, presentation_of,
+    resolution_difference, _path_kind, _path_term, _pbw_term, _with_terms,
 )
 from .report import VerificationReport
 from .scalars import root_of_unity
@@ -386,7 +390,11 @@ def verify_degeneration(system, degree_bound):
     deformed product is compared against the graded product computed
     independently on the path side (closed product formula transported
     through the basis identification); the difference must sit in
-    strictly lower weight.  A system without a descriptor raises ValueError.
+    strictly lower weight.  Both sides stay on basis keys: the deformed
+    product is the presentation's product-table entry, and the graded
+    one is the product of the two image paths mapped back through the
+    graded presentation's PBW <-> path table.  Elements are built only
+    to render a failure.  A system without a descriptor raises ValueError.
     """
     rs = as_presentation(system)
     desc = rs.descriptor
@@ -394,26 +402,34 @@ def verify_degeneration(system, degree_bound):
         raise ValueError(f"{rs.name} has no descriptor, so no graded layer")
     _check_degree_bound(rs, degree_bound)
     gdesc = _graded_sibling(desc)
+    grs = presentation_of(gdesc)
     params = GradedHopfParams(_path_kind(desc), gdesc.q)
     rep = VerificationReport(f"degeneration of {rs.name}")
-    images = {m: pbw_image(gdesc, rs.monomial(m))
-              for m in _monomials(rs, degree_bound)}
+    images = {m: _path_term(grs, m) for m in _monomials(rs, degree_bound)}
+    pw = rs.p_weight
     pairs = 0
     bad = None
     for x, y in rs.monomial_pairs(degree_bound, _CHAIN_WINDOW):
-        w = rs.monomial_weight(x) + rs.monomial_weight(y)
+        w = x.k * pw + x.j + y.k * pw + y.j
         pairs += 1
-        deformed = rs.multiply(rs.monomial(x), rs.monomial(y))
-        top_weight = deformed.weight()
-        if top_weight is not None and top_weight > w:
+        deformed = rs.mono_product(x, y)  # a memo entry: read only
+        top_weight = max((m.k * pw + m.j for m in deformed), default=w)
+        if top_weight > w:
             bad = f"{x} * {y} has weight {top_weight} > {w}"
             break
-        graded = path_preimage(
-            gdesc, graded_multiply(params, images[x], images[y]))
-        top = deformed.weight_part(w)
-        if top.terms != graded.terms:
-            bad = (f"{x} * {y}: leading part {top} "
-                   f"differs from graded {graded}")
+        top = {m: c for m, c in deformed.items() if m.k * pw + m.j == w}
+        (px, cx), (py, cy) = images[x], images[y]
+        graded = {}
+        out = _mul_path_raw(params, px, py)
+        if out is not None:
+            path, coeff = out
+            mono, inverse = _pbw_term(grs, path)
+            c = cx * cy * coeff * inverse
+            if not c.is_zero():
+                graded[mono] = c
+        if top != graded:
+            bad = (f"{x} * {y}: leading part {Lin(rs.ctx, rs, top)} "
+                   f"differs from graded {Lin(rs.ctx, grs, graded)}")
             break
     rep.add(f"filtered products match the graded layer on {pairs} pairs",
             bad is None, bad or "")

@@ -257,14 +257,17 @@ def test_07_half_order_coefficient_resolution():
                "verified, q-integer reading refuted at d=4", ok)
 
 
-def test_08_degeneration_to_graded():
-    bad = []
-    descriptors = _deformed_descriptors() \
+def _degeneration_descriptors():
+    return _deformed_descriptors() \
         + [type_one_cycle(n, root_of_unity(cyclotomic_context(d), d), 1)
            for n in range(2, 7) for d in range(2, n + 1) if n % d == 0] \
         + [type_one_chain(root_of_unity(cyclotomic_context(d), d), 1)
            for d in (2, 3)]
-    for desc in descriptors:
+
+
+def test_08_degeneration_to_graded():
+    bad = []
+    for desc in _degeneration_descriptors():
         rep = verify_degeneration(desc, _hopf_bound(desc))
         if not rep.passed:
             bad.append((desc.label(), rep.failures()[0].witness))

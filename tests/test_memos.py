@@ -2,12 +2,16 @@
 
 from hypothesis import given, strategies as st
 
+import pytest
+
 from hopfpath import (
-    Lin, PBWMonomial, chain_q1, chain_root, coproduct, cycle_deform,
-    cycle_half, cyclotomic_context, generator_coproducts, presentation_of,
-    root_of_unity, simple_pointed_catalog, type_one_cycle, verify_antipode,
-    verify_degeneration, verify_hopf,
+    Lin, PBWMonomial, chain_graded, chain_kind, chain_q1, chain_root,
+    coproduct, cycle_deform, cycle_graded, cycle_half, cyclotomic_context,
+    generator_coproducts, path_preimage, path_to_pbw, pbw_image, pbw_to_path,
+    presentation_of, root_of_unity, simple_pointed_catalog, type_one_cycle,
+    verify_antipode, verify_degeneration, verify_hopf,
 )
+from hopfpath.quiver import Path
 from hopfpath import verifier
 from hopfpath.verifier import _antipode_mono, _delta_word, _monomials
 
@@ -244,6 +248,9 @@ def _memo_monomials(rs):
     for mono, anti in rs._antipode.items():
         yield mono
         yield from anti.terms
+    yield from rs._to_path
+    for mono, _ in rs._to_pbw.values():
+        yield mono
 
 
 def test_memos_hold_only_the_monomial_table_objects():
@@ -254,3 +261,91 @@ def test_memos_hold_only_the_monomial_table_objects():
         strays = [m for m in _memo_monomials(rs)
                   if rs._monos.get((m.k, m.j, m.i)) is not m]
         assert not strays, (desc.label(), strays)
+
+
+# -- the PBW <-> path identification ----------------------------------------------
+
+Z4 = root_of_unity(cyclotomic_context(4), 4)
+GRADED = [cycle_graded(4, Z4), cycle_graded(4, -Z4 * Z4),
+          chain_graded(cyclotomic_context(3).from_rational(2))]
+
+
+def _basis_change_calls(desc):
+    """One call of each public basis change on ``desc``, as thunks."""
+    rs = presentation_of(desc)
+    mono = rs.interned(1, 1, 1) if rs.p_weight else rs.interned(0, 3, 1)
+    path = pbw_to_path(desc, mono).sorted_terms()[0][0]
+    x = rs.monomial(mono, 3) + rs.one()
+    return [lambda: pbw_to_path(desc, mono), lambda: path_to_pbw(desc, path),
+            lambda: pbw_image(desc, x),
+            lambda: path_preimage(desc, pbw_image(desc, x))]
+
+
+def test_identification_memos_live_on_the_interned_presentation():
+    desc = GRADED[0]
+    rs = presentation_of(desc)
+    mono, path = PBWMonomial(1, 1, 2), Path(("cycle", 4), 2, 5)
+    assert pbw_to_path(desc, mono).terms == {path: rs.qfact.fact(1)}
+    assert rs._to_path[mono] == (path, rs.qfact.fact(1))
+    assert path_to_pbw(desc, path).terms == {mono: rs.qfact.inverse(1, 1)}
+    assert rs._to_pbw[path] == (mono, rs.qfact.inverse(1, 1))
+    equal = cycle_graded(4, Z4)
+    assert equal is not desc and presentation_of(equal) is rs
+
+    presentation_of.cache_clear()
+    fresh = presentation_of(desc)
+    assert fresh is not rs and not fresh._to_path and not fresh._to_pbw
+    assert pbw_to_path(desc, mono).terms == {path: rs.qfact.fact(1)}
+    assert fresh._to_path == {mono: rs._to_path[mono]}
+
+
+def test_identification_memos_hold_only_the_monomial_table_objects():
+    presentation_of.cache_clear()
+    for desc in [*DESCS, simple_pointed_catalog(1)[0]]:
+        assert verify_degeneration(desc, 6).passed
+    for desc in GRADED:
+        for call in _basis_change_calls(desc):
+            call()
+        # an equal copy, not the table's object
+        pbw_to_path(desc, PBWMonomial(0, 1, 1))
+    graded = {presentation_of(d) for d in GRADED} | {
+        presentation_of(verifier._graded_sibling(d)) for d in DESCS}
+    for rs in graded:
+        assert rs._to_path and rs._to_pbw, rs.name
+        strays = [m for m in _memo_monomials(rs)
+                  if rs._monos.get((m.k, m.j, m.i)) is not m]
+        assert not strays, (rs.name, strays)
+
+
+@pytest.mark.parametrize("desc", GRADED, ids=lambda d: d.label())
+def test_basis_change_results_do_not_alias_the_memos(desc):
+    for call in _basis_change_calls(desc):
+        first = call()
+        expected = dict(first.terms)
+        assert expected
+        first.terms.clear()
+        assert call().terms == expected
+        call().add_term(next(iter(expected)), desc.ctx.one())
+        assert call().terms == expected
+
+
+def test_refused_identifications_are_not_memoized():
+    deformed = cycle_deform(4, Z4, 1)
+    no_p = chain_graded(cyclotomic_context(3).from_rational(2))
+    cases = [
+        (lambda: pbw_to_path(deformed, PBWMonomial(1, 1, 0)),
+         "generator-level"),
+        (lambda: path_to_pbw(deformed, Path(("cycle", 4), 0, 1)),
+         "generator-level"),
+        (lambda: pbw_to_path(no_p, PBWMonomial(1, 0, 0)),
+         "no divided-power generator"),
+        (lambda: path_to_pbw(GRADED[0], Path(chain_kind(), 0, 1)),
+         "family's quiver"),
+    ]
+    for call, message in cases * 2:
+        with pytest.raises(ValueError, match=message):
+            call()
+    assert (1, 1, 0) not in presentation_of(deformed)._to_path
+    assert not presentation_of(deformed)._to_pbw
+    assert (1, 0, 0) not in presentation_of(no_p)._to_path
+    assert Path(chain_kind(), 0, 1) not in presentation_of(GRADED[0])._to_pbw

@@ -221,3 +221,17 @@ def test_scalar_division_by_zero():
     ctx = cyclotomic_context(4)
     with pytest.raises(ZeroDivisionError):
         ctx.one() / ctx.zero()
+
+
+@pytest.mark.parametrize("n", (3, 4, 6, 12))
+def test_hash_tells_minus_one_from_minus_two(n):
+    # CPython hashes the ints -1 and -2 alike; a scalar table keyed by
+    # values one apart there must not fall through to equality
+    ctx = cyclotomic_context(n)
+    one, z = ctx.one(), ctx.zeta()
+    for x, y in ((-one, -2 * one), (one - z, one - 2 * z),
+                 (z - one, z - 2 * one)):
+        assert x != y and hash(x) != hash(y)
+    for x, y in ((-one, one - 2 * one), (one - z, (2 - 2 * z) / 2),
+                 (z - one, -(one - z))):
+        assert x == y and hash(x) == hash(y)

@@ -11,14 +11,18 @@ Rather than constructing the bimodule machinery behind the formula, the
 bialgebra axioms are checked exhaustively on bounded path sets; the
 verifier doubles as the oracle for every product identity used later.
 
-The checks run on basis paths, which are tuples: a product is one
-(path, coefficient) pair from the memo of ``_mul_path_raw`` or zero, and
-each path the coproduct check meets is split once per verdict.  A
-verdict meets only a few distinct structure coefficients, so the params
-keep one canonical ``Scalar`` per coefficient value, and the pair and
-triple checks read every product (and every sum) of two of them from a
-table on the params: each is formed once per params, and the results
-compare by identity before equality is tried.
+The params keep one integer index.  Each path a product meets gets a
+path id, and each structure-coefficient value a coefficient id in the
+one canonical coefficient table (zero is id 0).  The products of basis
+paths are kept in one row per path id, which maps the right factor's id
+to (product id, coefficient id), or None if the product is zero; a row
+entry is filled through ``_mul_path_raw`` the first time its pair is
+met, so each basis-path product is formed once per params.  The
+products and sums of two coefficients are kept in tables keyed by pairs
+of coefficient ids, each formed once per params.  The pair and triple
+checks of ``verify_graded_bialgebra`` run on ids: their loops hash ints
+and pairs of ints, and a path or ``Scalar`` is hashed only when a path
+is split or a product is first formed.
 """
 
 from __future__ import annotations
@@ -67,15 +71,18 @@ class GradedHopfParams:
             raise ValueError(f"unknown quiver kind {kind!r}")
         self._qpow = {}
         self._binom_rows = {}
-        self._pair_cache = {}
-        # one copy of each path the products meet, so that the keys of
-        # _pair_cache match by identity before equality is tried
-        self._paths = {}
-        # one Scalar per structure-coefficient value (zero seeded, so a
-        # sum that cancels is ctx.zero()), and the products and sums of
-        # those Scalars, each formed once per params
+        # the path index: id -> path (the one copy kept), path -> id, and
+        # id -> row of products {right id: (product id, coefficient id)
+        # or None}
+        self._paths = []
+        self._path_ids = {}
+        self._rows = []
+        # the coefficient table: id -> Scalar and Scalar -> id, zero
+        # seeded as id 0; and the ids of the products and sums of two
+        # coefficients, keyed by pairs of ids
         zero = self.ctx.zero()
-        self._coeffs = {zero: zero}
+        self._coeffs = [zero]
+        self._coeff_ids = {zero: 0}
         self._products = {}
         self._sums = {}
 
@@ -99,22 +106,39 @@ class GradedHopfParams:
             row = self._binom_rows[n] = gauss_binom_row(n, self.q)
         return row[k]
 
-    def _canonical(self, c):
-        """The one Scalar of c's value that this params keeps."""
-        return self._coeffs.setdefault(c, c)
+    def _path_id(self, path):
+        """The id of path's value, given on first sight."""
+        out = self._path_ids.get(path)
+        if out is None:
+            out = self._path_ids[path] = len(self._paths)
+            self._paths.append(path)
+            self._rows.append({})
+        return out
+
+    def _coeff_id(self, c):
+        """The id of c's value in the coefficient table."""
+        out = self._coeff_ids.get(c)
+        if out is None:
+            out = self._coeff_ids[c] = len(self._coeffs)
+            self._coeffs.append(c)
+        return out
 
     def _product(self, x, y):
-        """The canonical x * y, formed once per pair of values."""
+        """The id of x * y, for coefficient ids x and y, formed once per
+        pair."""
         out = self._products.get((x, y))
         if out is None:
-            out = self._products[x, y] = self._canonical(x * y)
+            coeffs = self._coeffs
+            out = self._products[x, y] = self._coeff_id(coeffs[x] * coeffs[y])
         return out
 
     def _sum(self, x, y):
-        """The canonical x + y, formed once per pair of values."""
+        """The id of x + y, for coefficient ids x and y, formed once per
+        pair."""
         out = self._sums.get((x, y))
         if out is None:
-            out = self._sums[x, y] = self._canonical(x + y)
+            coeffs = self._coeffs
+            out = self._sums[x, y] = self._coeff_id(coeffs[x] + coeffs[y])
         return out
 
     def __repr__(self):
@@ -122,20 +146,34 @@ class GradedHopfParams:
 
 
 def _mul_path_raw(params, a, b):
-    """Product of two basis paths: (path, coefficient) or None if zero."""
-    key = (a, b)
-    hit = params._pair_cache.get(key, False)
-    if hit is not False:
-        return hit
-    coeff = params._product(params.q_power(a.source * b.length),
-                            params.binom(a.length + b.length, a.length))
-    if coeff.is_zero():
-        out = None
-    else:
-        path = Path(a.kind, a.source + b.source, a.length + b.length)
-        out = params._paths.setdefault(path, path), coeff
-    params._pair_cache[key] = out
-    return out
+    """Product of two basis paths: (path, coefficient) or None if zero.
+
+    The product is formed on the first call for a pair of values and
+    kept in the row of a's id, under b's id; coefficient id 0 is zero,
+    so a zero product is kept as None.
+    """
+    ids = params._path_ids
+    i, j = ids.get(a), ids.get(b)
+    if i is None or j is None:
+        i, j = params._path_id(a), params._path_id(b)
+    row = params._rows[i]
+    out = row.get(j, False)
+    if out is False:
+        coeff_id = params._coeff_id
+        c = params._product(
+            coeff_id(params.q_power(a.source * b.length)),
+            coeff_id(params.binom(a.length + b.length, a.length)))
+        out = row[j] = None if c == 0 else (params._path_id(
+            Path(a.kind, a.source + b.source, a.length + b.length)), c)
+    return None if out is None else (params._paths[out[0]],
+                                     params._coeffs[out[1]])
+
+
+def _fill(params, i, j):
+    """Row i's entry for j, filled through ``_mul_path_raw``."""
+    paths = params._paths
+    _mul_path_raw(params, paths[i], paths[j])
+    return params._rows[i][j]
 
 
 def multiply(params, x, y):
@@ -224,9 +262,9 @@ def verify_graded_bialgebra(params, max_len, assoc_len=None):
     max_len - 1, at most max_len), unitality, multiplicativity of the
     comultiplication in the tensor-square algebra, and multiplicativity
     of the counit.  Unitality runs on the element API; the pairs and
-    triples are checked on basis paths, where a product is one
-    (path, coefficient) pair or zero.  Failures are recorded with the
-    offending paths, not raised.
+    triples are checked on the ids of basis paths, where a product is
+    one (path id, coefficient id) pair or zero.  Failures are recorded
+    with the offending paths, not raised.
     """
     if max_len < 2:
         raise ValueError("max_len must be at least 2")
@@ -237,100 +275,124 @@ def verify_graded_bialgebra(params, max_len, assoc_len=None):
     _check_work(params.kind, max_len, assoc_len)
     rep = VerificationReport(f"graded bialgebra on {_kind_name(params.kind)}, "
                              f"q = {params.q}")
-    canon = params._paths
-    basis = [canon.setdefault(p, p)
+    paths = params._paths
+    basis = [params._path_id(p)
              for p in enumerate_paths(params.kind, max_len,
                                       (-max_len, max_len))]
     one = unit(params)
     bad = None
     for a in basis:
-        ea = Lin.from_path(params.ctx, a)
+        ea = Lin.from_path(params.ctx, paths[a])
         if multiply(params, one, ea) != ea or multiply(params, ea, one) != ea:
-            bad = str(a)
+            bad = str(paths[a])
             break
     rep.add("unitality", bad is None, bad or "")
     bad = _bialgebra_pair_failure(params, basis)
     rep.add("comultiplication is an algebra map", bad is None, bad or "")
     bad = _associativity_failure(
-        params, [p for p in basis if p.length <= assoc_len])
+        params, [a for a in basis if paths[a].length <= assoc_len])
     rep.add("associativity", bad is None, bad or "")
     return rep
 
 
 def _bialgebra_pair_failure(params, basis):
-    """The first pair (a, b) with delta(a*b) != delta(a) delta(b) or
-    epsilon(a*b) != epsilon(a) epsilon(b), as a witness, or None.
+    """The first pair (a, b) of basis path ids with
+    delta(a*b) != delta(a) delta(b) or epsilon(a*b) != epsilon(a) epsilon(b),
+    as a witness, or None.
 
     delta(a) delta(b) is summed over the split pairs of a and b in the
     component-wise tensor-square product; delta(a*b) is the splits of
     the one product path.  Every path met, basis or product, is split
-    once per verdict, into canonical paths.  The products and running
-    sums of coefficients are read from the params' tables, so every
-    coefficient is canonical and a sum that cancels is the canonical
-    zero.  Both sides keep only nonzero coefficients.
+    once per verdict, into pairs of path ids.  Products of paths are
+    read from the params' rows, and products and running sums of
+    coefficients from its tables of coefficient ids, so both sides are
+    dicts from pairs of path ids to coefficient ids, and a sum that
+    cancels is id 0, zero.  Both sides keep only nonzero coefficients.
     """
-    # every value in acc comes from _product or _sum, so it is canonical,
-    # and the one canonical zero is the table's
-    zero, one = params._canonical(params.ctx.zero()), params.ctx.one()
-    canon = params._paths
+    paths, rows, path_id = params._paths, params._rows, params._path_id
+    product, add = params._product, params._sum
+    one = params._coeff_id(params.ctx.one())
     cuts = {}
 
-    def cut(p):
-        out = cuts.get(p)
+    def cut(i):
+        out = cuts.get(i)
         if out is None:
-            out = cuts[p] = [(canon.setdefault(l, l), canon.setdefault(r, r))
-                             for l, r in splits(p)]
+            out = cuts[i] = [(path_id(l), path_id(r))
+                             for l, r in splits(paths[i])]
         return out
 
-    basis_cuts = [(p, cut(p)) for p in basis]
-    for a, cut_a in basis_cuts:
-        for b, cut_b in basis_cuts:
-            out = _mul_path_raw(params, a, b)
+    basis_cuts = [(a, cut(a), paths[a].length == 0) for a in basis]
+    for a, cut_a, vertex_a in basis_cuts:
+        row_a = rows[a]
+        for b, cut_b, vertex_b in basis_cuts:
+            out = row_a.get(b, False)
+            if out is False:
+                out = _fill(params, a, b)
             acc = {}
             for al, ar in cut_a:
+                row_l, row_r = rows[al], rows[ar]
                 for bl, br in cut_b:
-                    left = _mul_path_raw(params, al, bl)
+                    left = row_l.get(bl, False)
+                    if left is False:
+                        left = _fill(params, al, bl)
                     if left is None:
                         continue
-                    right = _mul_path_raw(params, ar, br)
+                    right = row_r.get(br, False)
+                    if right is False:
+                        right = _fill(params, ar, br)
                     if right is None:
                         continue
-                    key = (left[0], right[0])
-                    c = params._product(left[1], right[1])
+                    key = left[0], right[0]
+                    c = product(left[1], right[1])
                     old = acc.get(key)
-                    acc[key] = c if old is None else params._sum(old, c)
+                    acc[key] = c if old is None else add(old, c)
             lhs = {} if out is None else dict.fromkeys(cut(out[0]), out[1])
-            if {k: c for k, c in acc.items() if c is not zero} != lhs:
-                return f"delta({a} * {b})"
-            eps = out[1] if out is not None and out[0].length == 0 else zero
-            if eps != (one if a.length == 0 == b.length else zero):
-                return f"counit({a} * {b})"
+            if {k: c for k, c in acc.items() if c} != lhs:
+                return f"delta({paths[a]} * {paths[b]})"
+            eps = out[1] if out is not None \
+                and paths[out[0]].length == 0 else 0
+            if eps != (one if vertex_a and vertex_b else 0):
+                return f"counit({paths[a]} * {paths[b]})"
     return None
 
 
 def _associativity_failure(params, basis):
-    """The first triple with (a*b)*c != a*(b*c), as a witness, or None.
+    """The first triple of basis path ids with (a*b)*c != a*(b*c), as a
+    witness, or None.
 
-    Each side is one (path, coefficient) pair or None; the product of
-    the two coefficients is read from the params' table, so each
-    distinct product is formed once per params, not once per triple.
+    Each side is one (path id, coefficient id) pair or None: the path
+    products are read from the params' rows, and the product of the two
+    coefficients from its table, so each distinct product is formed once
+    per params, not once per triple.
     """
+    paths, rows, product = params._paths, params._rows, params._product
     for a in basis:
+        row_a = rows[a]
         for b in basis:
-            ab = _mul_path_raw(params, a, b)
+            ab = row_a.get(b, False)
+            if ab is False:
+                ab = _fill(params, a, b)
+            row_ab = None if ab is None else rows[ab[0]]
+            row_b = rows[b]
             for c in basis:
                 lhs = rhs = None
                 if ab is not None:
-                    out = _mul_path_raw(params, ab[0], c)
+                    out = row_ab.get(c, False)
+                    if out is False:
+                        out = _fill(params, ab[0], c)
                     if out is not None:
-                        lhs = out[0], params._product(ab[1], out[1])
-                bc = _mul_path_raw(params, b, c)
+                        lhs = out[0], product(ab[1], out[1])
+                bc = row_b.get(c, False)
+                if bc is False:
+                    bc = _fill(params, b, c)
                 if bc is not None:
-                    out = _mul_path_raw(params, a, bc[0])
+                    out = row_a.get(bc[0], False)
+                    if out is False:
+                        out = _fill(params, a, bc[0])
                     if out is not None:
-                        rhs = out[0], params._product(out[1], bc[1])
+                        rhs = out[0], product(out[1], bc[1])
                 if lhs != rhs:
-                    return f"({a} * {b}) * {c}"
+                    return f"({paths[a]} * {paths[b]}) * {paths[c]}"
     return None
 
 

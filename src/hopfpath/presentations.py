@@ -163,7 +163,8 @@ class HopfFamilyDescriptor:
     degree; None if infinite), is set once, when the descriptor is
     built, and takes no part in comparison.  It stays a property over
     the stored ``_d``, so that the perfbench tracer can count its reads.
-    Provenance ``notes`` take no part in comparison either.
+    Provenance ``notes`` take no part in comparison either.  The hash is
+    computed once too, when the descriptor is built or unpickled.
 
     A descriptor is immutable: assignment raises ``AttributeError``.
     Its fields live in the instance ``__dict__``, so that ``copy``,
@@ -215,6 +216,16 @@ class HopfFamilyDescriptor:
                     "type-one families need q a root of unity of order > 1")
             self._normalize_param("mu")
         object.__setattr__(self, "_d", d)
+        self._set_hash()
+
+    def _set_hash(self):
+        object.__setattr__(self, "_hash", hash(
+            (self.family, self.n, self.q, self.param, self.half_coeff)))
+
+    def __setstate__(self, state):
+        # a str hashes differently in another process: hash afresh
+        vars(self).update(state)
+        self._set_hash()
 
     def _normalize_param(self, name):
         # The classification normalizes these deformation scalars to
@@ -232,8 +243,9 @@ class HopfFamilyDescriptor:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
-    # presentation_of hashes a descriptor on every call, so the field
-    # tuple is spelled out rather than built by a helper method
+    # presentation_of hashes a descriptor on every call, so the hash is
+    # stored, and the field tuple of __eq__ is spelled out rather than
+    # built by a helper method
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -241,7 +253,7 @@ class HopfFamilyDescriptor:
             == (other.family, other.n, other.q, other.param, other.half_coeff)
 
     def __hash__(self):
-        return hash((self.family, self.n, self.q, self.param, self.half_coeff))
+        return self._hash
 
     def __repr__(self):
         return (f"HopfFamilyDescriptor(family={self.family!r}, n={self.n!r}, "
@@ -958,6 +970,8 @@ def _path_term(rs, mono):
         return term
     desc, ctx = rs.descriptor, rs.ctx
     kind = _path_kind(desc)
+    if mono.k and not rs.p_weight:
+        raise ValueError("this family has no divided-power generator")
     if not desc.is_graded:
         if mono.k == 0 and mono.j == 0:
             term = Path(kind, mono.i, 0), ctx.one()
@@ -968,8 +982,6 @@ def _path_term(rs, mono):
         else:
             raise ValueError("identification is generator-level only for "
                              "deformed families")
-    elif mono.k and not rs.p_weight:
-        raise ValueError("this family has no divided-power generator")
     else:
         term = (Path(kind, mono.i, mono.j + rs.p_weight * mono.k),
                 math.factorial(mono.k) * rs.qfact.fact(mono.j))

@@ -17,7 +17,7 @@ from hopfpath import (
     Scalar, cyclotomic_context, enumerate_paths, multiply, root_of_unity,
     tensor_multiply, unit, verify_graded_bialgebra,
 )
-from hopfpath import graded
+from hopfpath import Path, graded
 from hopfpath.report import VerificationReport
 
 
@@ -193,27 +193,107 @@ def test_each_check_can_fail():
 
 # -- the same work as the element loop ----------------------------------------
 
-@pytest.mark.parametrize("make, max_len", [
-    (lambda: cycle(4, 4), 3),
-    (lambda: chain(2), 3),
-], ids=["cycle", "chain"])
-def test_kernel_makes_the_same_products_in_the_same_order(monkeypatch, make,
-                                                           max_len):
-    # every pair and triple the checks visit shows in the sequence of
-    # basis-path products they ask for
+def _recording(monkeypatch):
+    """Record each ``_mul_path_raw`` call as (caller, a, b)."""
     calls = []
     raw = graded._mul_path_raw
 
     def recording(params, a, b):
-        calls.append((a, b))
+        calls.append((sys._getframe(1).f_code.co_name, a, b))
         return raw(params, a, b)
 
     monkeypatch.setattr(graded, "_mul_path_raw", recording)
+    return calls
+
+
+def _first_appearances(pairs):
+    return list(dict.fromkeys(pairs))
+
+
+@pytest.mark.parametrize("make, max_len", [
+    (lambda: cycle(4, 4), 3),
+    (lambda: chain(2), 3),
+], ids=["cycle", "chain"])
+def test_kernel_forms_the_reference_products_once_in_the_same_order(
+        monkeypatch, make, max_len):
+    # every distinct basis-path product the element loop asks for is
+    # formed, in the order of its first appearance there; the pair and
+    # triple checks form none twice (unitality asks on elements, through
+    # `multiply`, as the element loop does)
+    calls = _recording(monkeypatch)
     ref = reference_verify(make(), max_len)
-    expected, calls[:] = list(calls), []
+    expected = _first_appearances((a, b) for _, a, b in calls)
+    calls[:] = []
     rep = verify_graded_bialgebra(make(), max_len)
     assert rep.passed and checks(rep) == checks(ref)
-    assert calls == expected
+    assert _first_appearances((a, b) for _, a, b in calls) == expected
+    formed = [(a, b) for caller, a, b in calls if caller != "multiply"]
+    assert formed and len(formed) == len(set(formed))
+    assert not set(formed) & {(a, b) for caller, a, b in calls
+                              if caller == "multiply"}
+
+
+def test_a_second_verdict_forms_no_product_in_the_pair_or_triple_checks(
+        monkeypatch):
+    calls = _recording(monkeypatch)
+    for make, lengths in ((lambda: cycle(6, 6), (5, 4)),
+                          (lambda: chain(2), (3, 2))):
+        params = make()
+        assert verify_graded_bialgebra(params, *lengths).passed
+        assert {caller for caller, _, _ in calls} > {"multiply"}
+        calls[:] = []
+        assert verify_graded_bialgebra(params, *lengths).passed
+        assert calls and {caller for caller, _, _ in calls} == {"multiply"}
+        calls[:] = []
+
+
+def _wrong_products(params, a, b):
+    """Wrong values of the product a * b: its coefficient off by one, its
+    path one longer, and zero if it is not zero."""
+    one = params.ctx.one()
+    out = graded._mul_path_raw(params, a, b)
+    path, c = out or (Path(a.kind, a.source + b.source, a.length + b.length),
+                      params.ctx.zero())
+    wrong = [None if (c + one).is_zero() else (path, c + one),
+             (path._replace(length=path.length + 1), c if out else one)]
+    if out is not None:
+        wrong.append(None)
+    return wrong
+
+
+def _with_product(params, a, b, value):
+    """params with the product a * b set to value, a (path, coefficient)
+    pair or None; every other product is formed as before."""
+    params._rows[params._path_id(a)][params._path_id(b)] = None \
+        if value is None else (params._path_id(value[0]),
+                               params._coeff_id(value[1]))
+    return params
+
+
+@pytest.mark.parametrize("make, lengths, every", [
+    (lambda: cycle(3, 3), (2, 2), True),
+    (lambda: chain(2), (2, 0), False),
+], ids=["cycle", "chain"])
+def test_each_single_wrong_product_fails_with_the_reference_witness(
+        make, lengths, every):
+    # the product of exactly one basis pair is off, every other product
+    # is right: the kernel reports what the element loop reports.  On
+    # the chain each pair gets one of its wrong values in turn, which
+    # keeps the sweep short.
+    basis = enumerate_paths(make().kind, lengths[0],
+                            (-lengths[0], lengths[0]))
+    for i, a in enumerate(basis):
+        for j, b in enumerate(basis):
+            values = _wrong_products(make(), a, b)
+            if not every:
+                values = [values[(i + j) % len(values)]]
+            for value in values:
+                rep = verify_graded_bialgebra(
+                    _with_product(make(), a, b, value), *lengths)
+                ref = reference_verify(
+                    _with_product(make(), a, b, value), *lengths)
+                assert not rep.passed and checks(rep) == checks(ref), \
+                    (a, b, value)
 
 
 def test_kernel_builds_elements_only_for_unitality(monkeypatch):
@@ -290,6 +370,14 @@ def test_verdicts_agree_on_the_criterion_sweep_at_small_lengths():
             ref = reference_verify(GradedHopfParams.cycle(n, zn ** t), 3, 2)
             assert checks(rep) == checks(ref)
             assert rep.passed
+
+
+@pytest.mark.parametrize("q", [2, -1, Fraction(1, 2)], ids=str)
+def test_verdicts_agree_on_chains_at_small_lengths(q):
+    for lengths in ((2, 2), (3, 2)):
+        rep = verify_graded_bialgebra(chain(q), *lengths)
+        assert checks(rep) == checks(reference_verify(chain(q), *lengths))
+        assert rep.passed
 
 
 def test_assoc_len_must_lie_between_zero_and_max_len():

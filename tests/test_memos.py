@@ -332,12 +332,19 @@ def test_basis_change_results_do_not_alias_the_memos(desc):
 def test_refused_identifications_are_not_memoized():
     deformed = cycle_deform(4, Z4, 1)
     no_p = chain_graded(cyclotomic_context(3).from_rational(2))
+    no_p_deformed = DESCS[2:4]
     cases = [
         (lambda: pbw_to_path(deformed, PBWMonomial(1, 1, 0)),
          "generator-level"),
         (lambda: path_to_pbw(deformed, Path(("cycle", 4), 0, 1)),
          "generator-level"),
         (lambda: pbw_to_path(no_p, PBWMonomial(1, 0, 0)),
+         "no divided-power generator"),
+        # deformed families without p refuse it too, rather than map it
+        # to the vertex at 0
+        (lambda: pbw_to_path(no_p_deformed[0], PBWMonomial(1, 0, 0)),
+         "no divided-power generator"),
+        (lambda: pbw_to_path(no_p_deformed[1], PBWMonomial(1, 0, 0)),
          "no divided-power generator"),
         (lambda: path_to_pbw(GRADED[0], Path(chain_kind(), 0, 1)),
          "family's quiver"),
@@ -347,5 +354,6 @@ def test_refused_identifications_are_not_memoized():
             call()
     assert (1, 1, 0) not in presentation_of(deformed)._to_path
     assert not presentation_of(deformed)._to_pbw
-    assert (1, 0, 0) not in presentation_of(no_p)._to_path
+    for desc in (no_p, *no_p_deformed):
+        assert (1, 0, 0) not in presentation_of(desc)._to_path
     assert Path(chain_kind(), 0, 1) not in presentation_of(GRADED[0])._to_pbw

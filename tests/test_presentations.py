@@ -14,7 +14,7 @@ from hopfpath import (
     descriptor_to_dict, multiply, multiply_alg, normal_form, parse_word,
     path_to_pbw, pbw_image, pbw_to_path, presentation_of, q_factorial,
     root_of_unity, simple_pointed_catalog, type_one_chain, type_one_cycle,
-    verify_degeneration, verify_hopf, GradedHopfParams,
+    verify_degeneration, verify_hopf, GradedHopfParams, HopfFamilyDescriptor,
 )
 
 CTX12 = cyclotomic_context(12)
@@ -94,6 +94,31 @@ def test_descriptors_are_frozen_and_survive_copy_and_pickle():
     assert repr(chain_q1(ctx, 1)) == (
         "HopfFamilyDescriptor(family='chain-q1', n=None, q=Scalar('1', N=4), "
         "param=Scalar('1', N=4), half_coeff='factorial', notes=())")
+
+
+def test_equal_descriptors_hash_equal_from_a_hash_computed_once(
+        monkeypatch):
+    ctx = cyclotomic_context(4)
+    z = root_of_unity(ctx, 4)
+    for desc in (cycle_deform(4, z, 2), chain_q1(ctx, 5), chain_graded(z),
+                 cycle_half(4, z ** 2, 1, "integer"),
+                 type_one_cycle(4, z ** 2, 3)):
+        twin = HopfFamilyDescriptor(desc.family, desc.n, desc.q, desc.param,
+                                    desc.half_coeff, notes=("a note",))
+        assert twin == desc and hash(twin) == hash(desc)
+        # a pickle from another process carries that process's str
+        # hashes; unpickling hashes afresh
+        stale = copy.copy(desc)
+        object.__setattr__(stale, "_hash", ~hash(desc))
+        assert hash(pickle.loads(pickle.dumps(stale))) == hash(desc)
+    # hashing a built descriptor hashes none of its fields again
+    first, second = cycle_deform(4, z, 2), cycle_deform(4, z, 2)
+    hashed = []
+    scalar_hash = type(z).__hash__
+    monkeypatch.setattr(type(z), "__hash__",
+                        lambda x: hashed.append(x) or scalar_hash(x))
+    assert {first: 1}[second] == 1
+    assert not hashed
 
 
 def test_taft_style_rules():

@@ -40,7 +40,7 @@ from .presentations import (
     descriptor_to_dict, descriptor_from_dict,
 )
 from .verifier import (
-    TensorAlg, generator_coproducts, coproduct, counit_alg,
+    TensorAlg, generator_coproducts, coproduct,
     verify_relation_coproducts, compute_antipode, verify_antipode,
     verify_degeneration, verify_hopf, forced_vanishing_suite,
 )

@@ -389,16 +389,19 @@ def build_parser():
 
     verify = groups.add_parser("verify", help="Hopf-axiom verification")
     vsub = verify.add_subparsers(dest="command", required=True)
-    for name, verifier, helptext in (
+    for name, verifier, helptext, degree_help in (
             ("hopf", ver.verify_hopf,
-             "relations, confluence and antipode checks"),
-            ("antipode", ver.verify_antipode, "two-sided antipode axioms"),
+             "finite certificate: relations, confluence, and the coalgebra "
+             "and antipode axioms on the generators",
+             "weight of the normal-form basis audit (default 6)"),
+            ("antipode", ver.verify_antipode, "two-sided antipode axioms",
+             "weight bound (default 6)"),
             ("degeneration", ver.verify_degeneration,
-             "leading terms match the graded structure constants")):
+             "leading terms match the graded structure constants",
+             "weight bound (default 6)")):
         vp = vsub.add_parser(name, help=helptext)
         _add_family_opts(vp)
-        vp.add_argument("--degree", type=int, default=6,
-                        help="weight bound (default 6)")
+        vp.add_argument("--degree", type=int, default=6, help=degree_help)
         _add_output_opts(vp)
         vp.set_defaults(func=cmd_verify, verifier=verifier)
     vf = vsub.add_parser("forced-vanishing",

@@ -28,10 +28,12 @@ monomial these tables hold comes from the presentation's table
 ``_monos``, keyed (k, j, i), so equal monomials are one object.
 ``multiply`` and the tensor-square product
 of ``Lin`` read the product table, so the basis change and the
-degeneration check reach ``reduce_word`` only through its entries.
-``normal_form``, ``check_confluence`` and ``resolution_difference``
-(and through it the verifier's forced-vanishing trials) call
-``reduce_word`` on whole words.
+degeneration check reach ``reduce_word`` only through its entries, and
+``normal_form`` folds a word one letter at a time through the same
+table.  Only ``check_confluence`` and ``resolution_difference`` (and
+through it the verifier's forced-vanishing trials) call ``reduce_word``
+on whole words: an ambiguity resolution must not presuppose the
+confluence it tests.
 
 The PBW <-> path identification of a descriptor's presentation is one
 table on the presentation in two memos: ``_to_path`` maps a monomial to
@@ -49,7 +51,7 @@ import re
 from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice, product
+from itertools import islice
 from typing import NamedTuple
 
 from .linear import Lin
@@ -336,15 +338,16 @@ def type_one_chain(q, mu=0):
 _RANK = {"h": 3, "H": 2, "a": 1, "p": 0}
 
 # The most ordered monomial pairs (x, y) within the weight bound,
-# w(x) + w(y) <= bound, that one structure table or one antipode, Hopf
-# or degeneration verdict may range over.  The acceptance sweep needs at
+# w(x) + w(y) <= bound, that one structure table or one antipode or
+# degeneration verdict may range over.  The acceptance sweep needs at
 # most 3,276 (the 6-cycle families at weight 12); chain-root at d = 3
 # and weight 10,000 would need over a billion, and fill the product
 # memo with them.
 MAX_MONOMIAL_PAIRS = 10_000
 
-# The most normal monomials one confluence audit may predict and check.
-# The acceptance sweep predicts at most 114 (the 6-cycle at weight 18).
+# The most normal monomials one confluence audit (``present confluence``
+# or ``verify hopf``) may predict and check.  The acceptance sweep
+# predicts at most 114 (the 6-cycle at weight 18).
 MAX_AUDIT_MONOMIALS = 2_000
 
 
@@ -354,8 +357,9 @@ class RewriteSystem:
     Rules map a left-hand word to a linear combination of normal-form
     words.  Construction validates that every left-hand side is nonempty
     and that every rule strictly decreases the word order, which
-    guarantees termination of ``normal_form``.  ``qfact`` holds the
-    q-factorials of q, which delta(p) and the basis change read.
+    guarantees termination of ``reduce_word``; no verdict checks it
+    again.  ``qfact`` holds the q-factorials of q, which delta(p) and
+    the basis change read.
     """
 
     def __init__(self, ctx, rules, p_weight=0, h_order=None, a_bound=None,
@@ -555,17 +559,49 @@ class RewriteSystem:
     def generator(self, sym):
         return self.normal_form(sym)
 
+    def letter(self, sym):
+        """The normal monomial of a one-letter word (h is 1 on the 1-cycle)."""
+        if sym == "a":
+            return self.interned(0, 1, 0)
+        if sym == "p":
+            return self.interned(1, 0, 0)
+        return self.group_like(1 if sym == "h" else -1)
+
     def normal_form(self, word, coeff=1):
         """coeff times the normal form of ``word``; a letter that no
-        rule mentions is not a generator and raises ValueError."""
+        rule mentions is not a generator and raises ValueError.
+
+        The word is folded one letter at a time through the product
+        table, NF(w s) = NF(w) * NF(s), each product added into one dict
+        by ``accumulate``, so the work grows with the length of the word
+        and the size of its prefixes' normal forms, not with the
+        reduction paths of the whole word.  A letter stands for its
+        monomial, unless it is itself a left-hand side (h -> 1 on the
+        1-cycle): then it stands for that rule's right-hand side.
+        """
         stray = set(word) - self.letters
         if stray:
             raise ValueError(f"letter {min(stray)!r} is not a generator "
                              f"of {self.name}")
-        terms, _ = self.reduce_word(word)
-        out = Lin(self.ctx, self, terms)
+        out = {self.interned(0, 0, 0): self.ctx.one()}
+        for sym in word:
+            acc = self.accumulate({}, out, self._letter_form(sym))
+            out = {m: c for m, c in acc.items() if not c.is_zero()}
+        result = Lin(self.ctx, self, out)
         c = self.ctx.scalar(coeff)
-        return out if c == 1 else out.scale(c)
+        return result if c == 1 else result.scale(c)
+
+    def _letter_form(self, sym):
+        """The normal form of the one-letter word ``sym`` as a
+        {monomial: scalar} dict: the right-hand side of the first rule
+        whose left-hand side is ``sym``, else the letter's monomial."""
+        for ridx, lhs in self._by_first.get(sym, ()):
+            if lhs == sym:
+                out = self.zero_element()
+                for rword, rcoeff in self.rules[ridx][1]:
+                    out.add_scaled(self.normal_form(rword), rcoeff)
+                return out.terms
+        return {self.letter(sym): self.ctx.one()}
 
     # -- products of normal monomials ----------------------------------------
 
@@ -911,19 +947,16 @@ def check_confluence(rs, degree_bound=None):
     the results compared.  When a degree bound is given, the irreducible
     monomials up to that weight are enumerated and counted against the
     predicted normal-form basis (i = 0 on a chain), and short words over
-    the presentation's letters are classified exhaustively (reducible
-    versus normal shape).  A bound that predicts more than
-    MAX_AUDIT_MONOMIALS monomials is refused before the audit starts.
+    the presentation's letters are classified (reducible versus normal
+    shape) with the outcome of an exhaustive search
+    (``_misclassified_word``).  A bound that predicts more than
+    MAX_AUDIT_MONOMIALS monomials is refused before any ambiguity is
+    resolved, so a refused call leaves the memos as they were.
     """
-    if degree_bound is not None and degree_bound < 0:
-        raise ValueError("degree_bound must be non-negative")
     rs = as_presentation(rs)
-    rep = VerificationReport(f"confluence of {rs.name}")
-    for word, left, right in _ambiguities(rs):
-        diff = resolution_difference(rs, word, left, right)
-        rep.add(f"ambiguity {word} at {left[0]}/{right[0]}", diff.is_zero(),
-                "" if diff.is_zero() else f"residual {diff}")
     if degree_bound is not None:
+        if degree_bound < 0:
+            raise ValueError("degree_bound must be non-negative")
         width = len(rs._i_values((0,)))
         shapes = islice(rs.shapes(degree_bound),
                         MAX_AUDIT_MONOMIALS // width + 1)
@@ -931,6 +964,12 @@ def check_confluence(rs, degree_bound=None):
             raise ValueError(
                 f"degree bound {degree_bound} predicts more than "
                 f"{MAX_AUDIT_MONOMIALS:,} normal monomials; lower it")
+    rep = VerificationReport(f"confluence of {rs.name}")
+    for word, left, right in _ambiguities(rs):
+        diff = resolution_difference(rs, word, left, right)
+        rep.add(f"ambiguity {word} at {left[0]}/{right[0]}", diff.is_zero(),
+                "" if diff.is_zero() else f"residual {diff}")
+    if degree_bound is not None:
         expected = rs.normal_monomials(degree_bound)
         irreducible = [m for m in expected
                        if rs._find_match(m.word()) is None]
@@ -938,21 +977,38 @@ def check_confluence(rs, degree_bound=None):
             f"normal-form count at weight <= {degree_bound}",
             len(irreducible) == len(expected),
             f"{len(irreducible)} irreducible of {len(expected)} predicted")
-        alphabet = sorted(rs.letters, key=_RANK.get, reverse=True)
         max_len = 6 if rs.h_order is not None else 5
-        bad = None
-        for length in range(1, max_len + 1):
-            for letters in product(alphabet, repeat=length):
-                word = "".join(letters)
-                reducible = rs._find_match(word) is not None
-                if reducible == (rs._parse_normal_word(word) is not None):
-                    bad = word
-                    break
-            if bad:
-                break
+        bad = _misclassified_word(rs, max_len)
         rep.add("irreducible words are exactly the PBW words "
                 f"(length <= {max_len})", bad is None, bad or "")
     return rep
+
+
+def _misclassified_word(rs, max_len):
+    """The first word of length <= max_len over the presentation's
+    letters, shortest first and then in letter order, that is reducible
+    but of PBW shape or irreducible but not of PBW shape; None if there
+    is none.
+
+    Only irreducible words are extended.  A word with a reducible proper
+    prefix is reducible, and the prefixes of a PBW-shaped word are
+    PBW-shaped, so such a word is misclassified only if its shortest
+    reducible prefix is, which comes first.
+    """
+    alphabet = sorted(rs.letters, key=_RANK.get, reverse=True)
+    stems = [""]
+    for _ in range(max_len):
+        grown = []
+        for stem in stems:
+            for sym in alphabet:
+                word = stem + sym
+                reducible = rs._find_match(word) is not None
+                if reducible == (rs._parse_normal_word(word) is not None):
+                    return word
+                if not reducible:
+                    grown.append(word)
+        stems = grown
+    return None
 
 
 # -- basis change between PBW monomials and paths ------------------------------

@@ -144,6 +144,21 @@ def test_verify_hopf_pass(capsys):
     assert payload["family"] == "cycle-deform"
 
 
+def test_verify_hopf_at_degree_zero_is_the_whole_certificate(capsys):
+    # the bound sets only the weight of the basis audit
+    args = ("verify", "hopf", "--family", "chain-root", "--q-order", "3",
+            "--lambda", "1", "--json")
+    code, out, _ = run(capsys, *args, "--degree", "0")
+    assert code == 0
+    checks = [c["name"] for c in json.loads(out)["checks"]]
+    assert "normal-form count at weight <= 0" in checks
+    assert "left antipode axiom on generators h, H, a, p" in checks
+    _, wider, _ = run(capsys, *args, "--degree", "12")
+    assert [c for c in checks if "weight <=" not in c] \
+        == [c["name"] for c in json.loads(wider)["checks"]
+            if "weight <=" not in c["name"]]
+
+
 def test_verify_hopf_failing_reading_exits_one(capsys):
     # the q-integer reading of the half-order commutator coefficient is
     # not coproduct-compatible once (d-1)!_q differs from (d-1)_q
@@ -377,16 +392,51 @@ def test_q_order_zero_is_rejected(capsys, argv):
     assert err == "error: order must be a positive integer\n"
 
 
-@pytest.mark.parametrize("command", ["hopf", "antipode", "degeneration"])
-def test_verify_work_is_bounded_before_it_starts(capsys, command):
+PAIRS_REFUSAL = "gives more than 10,000 monomial pairs"
+
+
+@pytest.mark.parametrize("command, refusal", [
+    # the degree of verify hopf is the weight of its basis audit
+    ("hopf", "predicts more than 2,000 normal monomials"),
+    ("antipode", PAIRS_REFUSAL),
+    ("degeneration", PAIRS_REFUSAL),
+], ids=["hopf", "antipode", "degeneration"])
+def test_verify_work_is_bounded_before_it_starts(capsys, command, refusal):
     start = time.perf_counter()
     code, out, err = run(capsys, "verify", command, "--family", "chain-root",
                          "--q-order", "3", "--lambda", "1",
                          "--degree", "10000")
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (2, "")
-    assert err == ("error: degree bound 10000 gives more than 10,000 "
-                   "monomial pairs; lower it\n")
+    assert err == f"error: degree bound 10000 {refusal}; lower it\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("present", "confluence", "--degree-bound", str(10 ** 12)),
+    ("verify", "hopf", "--degree", str(10 ** 12)),
+], ids=["present-confluence", "verify-hopf"])
+def test_a_refused_audit_resolves_no_ambiguity(capsys, argv):
+    family = ("--family", "chain-root", "--q-order", "3", "--lambda", "1")
+    hopfpath.presentation_of.cache_clear()
+    desc = hopfpath.chain_root(
+        hopfpath.root_of_unity(hopfpath.cyclotomic_context(3), 3), 1)
+    rs = hopfpath.presentation_of(desc)
+    code, out, err = run(capsys, *argv, *family)
+    assert (code, out) == (2, "")
+    assert "predicts more than 2,000 normal monomials" in err
+    assert hopfpath.presentation_of(desc) is rs
+    assert (rs._nf, rs._prod) == ({}, {})
+
+
+def test_present_nf_on_a_long_word_is_fast(capsys):
+    # the word is folded one letter at a time through the product table,
+    # not rewritten along the reduction paths of the whole word
+    hopfpath.presentation_of.cache_clear()
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "present", "nf", "--family", "chain-q1",
+                       "--lambda", "1", "--word", " ".join(["h a"] * 20))
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and " + a^20 h^20" in out
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -154,6 +154,7 @@ def test_memos_live_on_the_interned_presentation():
     assert rs._antipode[mono] is anti
 
     assert verify_hopf(second, 4).passed
+    assert verify_antipode(second, 4).passed
     assert _mutable_globals() == before
 
 
@@ -185,6 +186,7 @@ def test_verify_hopf_fills_the_product_table():
     rs = presentation_of(desc)
     rs._prod.clear()
     assert verify_hopf(desc, 6).passed
+    assert verify_antipode(desc, 6).passed
     assert rs._prod
     for middle, terms in rs._prod.items():
         assert terms == rs.reduce_word(_middle_word(*middle))[0], middle
@@ -257,6 +259,7 @@ def test_memos_hold_only_the_monomial_table_objects():
     presentation_of.cache_clear()
     for desc in [*DESCS, simple_pointed_catalog(1)[0]]:
         assert verify_hopf(desc, 6).passed
+        assert verify_antipode(desc, 6).passed
         rs = presentation_of(desc)
         strays = [m for m in _memo_monomials(rs)
                   if rs._monos.get((m.k, m.j, m.i)) is not m]

@@ -14,7 +14,8 @@ from hopfpath import (
     descriptor_to_dict, multiply, multiply_alg, normal_form, parse_word,
     path_to_pbw, pbw_image, pbw_to_path, presentation_of, q_factorial,
     root_of_unity, simple_pointed_catalog, type_one_chain, type_one_cycle,
-    verify_degeneration, verify_hopf, GradedHopfParams, HopfFamilyDescriptor,
+    verify_antipode, verify_degeneration, verify_hopf, GradedHopfParams,
+    HopfFamilyDescriptor,
 )
 
 CTX12 = cyclotomic_context(12)
@@ -398,10 +399,11 @@ def test_a_system_without_a_descriptor_gets_the_same_audit(desc):
         == [(c.name, c.passed) for c in classified.checks]
     assert any("normal-form count" in c.name for c in trial.checks)
     # the coproduct and antipode verdicts read only the presentation
-    trial = verify_hopf(system, 6)
-    classified = verify_hopf(presentation_of(desc), 6)
-    assert [(c.name, c.passed) for c in trial.checks] \
-        == [(c.name, c.passed) for c in classified.checks]
+    for verify in (verify_hopf, verify_antipode):
+        trial = verify(system, 6)
+        classified = verify(presentation_of(desc), 6)
+        assert [(c.name, c.passed) for c in trial.checks] \
+            == [(c.name, c.passed) for c in classified.checks]
     # the graded layer is the descriptor's
     with pytest.raises(ValueError, match="no descriptor"):
         verify_degeneration(system, 6)

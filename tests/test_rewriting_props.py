@@ -2,6 +2,8 @@
 first-letter rule index against a full scan, and the normal form against
 a reducer that works in another order (the diamond lemma, Bergman 1978)."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,7 +12,8 @@ from hopfpath import (
     cycle_graded, cycle_half, cyclotomic_context, presentation_of,
     root_of_unity, type_one_chain, type_one_cycle,
 )
-from hopfpath.presentations import FAMILIES
+from hopfpath.presentations import FAMILIES, _RANK, _misclassified_word
+from test_acceptance import _family_sweep
 
 Q3 = root_of_unity(cyclotomic_context(3), 3)
 Q4 = root_of_unity(cyclotomic_context(4), 4)
@@ -89,6 +92,56 @@ def test_normal_form_does_not_depend_on_reduction_order(case):
     rs, word = case
     terms, _ = rs.reduce_word(word)
     assert terms == rightmost_first(rs, word)
+
+
+SWEEP = [presentation_of(desc) for desc in _family_sweep()]
+
+
+@given(cases(SWEEP, 10))
+def test_the_letter_fold_equals_the_whole_word_reduction(case):
+    # normal_form folds the letters through the product table;
+    # reduce_word rewrites the whole word
+    rs, word = case
+    assert rs.normal_form(word).terms == rs.reduce_word(word)[0]
+
+
+def _with_rules(rs, rules, name):
+    return RewriteSystem(rs.ctx, rules, p_weight=rs.p_weight,
+                         h_order=rs.h_order, a_bound=rs.a_bound, name=name)
+
+
+def _exhaustive_misclassified(rs, max_len):
+    """The first misclassified word among all words up to max_len."""
+    alphabet = sorted(rs.letters, key=_RANK.get, reverse=True)
+    for length in range(1, max_len + 1):
+        for letters in product(alphabet, repeat=length):
+            word = "".join(letters)
+            reducible = rs._find_match(word) is not None
+            if reducible == (rs._parse_normal_word(word) is not None):
+                return word
+    return None
+
+
+def _misclassifying_systems():
+    """Two presentations whose audit fails: one without its a^d rule,
+    and one with a rule whose left-hand side is a PBW word."""
+    cycle = presentation_of(cycle_deform(4, Q4, 1))
+    chain = presentation_of(chain_root(Q3, 1))
+    yield _with_rules(cycle, [r for r in cycle.rules if r[0] != "aaaa"],
+                      "no a^4 rule")
+    yield _with_rules(chain, [*chain.rules, ("pah", [("pa", 1)])],
+                      "pah -> pa")
+
+
+def test_the_pruned_audit_finds_the_first_misclassified_word():
+    found = []
+    for rs in [*SWEEP, *_misclassifying_systems()]:
+        for max_len in (5, 6):
+            bad = _misclassified_word(rs, max_len)
+            assert bad == _exhaustive_misclassified(rs, max_len), rs.name
+            found.append(bad)
+    assert found[-4:] == ["aaaa", "aaaa", "pah", "pah"]
+    assert not any(found[:-4])
 
 
 def test_empty_left_hand_side_is_rejected():

@@ -4,12 +4,13 @@ import pytest
 
 from hopfpath import (
     PBWMonomial, chain_q1, chain_root, comultiply, compute_antipode,
-    coproduct, counit_alg, cycle_deform, cycle_graded, cycle_half,
+    coproduct, cycle_deform, cycle_graded, cycle_half,
     cyclotomic_context, forced_vanishing_suite, generator_coproducts,
     multiply_alg, pbw_to_path, presentation_of, root_of_unity,
     type_one_chain, type_one_cycle, verify_antipode, verify_degeneration,
     verify_hopf, verify_relation_coproducts,
 )
+from hopfpath.presentations import MAX_AUDIT_MONOMIALS
 from hopfpath.verifier import (
     MAX_MONOMIAL_PAIRS, TensorAlg, _antipode_mono, _delta_word, _monomials,
 )
@@ -197,9 +198,35 @@ def test_verify_hopf_all_checks():
                 if n.startswith(f"{what} respects ")] \
             == [f"{what} respects {l}" for l in lhs]
     assert any(n.startswith("ambiguity ") for n in names)
+    assert "normal-form count at weight <= 8" in names
     assert "antipode solve" in names
-    assert any("left antipode axiom" in n for n in names)
-    assert any("right antipode axiom" in n for n in names)
+    # the coalgebra and antipode axioms are checked on the generators only
+    for sym in "hap":
+        assert f"coassociativity on {sym}" in names
+        assert f"counit axiom on {sym}" in names
+    assert "left antipode axiom on generators h, a, p" in names
+    assert "right antipode axiom on generators h, a, p" in names
+    assert not any("monomials" in n or "pairs" in n for n in names)
+
+
+@pytest.mark.parametrize("extra, failing", [
+    # delta(a) + a (x) a is counital but not coassociative
+    (("a", "a"), ["coassociativity on a"]),
+    # delta(a) + a (x) 1 breaks both
+    (("a", "1"), ["coassociativity on a", "counit axiom on a"]),
+], ids=["plus-a-tensor-a", "plus-a-tensor-1"])
+def test_the_generator_checks_catch_a_wrong_coproduct(extra, failing):
+    from hopfpath.verifier import _trial_system
+    ctx = cyclotomic_context(4)
+    rs = _trial_system(cycle_deform(4, root_of_unity(ctx, 4), 1), {},
+                       "wrong delta(a)")
+    monos = {"a": rs.letter("a"), "1": rs.interned(0, 0, 0)}
+    rs._delta["a"] = _delta_word(rs, "a").copy().add_term(
+        tuple(monos[x] for x in extra), ctx.one())
+    failed = {c.name: c.witness for c in verify_hopf(rs, 4).failures()}
+    assert sorted(name for name in failed if name.endswith(" on a")) \
+        == failing
+    assert failed["coassociativity on a"].startswith("residual ")
 
 
 @pytest.mark.parametrize("desc", [
@@ -240,6 +267,15 @@ def _counit_and_antipode_pairs():
         yield desc, list(rs.monomial_pairs(6, range(-2, 3)))
 
 
+def counit_alg(rs, x):
+    """Counit of an element: 1 on each h^i, 0 once a or p occurs."""
+    total = rs.ctx.zero()
+    for mono, c in x.terms.items():
+        if not (mono.j or mono.k):
+            total = total + c
+    return total
+
+
 def test_counit_algebra_map():
     # epsilon(xy) = epsilon(x) epsilon(y) and S(xy) = S(y) S(x) on
     # monomial pairs, which verify_hopf no longer loops over
@@ -248,9 +284,9 @@ def test_counit_algebra_map():
         S = compute_antipode(desc, 6)
         for x, y in pairs:
             prod = multiply_alg(desc, rs.monomial(x), rs.monomial(y))
-            ex = counit_alg(desc, rs.monomial(x))
-            ey = counit_alg(desc, rs.monomial(y))
-            assert counit_alg(desc, prod) == ex * ey, (desc.label(), x, y)
+            ex = counit_alg(rs, rs.monomial(x))
+            ey = counit_alg(rs, rs.monomial(y))
+            assert counit_alg(rs, prod) == ex * ey, (desc.label(), x, y)
             # prod may weigh more than 6 or leave the chain window, so
             # its terms are looked up through the memo, not the table
             assert prod.map_terms(lambda m: _antipode_mono(rs, m)) \
@@ -324,13 +360,21 @@ def test_monomial_pairs_are_bounded_before_any_product(verify):
     q3 = root_of_unity(cyclotomic_context(3), 3)
     desc = chain_root(q3, 1)
     rs = presentation_of(desc)
-    # 26 is the largest chain-root bound at d = 3 within the maximum
-    window = range(-2, 3)
-    assert rs.pair_count(26, window) <= MAX_MONOMIAL_PAIRS \
-        < rs.pair_count(27, window)
+    if verify is verify_hopf:
+        # the bound of the certificate is the weight of its basis audit:
+        # one normal monomial p^k a^j per weight at d = 3, so 1,999 is
+        # the largest bound within the maximum
+        assert len(rs.normal_monomials(1_999)) == MAX_AUDIT_MONOMIALS
+        smallest, refusal = 2_000, "normal monomials"
+    else:
+        # 26 is the largest chain-root bound at d = 3 within the maximum
+        window = range(-2, 3)
+        assert rs.pair_count(26, window) <= MAX_MONOMIAL_PAIRS \
+            < rs.pair_count(27, window)
+        smallest, refusal = 27, "monomial pairs"
     before = len(rs._prod), len(rs._nf)
-    for bound in (27, 10_000, 10 ** 12):
-        with pytest.raises(ValueError, match="monomial pairs"):
+    for bound in (smallest, 10_000, 10 ** 12):
+        with pytest.raises(ValueError, match=refusal):
             verify(desc, bound)
     assert (len(rs._prod), len(rs._nf)) == before
 

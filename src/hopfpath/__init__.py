@@ -24,8 +24,8 @@ from .coalgebra import (
     cycle_automorphism, chain_automorphism,
 )
 from .graded import (
-    GradedHopfParams, multiply, unit, power_formula_check,
-    verify_graded_bialgebra, tensor_multiply, structure_table,
+    GradedHopfParams, multiply, unit, verify_graded_bialgebra,
+    tensor_multiply, structure_table,
 )
 from .presentations import (
     CYCLE_GRADED, CYCLE_DEFORM, CYCLE_HALF, CHAIN_GRADED, CHAIN_Q1,

@@ -8,8 +8,8 @@ cyclotomic field.  The comultiplication splits a path at every vertex,
 the counit is supported on vertices, and path length gives the
 coradical grading.  The module also provides the degree-d automorphism
 families that fix all shorter paths and add a group-like correction to
-a single length-d path; these are the base changes used to normalize
-deformed multiplications.
+a single length-d path, the base changes that normalize deformed
+multiplications: exp(lam G) of a coderivation G on (path, sign) terms.
 """
 
 from __future__ import annotations
@@ -37,16 +37,27 @@ CoalgElement = TensorElement = Lin  # paths, and pairs of paths: one type
 # -- structure maps ----------------------------------------------------------
 
 def splits(path):
-    """The pairs (p_{i+t}^{l-t}, p_i^t), t = 0..l, of p_i^l."""
-    kind, i, l = path.kind, path.source, path.length
-    return [(Path(kind, i + t, l - t), Path(kind, i, t)) for t in range(l + 1)]
+    """The pairs (p_{i+t}^{l-t}, p_i^t), t = 0..l, of p_i^l, built
+    without Path's checks: every split of a valid path is valid."""
+    kind, i, l = path
+    new = tuple.__new__
+    n = kind[1] if kind[0] == "cycle" else None
+    return [(new(Path, (kind, i + t if n is None else (i + t) % n, l - t)),
+             new(Path, (kind, i, t))) for t in range(l + 1)]
+
+
+def _path_terms(x):
+    """The terms of a path element; any other space is refused."""
+    if type(x.space) is not tuple or type(x.space[0]) is not str:
+        raise ValueError(f"not a path element: its space is {x.space!r}")
+    return x.terms
 
 
 def comultiply(x):
     """Deconcatenation: delta(p_i^l) = sum_t p_{i+t}^{l-t} (x) p_i^t."""
     acc = {}
     zero = x.ctx.zero()
-    for path, coeff in x.terms.items():
+    for path, coeff in _path_terms(x).items():
         for key in splits(path):
             acc[key] = acc.get(key, zero) + coeff
     return Lin(x.ctx, (x.space, x.space), acc)
@@ -55,7 +66,7 @@ def comultiply(x):
 def counit(x):
     """Sum of the coefficients of length-0 paths."""
     total = x.ctx.zero()
-    for path, coeff in x.terms.items():
+    for path, coeff in _path_terms(x).items():
         if path.length == 0:
             total = total + coeff
     return total
@@ -63,24 +74,16 @@ def counit(x):
 
 def degree(x):
     """Maximal path length occurring in a nonzero element."""
-    if x.is_zero():
+    if not _path_terms(x):
         raise ValueError("degree of the zero element is undefined")
     return max(path.length for path in x.terms)
 
 
 # -- coalgebra automorphisms ---------------------------------------------------
 
-def _paths(ctx, kind, *terms):
-    """The sum of c * p_i^l over (i, l, c) triples."""
-    out = Lin(ctx, kind)
-    for i, l, c in terms:
-        out.add_term(Path(kind, i, l), ctx.scalar(c))
-    return out
-
-
-def _correction(n, d, j, ctx, path):
-    """One application of the degree-lowering coderivation behind the
-    automorphism at offset j (unit deformation scalar).
+def _correction(n, d, j, path):
+    """The (path, sign) terms of the degree-lowering coderivation behind
+    the automorphism at offset j (unit deformation scalar) on a path.
 
     Sends p_j^d to g^j - g^{j+d}; on longer paths the piecewise terms
     are forced by the coderivation identity.  On a cycle, source and
@@ -91,44 +94,42 @@ def _correction(n, d, j, ctx, path):
     def same(x, y):
         return x == y if n is None else (x - y) % n == 0
 
-    i, l, kind = path.source, path.length, path.kind
+    kind, i, l = path
     if l < d or same(d, 0):
-        return Lin(ctx, kind)
-    if l == d:
-        if same(i, j):
-            return _paths(ctx, kind, (j, 0, 1), (j + d, 0, -1))
-        return Lin(ctx, kind)
+        return ()
+    if l == d and same(i, j):
+        return (Path(kind, j, 0), 1), (Path(kind, j + d, 0), -1)
     if same(i, j):
         if same(l, d):
-            return _paths(ctx, kind, (j + d, l - d, -1), (j, l - d, 1))
-        return _paths(ctx, kind, (j + d, l - d, -1))
+            return (Path(kind, j + d, l - d), -1), (Path(kind, j, l - d), 1)
+        return ((Path(kind, j + d, l - d), -1),)
     if same(i + l, j + d):
-        return _paths(ctx, kind, (i, l - d, 1))
-    return Lin(ctx, kind)
+        return ((Path(kind, i, l - d), 1),)
+    return ()
 
 
-def _exp_correction(x, lam, step):
-    """exp(lam * G) for a length-lowering coderivation G.
+def _exp_correction(x, lam, n, d, j):
+    """exp(lam * G) for the coderivation G = _correction(n, d, j, -).
 
     The sum is finite on any element, and exponentials of coderivations
     are coalgebra automorphisms, with exp(-lam G) the exact inverse.
-    Where G^2 = 0 (no index wrap-around) this is just id + lam G.  The
-    series runs on term dicts: one pass over step(path) per order gives
-    G^k x, and lam^k / k! is formed once per order from the one before.
+    Where G^2 = 0 (no index wrap-around) this is just id + lam G.  One
+    pass per order adds c or -c for each (path, sign) term to give G^k x,
+    and lam^k / k! is formed once per order from the one before.
     """
     out = x.copy()
     if lam.is_zero():
         return out
-    ctx = x.ctx
     term = x.terms
-    factor = ctx.one()
+    factor = x.ctx.one()
     k = 0
     while True:
         acc = {}
         for path, c in term.items():
-            for image, ci in step(path).terms.items():
+            for image, sign in _correction(n, d, j, path):
+                ci = c if sign > 0 else -c
                 old = acc.get(image)
-                acc[image] = c * ci if old is None else old + c * ci
+                acc[image] = ci if old is None else old + ci
         term = {p: c for p, c in acc.items() if not c.is_zero()}
         if not term:
             return out
@@ -152,9 +153,7 @@ def cycle_automorphism(n, d, lam, j, x):
         raise ValueError("cycle automorphism requires degree d > 1")
     if x.space != ("cycle", n):
         raise ValueError("element does not live on the given cycle")
-    ctx = x.ctx
-    return _exp_correction(x, ctx.scalar(lam),
-                           lambda path: _correction(n, d, j, ctx, path))
+    return _exp_correction(x, x.ctx.scalar(lam), n, d, j)
 
 
 def chain_automorphism(d, lam, x):
@@ -170,6 +169,4 @@ def chain_automorphism(d, lam, x):
         raise ValueError("chain automorphism requires degree d >= 1")
     if x.space != ("chain",):
         raise ValueError("element does not live on the chain")
-    ctx = x.ctx
-    return _exp_correction(x, ctx.scalar(lam),
-                           lambda path: _correction(None, d, 0, ctx, path))
+    return _exp_correction(x, x.ctx.scalar(lam), None, d, 0)

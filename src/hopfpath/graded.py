@@ -31,14 +31,13 @@ from .coalgebra import splits
 from .linear import Lin
 from .quiver import Path, chain_kind, cycle_kind, enumerate_paths
 from .report import VerificationReport
-from .scalars import gauss_binom_row, order, q_factorial
+from .scalars import gauss_binom_row
 
 __all__ = [
     "MAX_BASIS_TUPLES",
     "GradedHopfParams",
     "multiply",
     "unit",
-    "power_formula_check",
     "verify_graded_bialgebra",
     "tensor_multiply",
     "structure_table",
@@ -220,39 +219,6 @@ def tensor_multiply(params, tx, ty):
             key = (lp, rp)
             acc[key] = acc.get(key, zero) + (ca * cb) * (lc * rc)
     return Lin(params.ctx, (params.kind, params.kind), acc)
-
-
-def power_formula_check(params, l, j):
-    """Divided-power laws for p = p_0^d at a root of unity q of order d.
-
-    Checks p^l = l! * p_0^(d*l) and p_0^(d*l) * a_0^j = j!_q * p_0^(j+d*l)
-    under the closed product.  The l-th power carries the ordinary
-    factorial l!: the coefficient binom(2d, d)_q * binom(3d, d)_q * ...
-    collapses to l! at a root of unity of order d.
-    """
-    d = order(params.q)
-    if d is None:
-        raise ValueError("q has infinite order; no finite divided-power degree")
-    if d < 2:
-        raise ValueError("divided-power laws need a nontrivial root of unity")
-    ctx = params.ctx
-    p = Lin.from_path(ctx, Path(params.kind, 0, d))
-    power = unit(params)
-    for _ in range(l):
-        power = multiply(params, power, p)
-    factorial = 1
-    for t in range(2, l + 1):
-        factorial *= t
-    expected = Lin.from_path(ctx, Path(params.kind, 0, d * l), factorial)
-    if power != expected:
-        return False
-    a = Lin.from_path(ctx, Path(params.kind, 0, 1))
-    lhs = Lin.from_path(ctx, Path(params.kind, 0, d * l))
-    for _ in range(j):
-        lhs = multiply(params, lhs, a)
-    rhs = Lin.from_path(ctx, Path(params.kind, 0, j + d * l),
-                        q_factorial(j, params.q))
-    return lhs == rhs
 
 
 def verify_graded_bialgebra(params, max_len, assoc_len=None):

@@ -44,7 +44,10 @@ class Lin:
 
     @classmethod
     def from_path(cls, ctx, path, coeff=1):
-        return cls(ctx, path.kind, {path: ctx.scalar(coeff)})
+        out = cls(ctx, path.kind)
+        if not (c := ctx.scalar(coeff)).is_zero():
+            out.terms[path] = c
+        return out
 
     def _like(self, terms):
         """A new element of this space over ``terms``, which has no zeros."""

@@ -5,11 +5,12 @@ from itertools import product
 import pytest
 
 from hopfpath import (
-    CoalgElement, Lin, TensorElement, chain_automorphism, chain_kind,
-    chain_path, comultiply, counit, cycle_automorphism, cycle_kind,
-    cycle_path, cyclotomic_context, degree, enumerate_paths,
+    CoalgElement, Lin, PBWMonomial, Path, TensorElement, chain_automorphism,
+    chain_kind, chain_path, comultiply, counit, cycle_automorphism,
+    cycle_deform, cycle_kind, cycle_path, cyclotomic_context, degree,
+    enumerate_paths, presentation_of, root_of_unity,
 )
-from hopfpath.coalgebra import _correction, _paths
+from hopfpath.coalgebra import _correction, splits
 
 CTX = cyclotomic_context(12)
 
@@ -111,6 +112,46 @@ def test_coassociativity_and_counit_axiom():
             assert lhs == x and rhs == x
 
 
+def _sweep_paths():
+    """Criterion 04's paths: cycles n <= 6 up to length 3d, the chain
+    window -2d-1..2d+1, and length 0."""
+    for n in range(2, 7):
+        for d in range(2, n + 1):
+            if n % d == 0:
+                yield from enumerate_paths(cycle_kind(n), 3 * d)
+    for d in range(1, 4):
+        yield from enumerate_paths(chain_kind(), 3 * d,
+                                   window=(-2 * d - 1, 2 * d + 1))
+
+
+def test_splits_match_validated_paths():
+    count = 0
+    for path in _sweep_paths():
+        kind, i, l = path
+        got = splits(path)
+        want = [(Path(kind, i + t, l - t), Path(kind, i, t))
+                for t in range(l + 1)]
+        assert got == want, path
+        for pair in got:
+            for p in pair:
+                assert type(p) is Path
+                if kind[0] == "cycle":
+                    assert 0 <= p.source < kind[1]
+        count += 1
+    assert count > 500
+
+
+@pytest.mark.parametrize("f", [comultiply, counit, degree])
+def test_structure_maps_refuse_non_path_elements(f):
+    rs = presentation_of(cycle_deform(4, root_of_unity(CTX, 4), 1))
+    pbw = rs.monomial(PBWMonomial(0, 1, 0))
+    with pytest.raises(ValueError, match="RewriteSystem"):
+        f(pbw)
+    square = comultiply(elem(cycle_path(4, 0, 2)))
+    with pytest.raises(ValueError, match="cycle"):
+        f(square)
+
+
 def test_graded_compatibility():
     for path in enumerate_paths(cycle_kind(3), 8):
         for (u, v), _ in comultiply(elem(path)).terms.items():
@@ -188,6 +229,14 @@ def test_element_rendering():
     assert str(CoalgElement(CTX, cycle_kind(3))) == "0"
 
 
+def _paths(ctx, kind, *terms):
+    """The sum of c * p_i^l over (i, l, c) triples."""
+    out = Lin(ctx, kind)
+    for i, l, c in terms:
+        out.add_term(Path(kind, i, l), ctx.scalar(c))
+    return out
+
+
 def _reference_cycle_correction(n, d, j, ctx, path):
     """The cycle coderivation as written before the cycle and chain
     versions were merged."""
@@ -230,20 +279,26 @@ def test_merged_correction_matches_the_cycle_and_chain_versions():
             paths = enumerate_paths(cycle_kind(n), 3 * d)
             for j in range(n):
                 for path in paths:
-                    got = _correction(n, d, j, CTX, path)
+                    got = _correction(n, d, j, path)
                     want = _reference_cycle_correction(n, d, j, CTX, path)
-                    assert list(got.terms.items()) \
-                        == list(want.terms.items()), (n, d, j, path)
+                    assert _signed(got) == list(want.terms.items()), \
+                        (n, d, j, path)
                     cases += 1
     for d in range(1, 9):
         for path in enumerate_paths(chain_kind(), 3 * d,
                                     window=(-2 * d, 2 * d)):
-            got = _correction(None, d, 0, CTX, path)
+            got = _correction(None, d, 0, path)
             want = _reference_chain_correction(d, CTX, path)
-            assert list(got.terms.items()) == list(want.terms.items()), \
-                (d, path)
+            assert _signed(got) == list(want.terms.items()), (d, path)
             cases += 1
     assert cases > 30_000
+
+
+def _signed(pairs):
+    """The (path, sign) pairs of a correction as (path, Scalar) terms."""
+    assert type(pairs) is tuple
+    assert all(type(p) is Path and s in (1, -1) for p, s in pairs)
+    return [(p, CTX.scalar(s)) for p, s in pairs]
 
 
 def _reference_exp_correction(x, lam, step):
@@ -268,6 +323,11 @@ def _reference_exp_correction(x, lam, step):
 SERIES_LAMBDAS = [0, 1, -1, Fraction(1, 2), CTX.zeta()]
 
 
+def _element(kind, pairs):
+    """The element sum_(p, sign) sign * p of a correction."""
+    return Lin(CTX, kind, {p: CTX.scalar(s) for p, s in pairs})
+
+
 def test_automorphism_series_matches_the_element_reference():
     # criterion 04's sweep; n = 2d wraps around, so G^2 != 0 there
     cases = []
@@ -277,7 +337,7 @@ def test_automorphism_series_matches_the_element_reference():
                 continue
             for j in range(n):
                 def step(p, n=n, d=d, j=j):
-                    return _correction(n, d, j, CTX, p)
+                    return _element(p.kind, _correction(n, d, j, p))
 
                 def auto(lam, x, n=n, d=d, j=j):
                     return cycle_automorphism(n, d, lam, j, x)
@@ -285,7 +345,7 @@ def test_automorphism_series_matches_the_element_reference():
                               enumerate_paths(cycle_kind(n), 3 * d)))
     for d in range(1, 4):
         def step(p, d=d):
-            return _correction(None, d, 0, CTX, p)
+            return _element(p.kind, _correction(None, d, 0, p))
 
         def auto(lam, x, d=d):
             return chain_automorphism(d, lam, x)

@@ -1,11 +1,12 @@
+import math
 from fractions import Fraction
 
 import pytest
 
 from hopfpath import (
-    CoalgElement, GradedHopfParams, chain_path, comultiply, counit,
+    CoalgElement, GradedHopfParams, Path, chain_path, comultiply, counit,
     cycle_path, cyclotomic_context, enumerate_paths, multiply,
-    power_formula_check, root_of_unity, structure_table,
+    order as q_order, q_factorial, root_of_unity, structure_table,
     tensor_multiply, unit, verify_graded_bialgebra,
 )
 
@@ -95,6 +96,33 @@ def test_divided_power_square():
     params = cyc(2, 2)
     p = elem(params, cycle_path(2, 0, 2))
     assert multiply(params, p, p) == elem(params, cycle_path(2, 0, 4), 2)
+
+
+def power_formula_check(params, l, j):
+    """Divided-power laws for p = p_0^d at a root of unity q of order d.
+
+    Checks p^l = l! * p_0^(d*l) and p_0^(d*l) * a_0^j = j!_q * p_0^(j+d*l)
+    under the closed product.  The l-th power carries the ordinary
+    factorial l!: the coefficient binom(2d, d)_q * binom(3d, d)_q * ...
+    collapses to l! at a root of unity of order d.
+    """
+    d = q_order(params.q)
+    if d is None:
+        raise ValueError("q has infinite order; no finite divided-power degree")
+    if d < 2:
+        raise ValueError("divided-power laws need a nontrivial root of unity")
+    p = elem(params, Path(params.kind, 0, d))
+    power = unit(params)
+    for _ in range(l):
+        power = multiply(params, power, p)
+    if power != elem(params, Path(params.kind, 0, d * l), math.factorial(l)):
+        return False
+    a = elem(params, Path(params.kind, 0, 1))
+    lhs = elem(params, Path(params.kind, 0, d * l))
+    for _ in range(j):
+        lhs = multiply(params, lhs, a)
+    return lhs == elem(params, Path(params.kind, 0, j + d * l),
+                       q_factorial(j, params.q))
 
 
 @pytest.mark.parametrize("n,order,l,j", [

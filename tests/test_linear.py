@@ -64,6 +64,19 @@ def test_add_scaled_matches_operators(x, y, c):
     assert x.terms == before
 
 
+def test_from_path_is_one_fresh_term():
+    p = cycle_path(3, 0, 1)
+    assert Lin.from_path(CTX, p, 0).is_zero()
+    assert Lin.from_path(CTX, p, CTX.zero()).is_zero()
+    x, y = Lin.from_path(CTX, p, 2), Lin.from_path(CTX, p, 2)
+    assert x.terms == {p: CTX.scalar(2)} and x.space == p.kind
+    assert x.terms is not y.terms
+    x.add_term(p, CTX.one())
+    assert y.terms == {p: CTX.scalar(2)}
+    zero = Lin.from_path(CTX, p, 0)
+    assert zero.terms is not Lin.from_path(CTX, p, 0).terms
+
+
 def test_mixing_spaces_raises():
     x = Lin.from_path(CTX, cycle_path(3, 0, 1))
     with pytest.raises(ValueError):

@@ -39,9 +39,18 @@ ENV_CONDUCTOR = "HOPFPATH_CONDUCTOR"
 EXIT_BROKEN_PIPE = 128 + 13  # as if killed by SIGPIPE
 
 
+def _int(text, source):
+    """int(text), or a ValueError that names where the text came from."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(
+            f"{source} must be an integer, not {text!r}") from None
+
+
 def _env_conductor():
     raw = os.environ.get(ENV_CONDUCTOR)
-    return int(raw) if raw else None
+    return _int(raw, ENV_CONDUCTOR) if raw else None
 
 
 def _conductor(args, *orders):
@@ -135,7 +144,8 @@ def _report_result(args, rep, params=None):
 
 def _parse_group(text):
     if text.startswith("cyclic:"):
-        return GroupSpec.cyclic(int(text.split(":", 1)[1]))
+        n = text.split(":", 1)[1]
+        return GroupSpec.cyclic(_int(n, "the N of --group cyclic:N"))
     if text in ("infinite", "infinite-cyclic"):
         return GroupSpec.infinite_cyclic()
     raise ValueError(f"unknown group spec {text!r} (use cyclic:N or infinite)")
@@ -147,13 +157,14 @@ def _parse_ram(text):
         label, _, mult = item.partition("=")
         if not label:
             raise ValueError("empty ramification entry")
-        out[label.strip()] = int(mult) if mult else 1
+        out[label.strip()] = _int(mult, "a --ram multiplicity") if mult \
+            else 1
     return out
 
 
 def _parse_window(text):
     lo, _, hi = text.partition(":")
-    return int(lo), int(hi)
+    return _int(lo, "--window LO"), _int(hi, "--window HI")
 
 
 def cmd_quiver_build(args):
@@ -301,7 +312,8 @@ def cmd_verify(args):
 
 def cmd_verify_forced(args):
     ctx = cyclotomic_context(_conductor(args, args.n, args.d, 2))
-    trials = tuple(int(t) for t in args.trials.split(","))
+    trials = tuple(_int(t, "a --trials entry")
+                   for t in args.trials.split(","))
     rep = ver.forced_vanishing_suite(ctx, args.n, args.d, trials)
     return _report_result(args, rep)
 

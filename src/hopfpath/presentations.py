@@ -15,15 +15,16 @@ its path degree, a weighs 1, and h, H weigh 0; letters rank
 h > H > a > p.  This orients every defining relation toward the normal
 form and lets the inverse-pair and power rules shrink words.
 
-A product of two normal monomials is straightened, not rewritten as one
+A product of two normal monomials is folded, not rewritten as one
 word.  In p^k a^j h^i * p^k' a^j' h^i' only the middle a^j h^i p^k' a^j'
 changes; ``RewriteSystem.mono_product`` memoizes its normal form in
 ``_prod``, keyed (j, i, k', j'), beside the word memo ``_nf``, and
-carries p^k and h^i' through by shifting exponents.  A middle is
-straightened once.  The generator powers h^i p^e and h^i a^e are the
-middles (0, i, e, 0) and (0, i, 0, e) of ``_prod``, each folded from the
-one before it by one product with the letter, so a middle reduces only
-the words h^i p, h^i a, a^x and a^j p^m, which ``_nf`` memoizes.  Every
+carries p^k and h^i' through by shifting exponents.  A middle is folded
+once, from its longest prefix in ``_prod`` one letter at a time, and
+every prefix it passes is kept.  A middle of one letter x, a^j h^i x,
+is a^j * NF(h^i x), so the table reduces only the words h^i x and
+a^j p^K a^J (for each term p^K a^J h^I of NF(h^i x)), which ``_nf``
+memoizes.  Every
 monomial these tables hold comes from the presentation's table
 ``_monos``, keyed (k, j, i), so equal monomials are one object.
 ``multiply`` and the tensor-square product
@@ -159,7 +160,8 @@ class HopfFamilyDescriptor:
     the mixed-commutator coefficient in the half-order cycle family:
     "factorial" divides by (d-1)!_q, "integer" by the q-integer (d-1)_q.
     The two agree for d <= 3; the factorial reading is the one the
-    coproduct-compatibility checks single out, and is the default.
+    coproduct-compatibility checks single out, and is the default.  No
+    other family has the coefficient, so it refuses "integer".
 
     The derived invariant ``d``, the order of q (the divided-power
     degree; None if infinite), is set once, when the descriptor is
@@ -184,6 +186,9 @@ class HopfFamilyDescriptor:
         object.__setattr__(self, "param", ctx.scalar(self.param))
         if self.half_coeff not in ("factorial", "integer"):
             raise ValueError("half_coeff must be 'factorial' or 'integer'")
+        if self.half_coeff != "factorial" and self.family != CYCLE_HALF:
+            raise ValueError(f"the {self.half_coeff!r} coefficient reading "
+                             f"applies to cycle-half only, not {self.family}")
         if self.family in _CYCLE_FAMILIES:
             if not isinstance(self.n, int) or self.n < 1:
                 raise ValueError("cycle families need a positive integer n")
@@ -390,8 +395,8 @@ class RewriteSystem:
             lhs + "".join(w for w, _ in rhs) for lhs, rhs in self.rules))
         self._nf = {}
         # (j, i, k', j') -> normal form of a^j h^i p^k' a^j', kept by
-        # mono_product; the generator powers h^i p^e and h^i a^e are its
-        # middles (0, i, e, 0) and (0, i, 0, e), kept by _h_power
+        # _middle with every prefix a^j h^i p^f or a^j h^i p^k' a^g that
+        # its one-letter fold passes
         self._prod = {}
         self._monos = {}  # (k, j, i) -> the one PBWMonomial p^k a^j h^i
         self._delta = {}  # word -> coproduct, kept by verifier._delta_word
@@ -556,9 +561,6 @@ class RewriteSystem:
     def monomial(self, mono, coeff=1):
         return Lin(self.ctx, self, {mono: self.ctx.scalar(coeff)})
 
-    def generator(self, sym):
-        return self.normal_form(sym)
-
     def letter(self, sym):
         """The normal monomial of a one-letter word (h is 1 on the 1-cycle)."""
         if sym == "a":
@@ -622,7 +624,7 @@ class RewriteSystem:
         key = (x.j, x.i, y.k, y.j)
         mid = self._prod.get(key)
         if mid is None:
-            mid = self._prod[key] = self._middle(*key)
+            mid = self._middle(*key)
         if not x.k and not y.i:
             return mid
         k, i, n, monos = x.k, y.i, self.h_order, self._monos
@@ -634,82 +636,52 @@ class RewriteSystem:
         return out
 
     def _middle(self, j, i, k, j2):
-        """The normal form of a^j h^i p^k a^j2 as a {monomial: scalar} dict.
+        """The normal form of a^j h^i p^k a^j2 as a {monomial: scalar}
+        dict, kept in ``_prod`` with every prefix a^j h^i p^f or
+        a^j h^i p^k a^g that it passes.
 
-        It is straightened in four steps: h^i moves past p^k and the
-        collected h^g past a^j2 (``_h_power``), a^j moves past the
-        resulting p^m, and the collected a^x is reduced; h exponents add,
-        modulo n on cycles.  Each step rewrites a factor of the word, so
+        It is folded from its longest prefix in the table one letter at
+        a time, NF(w x) = NF(w) * x, formed by ``accumulate``.  A prefix
+        of one letter, a^j h^i x, is a^j * NF(h^i x): each term
+        p^K a^J h^I of NF(h^i x) gives NF(a^j p^K a^J) with the h
+        exponents added, modulo n on cycles.  Only these two words are
+        reduced as words.  Each step rewrites a factor of the word, so
         the result is its normal form when the rule set is confluent.
         Confluence is not assumed here; ``check_confluence`` checks it
-        separately.  A generator power h^i p^k or h^i a^j2 is the entry
-        that ``_h_power`` keeps.
+        separately.
         """
-        if not j and not (k and j2):
-            return self._h_power(i, "a", j2) if j2 \
-                else self._h_power(i, "p", k)
-        zero = self.ctx.zero()
-        acc = {}
-        # 1. h^i p^k = sum of p^m h^g
-        for m1, c1 in self._h_power(i, "p", k).items():
-            # 2. a^j p^m = sum of p^m2 a^x h^g2
-            for m2, c2 in self.reduce_word("a" * j + "p" * m1.k)[0].items():
-                c12 = c1 * c2
-                # 3. h^(g + g2) a^j2 = sum of a^y h^g3
-                g = self._h_exp(m1.i + m2.i)
-                for m3, c3 in self._h_power(g, "a", j2).items():
-                    c123 = c12 * c3
-                    # 4. a^(x + y) = sum of a^z h^w
-                    for m4, c4 in self._power_form("a" * (m2.j + m3.j),
-                                                   "p").items():
-                        mono = self.interned(m2.k, m4.j,
-                                             self._h_exp(m4.i + m3.i))
-                        acc[mono] = acc.get(mono, zero) + c123 * c4
-        return {m: c for m, c in acc.items() if not c.is_zero()}
+        memo, one = self._prod, self.ctx.one()
+        tail = "p" * k + "a" * j2
 
-    def _h_power(self, i, x, e):
-        """The normal form of h^i x^e, for x "a" or "p" and i normal, as a
-        {monomial: scalar} dict.
+        def key(f):  # the prefix a^j h^i tail[:f]
+            return (j, i, min(f, k), max(f - k, 0))
 
-        It is the middle of h^i * x^e and is kept in ``_prod`` under its
-        middle key, (0, i, e, 0) for p and (0, i, 0, e) for a.  It is
-        folded from the longest power there: NF(h^i x^e) is
-        NF(h^i x^(e-1)) * x, formed by ``accumulate``.  Only the
-        one-letter words h^i x are reduced as words.
-        """
-        memo = self._prod
-
-        def key(f):
-            return (0, i, f, 0) if x == "p" else (0, i, 0, f)
-
-        start = e
-        while start and key(start) not in memo:
-            start -= 1
-        out = memo.get(key(start))
+        f = len(tail)
+        while f > 1 and key(f) not in memo:
+            f -= 1
+        out = memo.get(key(f))
         if out is None:
-            out = memo[key(0)] = {self.group_like(i): self.ctx.one()}
-        letter = {self.interned(1, 0, 0) if x == "p"
-                  else self.interned(0, 1, 0): self.ctx.one()}
-        for f in range(start + 1, e + 1):
-            if f == 1:
-                out = self._power_form(self._h_word(i) + x,
-                                       "p" if x == "a" else "a")
-            else:
-                acc = self.accumulate({}, out, letter)
-                out = {m: c for m, c in acc.items() if not c.is_zero()}
-            memo[key(f)] = out
+            out = memo[key(f)] = self._short_middle(j, i, tail[:f])
+        for f in range(f + 1, len(tail) + 1):
+            acc = self.accumulate({}, out, {self.letter(tail[f - 1]): one})
+            out = memo[key(f)] = {m: c for m, c in acc.items()
+                                  if not c.is_zero()}
         return out
 
-    def _power_form(self, word, absent):
-        """The normal form of a generator-power word, which must not
-        contain the generator ``absent`` ("a" or "p")."""
-        terms, _ = self.reduce_word(word)
-        for m in terms:
-            if m.j if absent == "a" else m.k:
-                raise AssertionError(
-                    f"normal form {m} of {word!r} contains {absent} "
-                    f"(cannot straighten products in {self.name})")
-        return terms
+    def _short_middle(self, j, i, x):
+        """The normal form of a^j h^i x for x empty or one letter, "a" or
+        "p": a^j * NF(h^i x), from the words h^i x and a^j p^K a^J."""
+        if not x:
+            return {self.interned(0, j, i): self.ctx.one()}
+        zero = self.ctx.zero()
+        acc = {}
+        hx, _ = self.reduce_word(self.group_like(i).word() + x)
+        for m1, c1 in hx.items():
+            word = "a" * j + "p" * m1.k + "a" * m1.j
+            for m2, c2 in self.reduce_word(word)[0].items():
+                mono = self.interned(m2.k, m2.j, self._h_exp(m2.i + m1.i))
+                acc[mono] = acc.get(mono, zero) + c1 * c2
+        return {m: c for m, c in acc.items() if not c.is_zero()}
 
     def _h_exp(self, i):
         return i % self.h_order if self.h_order is not None else i
@@ -718,10 +690,6 @@ class RewriteSystem:
         """The normal monomial h^i: i modulo n on a cycle, signed on a
         chain."""
         return self.interned(0, 0, self._h_exp(i))
-
-    def _h_word(self, i):
-        i = self._h_exp(i)
-        return "h" * i if i >= 0 else "H" * -i
 
     def multiply(self, x, y):
         if x.space is not self or y.space is not self:

@@ -211,7 +211,7 @@ def _antipode_generators(rs):
         if sym in inverse:
             # check the group-like solve: S(h) h = 1
             image = rs.monomial(inverse[sym])
-            if rs.multiply(image, rs.generator(sym)) != rs.one():
+            if rs.multiply(image, rs.normal_form(sym)) != rs.one():
                 raise ArithmeticError(
                     "no antipode: group-like is not invertible")
             memo[letter] = image

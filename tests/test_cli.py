@@ -170,6 +170,14 @@ def test_verify_hopf_failing_reading_exits_one(capsys):
     assert json.loads(out)["pass"] is False
 
 
+def test_integer_reading_off_cycle_half_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "hopf", "--family",
+                         "cycle-deform", "--n", "4", "--q-order", "4",
+                         "--lambda", "1", "--coeff-reading", "integer")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "cycle-half only" in err
+
+
 def test_verify_forced_vanishing(capsys):
     code, out, _ = run(capsys, "verify", "forced-vanishing", "--n", "4",
                        "--d", "2", "--json")
@@ -185,6 +193,22 @@ def test_a_zero_trial_is_a_usage_error(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "must be nonzero" in err
+
+
+@pytest.mark.parametrize("argv, source", [
+    (("verify", "forced-vanishing", "--trials", "1/2"), "a --trials entry"),
+    (("quiver", "build", "--group", "cyclic:x", "--ram", "g=1"),
+     "the N of --group cyclic:N"),
+    (("quiver", "build", "--group", "cyclic:4", "--ram", "g=x"),
+     "a --ram multiplicity"),
+    (("quiver", "build", "--group", "infinite", "--ram", "g=1",
+      "--window", "x:1"), "--window LO"),
+], ids=["trials", "group", "ram", "window"])
+def test_a_non_integer_option_value_names_the_option(capsys, argv, source):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    bad = "1/2" if "--trials" in argv else "x"
+    assert err == f"error: {source} must be an integer, not '{bad}'\n"
 
 
 def test_verify_degeneration(capsys):
@@ -267,6 +291,14 @@ def test_conductor_zero_is_rejected(capsys, monkeypatch):
     code, out, err = run(capsys, *args)
     assert (code, out) == (2, "")
     assert "conductor must be a positive integer" in err
+
+
+def test_a_non_integer_conductor_names_the_variable(capsys, monkeypatch):
+    monkeypatch.setenv("HOPFPATH_CONDUCTOR", "abc")
+    code, out, err = run(capsys, "catalog", "simple-pointed")
+    assert (code, out) == (2, "")
+    assert err == ("error: HOPFPATH_CONDUCTOR must be an integer, "
+                   "not 'abc'\n")
 
 
 @pytest.mark.parametrize("family_args, word", [

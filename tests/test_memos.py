@@ -78,7 +78,7 @@ def test_one_cycle_coproduct_is_multiplicative():
     # h = 1 on the 1-cycle, so delta(a) must not carry the key h^1
     desc = simple_pointed_catalog(1)[0]
     rs = presentation_of(desc)
-    a, h = rs.generator("a"), rs.generator("h")
+    a, h = rs.normal_form("a"), rs.normal_form("h")
     assert h == rs.one()
     assert coproduct(desc, a) == coproduct(desc, h) * coproduct(desc, a)
 

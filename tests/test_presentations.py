@@ -60,6 +60,16 @@ def test_graded_families_refuse_a_deformation_parameter():
     assert desc.is_graded and not cycle_deform(3, w, 0).is_graded
 
 
+def test_the_integer_reading_is_refused_off_cycle_half():
+    data = {"family": "cycle-deform", "n": 4, "qOrder": 4, "lambda": 1,
+            "coeffReading": "integer"}
+    with pytest.raises(ValueError, match="applies to cycle-half only"):
+        descriptor_from_dict(data)
+    desc = descriptor_from_dict(dict(data, family="cycle-half", n=8))
+    assert desc.half_coeff == "integer"
+    assert descriptor_from_dict(descriptor_to_dict(desc)) == desc
+
+
 def test_param_normalization():
     ctx = cyclotomic_context(2)
     d1 = chain_q1(ctx, 5)
@@ -216,7 +226,7 @@ def test_multiply_alg_examples():
     w = root_of_unity(CTX12, 3)
     desc = cycle_deform(3, w, 1)
     rs = presentation_of(desc)
-    a = rs.generator("a")
+    a = rs.normal_form("a")
     asq = multiply_alg(desc, a, a)
     assert multiply_alg(desc, asq, a).is_zero()
     one = rs.one()

@@ -1,17 +1,15 @@
-"""The straightened product table against the rewriting engine.
+"""The product table against the rewriting engine.
 
 ``RewriteSystem.mono_product`` multiplies two normal monomials through
-generator-power normal forms.  For every family of the acceptance sweep
-and every monomial pair within the acceptance weight bound (chains on
-the h window -2..2), it must equal the normal form of the concatenated
-word.  The powers h^i a^e and h^i p^e it straightens through are folded
-one letter at a time into the table, under the middle key of
-h^i * x^e, and each must equal the normal form of its whole word.  The
-antipode convolutions accumulate products into one dict, and must equal
-the sum of one product of whole elements per coproduct term.
+their middle, folded one letter at a time into the table.  For every
+family of the acceptance sweep and every monomial pair within the
+acceptance weight bound (chains on the h window -2..2), it must equal
+the normal form of the concatenated word.  The generator powers
+h^i * x^e, and every prefix their fold leaves in the table, must each
+equal the normal form of their whole word.  The antipode convolutions
+accumulate products into one dict, and must equal the sum of one
+product of whole elements per coproduct term.
 """
-
-import pytest
 
 from hopfpath import (
     PBWMonomial, RewriteSystem, cyclotomic_context, presentation_of,
@@ -22,6 +20,7 @@ from hopfpath.verifier import (
 )
 
 from test_acceptance import _family_sweep, _hopf_bound
+from test_memos import _middle_word
 
 
 def _pairs(desc):
@@ -45,12 +44,12 @@ def test_table_equals_the_normal_form_of_the_concatenated_word():
     assert pairs == 158_017  # 91 families
 
 
-def test_a_misshapen_power_form_is_refused():
-    # h p -> a: the normal form of h^i p^k' must contain no a
-    bad = RewriteSystem(cyclotomic_context(1), [("hp", [("a", 1)])],
-                        p_weight=2, name="misshapen")
-    with pytest.raises(AssertionError, match="contains a"):
-        bad.mono_product(PBWMonomial(0, 0, 1), PBWMonomial(1, 0, 0))
+def test_a_one_letter_entry_keeps_every_term():
+    # h p -> a: the normal form of h p contains a, and the entry keeps it
+    rs = RewriteSystem(cyclotomic_context(1), [("hp", [("a", 1)])],
+                       p_weight=2, name="h p -> a")
+    product = rs.mono_product(PBWMonomial(0, 0, 1), PBWMonomial(1, 0, 0))
+    assert product == rs.reduce_word("hp")[0] == {PBWMonomial(0, 1, 0): 1}
 
 
 def _fresh(rs):
@@ -67,18 +66,17 @@ def test_power_fold_equals_the_normal_form_of_the_whole_word():
         exponents = range(2 * max(rs.a_bound or 0, 3) + 1)
         for x in sorted(rs.letters & set("ap")):
             for i in range(desc.n) if desc.n is not None else range(-4, 5):
+                h = rs.group_like(i)
                 for e in exponents:
                     cases += 1
-                    folded = rs._h_power(i, x, e)
-                    expected, _ = rs.reduce_word(rs._h_word(i) + x * e)
-                    assert folded == expected, (desc.label(), i, x, e)
-                    # the power is the middle of h^i * x^e in the table
-                    middle = (0, i, e, 0) if x == "p" else (0, i, 0, e)
-                    assert rs._prod[middle] is folded, (desc.label(), i, x, e)
                     power = rs.interned(*((e, 0, 0) if x == "p"
                                           else (0, e, 0)))
-                    assert rs.mono_product(rs.group_like(i), power) \
-                        == folded, (desc.label(), i, x, e)
+                    expected, _ = rs.reduce_word(h.word() + x * e)
+                    assert rs.mono_product(h, power) == expected, \
+                        (desc.label(), i, x, e)
+        for middle, terms in rs._prod.items():
+            assert terms == rs.reduce_word(_middle_word(*middle))[0], \
+                (desc.label(), middle)
     assert cases == 8_165
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import math
 import os
 import sys
 from fractions import Fraction
@@ -33,7 +32,7 @@ from .quiver import (
     GroupSpec, build_hopf_quiver, is_connected_hopf_quiver,
     resolve_ramification,
 )
-from .scalars import MAX_CONDUCTOR, cyclotomic_context, root_of_unity
+from .scalars import conductor_for, cyclotomic_context, root_of_unity
 
 ENV_CONDUCTOR = "HOPFPATH_CONDUCTOR"
 EXIT_BROKEN_PIPE = 128 + 13  # as if killed by SIGPIPE
@@ -53,19 +52,14 @@ def _env_conductor():
     return _int(raw, ENV_CONDUCTOR) if raw else None
 
 
-def _conductor(args, *orders):
+def _conductor(args, orders):
     # 0 is not "unset": it goes on to be rejected like any bad conductor
     if getattr(args, "conductor", None) is not None:
         return args.conductor
     env = _env_conductor()
     if env is not None:
         return env
-    need = [o for o in orders if o]
-    lcm = math.lcm(*need) if need else 1
-    if lcm > MAX_CONDUCTOR:
-        raise ValueError(f"the lcm of the requested orders, {lcm}, exceeds "
-                         f"the maximum conductor {MAX_CONDUCTOR}")
-    return lcm
+    return conductor_for(orders)
 
 
 def _add_output_opts(p):
@@ -117,7 +111,7 @@ def _descriptor(args):
         data["mu"] = args.mu
     if args.coeff_reading != "factorial":
         data["coeffReading"] = args.coeff_reading
-    ctx = cyclotomic_context(_conductor(args, args.q_order, args.n))
+    ctx = cyclotomic_context(_conductor(args, (args.q_order, args.n)))
     return descriptor_from_dict(data, ctx)
 
 
@@ -198,7 +192,7 @@ def cmd_quiver_connected(args):
 # -- graded ---------------------------------------------------------------------
 
 def _graded_params(args):
-    ctx = cyclotomic_context(_conductor(args, args.q_order, args.n))
+    ctx = cyclotomic_context(_conductor(args, (args.q_order, args.n)))
     if args.q_order is not None:
         q = root_of_unity(ctx, args.q_order) ** args.q_power
     elif args.q is not None:
@@ -288,7 +282,7 @@ def cmd_present_classify(args):
     left_data = check_descriptor_dict(json.loads(args.left))
     right_data = check_descriptor_dict(json.loads(args.right))
     orders = [left_data.get("qOrder", 1), right_data.get("qOrder", 1)]
-    ctx = cyclotomic_context(_conductor(args, *orders))
+    ctx = cyclotomic_context(_conductor(args, orders))
     left = descriptor_from_dict(left_data, ctx)
     right = descriptor_from_dict(right_data, ctx)
     iso = pres.classify_iso(left, right)
@@ -311,7 +305,7 @@ def cmd_verify(args):
 
 
 def cmd_verify_forced(args):
-    ctx = cyclotomic_context(_conductor(args, args.n, args.d, 2))
+    ctx = cyclotomic_context(_conductor(args, (args.n, args.d, 2)))
     trials = tuple(_int(t, "a --trials entry")
                    for t in args.trials.split(","))
     rep = ver.forced_vanishing_suite(ctx, args.n, args.d, trials)
@@ -325,7 +319,7 @@ def _family_payload(desc):
 # -- catalog --------------------------------------------------------------------
 
 def cmd_catalog(args):
-    ctx = cyclotomic_context(_conductor(args, *range(1, args.max_n + 1)))
+    ctx = cyclotomic_context(_conductor(args, range(1, args.max_n + 1)))
     entries = simple_pointed_catalog(args.max_n, ctx)
     dicts = [descriptor_to_dict(d) for d in entries]
     if args.json:

@@ -158,7 +158,6 @@ class Lin:
         if rs is space:
             return rs.multiply(self, other)
         acc = {}
-        zero = self.ctx.zero()
         for (l1, r1), c1 in self.terms.items():
             for (l2, r2), c2 in other.terms.items():
                 left = rs.mono_product(l1, l2)
@@ -172,7 +171,9 @@ class Lin:
                     ccl = c * cl
                     for mr, cr in right.items():
                         key = (ml, mr)
-                        acc[key] = acc.get(key, zero) + ccl * cr
+                        old = acc.get(key)
+                        acc[key] = ccl * cr if old is None \
+                            else old + ccl * cr
         return Lin(self.ctx, space, acc)
 
     def __eq__(self, other):

@@ -19,9 +19,10 @@ A product of two normal monomials is folded, not rewritten as one
 word.  In p^k a^j h^i * p^k' a^j' h^i' only the middle a^j h^i p^k' a^j'
 changes; ``RewriteSystem.mono_product`` memoizes its normal form in
 ``_prod``, keyed (j, i, k', j'), beside the word memo ``_nf``, and
-carries p^k and h^i' through by shifting exponents.  A middle is folded
-once, from its longest prefix in ``_prod`` one letter at a time, and
-every prefix it passes is kept.  A middle of one letter x, a^j h^i x,
+carries p^k and h^i' through by shifting exponents; ``accumulate``
+reads the entries itself and shifts term by term as it adds.  A middle
+is folded once, from its longest prefix in ``_prod`` one letter at a
+time, and every prefix it passes is kept.  A middle of one letter x, a^j h^i x,
 is a^j * NF(h^i x), so the table reduces only the words h^i x and
 a^j p^K a^J (for each term p^K a^J h^I of NF(h^i x)), which ``_nf``
 memoizes.  Every
@@ -58,7 +59,10 @@ from typing import NamedTuple
 from .linear import Lin
 from .quiver import Path, chain_kind, cycle_kind
 from .report import VerificationReport
-from .scalars import cyclotomic_context, order, q_factorial, q_int, root_of_unity
+from .scalars import (
+    conductor_for, cyclotomic_context, order, q_factorial, q_int,
+    root_of_unity,
+)
 
 __all__ = [
     "CYCLE_GRADED", "CYCLE_DEFORM", "CYCLE_HALF", "CHAIN_GRADED",
@@ -617,9 +621,10 @@ class RewriteSystem:
         keyed (j, i, k', j'), and this method shifts its p exponents by k
         and its h exponents by i' (modulo n on cycles), which maps
         distinct monomials to distinct monomials; the shifted monomials
-        are looked up in the monomial table, not built.  When
-        k = i' = 0 the dict is the memo entry itself: callers must not
-        change it.
+        are looked up in the monomial table, not built.  ``accumulate``
+        applies the same shift rule term by term instead of calling
+        this method.  When k = i' = 0 the dict is the memo entry itself:
+        callers must not change it.
         """
         key = (x.j, x.i, y.k, y.j)
         mid = self._prod.get(key)
@@ -699,14 +704,33 @@ class RewriteSystem:
     def accumulate(self, acc, x, y):
         """Add x * y to ``acc`` and return it; x, y and acc are
         {normal monomial: scalar} dicts.  A sum that cancels stays in
-        ``acc`` as a zero coefficient."""
-        zero = self.ctx.zero()
-        product = self.mono_product
+        ``acc`` as a zero coefficient.
+
+        Each product of monomials is the ``_prod`` entry of its middle
+        (filled by ``_middle`` on a miss) under the shift rule of
+        ``mono_product``: p exponents up by k, h exponents up by i'
+        (modulo n on cycles), the shifted monomials looked up in the
+        monomial table.  The shift is applied term by term as the
+        products are added, so no shifted dict is built and the entry
+        is only read.  A key's first product is stored as it is, not
+        added to zero.
+        """
+        memo, monos, n = self._prod, self._monos, self.h_order
         for ma, ca in x.items():
+            k, j, i = ma
             for mb, cb in y.items():
+                mid = memo.get((j, i, mb.k, mb.j))
+                if mid is None:
+                    mid = self._middle(j, i, mb.k, mb.j)
                 c = ca * cb
-                for m, v in product(ma, mb).items():
-                    acc[m] = acc.get(m, zero) + c * v
+                shift = mb.i
+                for m, v in mid.items():
+                    if k or shift:
+                        e = m.i + shift
+                        key = (k + m.k, m.j, e if n is None else e % n)
+                        m = monos.get(key) or self.interned(*key)
+                    old = acc.get(m)
+                    acc[m] = c * v if old is None else old + c * v
         return acc
 
     def monomial_weight(self, mono):
@@ -1130,12 +1154,14 @@ def simple_pointed_catalog(max_n, ctx=None):
     > 1 dividing n, with mu in {0, 1}; one representative graded chain
     with q not a root of unity (q = 2); the q = 1 chain deformation with
     lambda = 1; and the type-one chain algebras for every root order
-    2..max_n, mu in {0, 1}.
+    2..max_n, mu in {0, 1}.  Without ``ctx`` the field is the one of
+    ``conductor_for(range(1, max_n + 1))``, which refuses every max_n
+    from 9 on (lcm(1..9) = 2520) with ValueError.
     """
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
     if ctx is None:
-        ctx = cyclotomic_context(math.lcm(*range(1, max_n + 1)))
+        ctx = cyclotomic_context(conductor_for(range(1, max_n + 1)))
     entries = [cycle_graded(1, ctx.one())]
     for n in range(2, max_n + 1):
         if ctx.N % n != 0:

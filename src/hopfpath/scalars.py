@@ -25,6 +25,7 @@ __all__ = [
     "CyclotomicContext",
     "MAX_CONDUCTOR",
     "Scalar",
+    "conductor_for",
     "cyclotomic_context",
     "cyclotomic_polynomial",
     "root_of_unity",
@@ -89,6 +90,26 @@ of q); 1000 keeps every order up to 8 (lcm(1..8) = 840).  Without a
 bound, N = 100000 did not finish building and lcm(1..100) overflowed
 an index.
 """
+
+
+def conductor_for(orders):
+    """The lcm of the nonzero ``orders`` (1 when there are none), the
+    least conductor whose field holds a root of unity of each order.
+
+    It is folded one order at a time, and the first order that takes it
+    past MAX_CONDUCTOR raises ValueError naming that order, so a long
+    list of orders (all of 1..100000) costs a few steps, not an lcm of
+    thousands of digits.
+    """
+    lcm = 1
+    for order in orders:
+        if order:
+            lcm = math.lcm(lcm, order)
+            if lcm > MAX_CONDUCTOR:
+                raise ValueError(
+                    f"the lcm of the requested orders exceeds the maximum "
+                    f"conductor {MAX_CONDUCTOR} at order {order}")
+    return lcm
 
 
 def _check_conductor(conductor):

@@ -18,7 +18,9 @@ memos live on the presentation too: ``RewriteSystem._delta`` maps a
 word to its coproduct and holds every prefix that a fold meets (a
 generator's coproduct is the entry of its one-letter word), and
 ``RewriteSystem._antipode`` maps a PBW monomial to its antipode (a
-generator's antipode is the entry of its letter monomial).
+generator's antipode is the entry of its letter monomial, and any other
+monomial's is one product: the entry of the suffix left when its first
+letter is removed, times that letter's image).
 Every product in the presentation or its tensor square reads the
 presentation's monomial product table, ``RewriteSystem._prod``, keyed
 by the middle a^j h^i p^k' a^j' of the product; only the overlap
@@ -26,11 +28,11 @@ ambiguities of ``verify_hopf`` and the forced-vanishing trials reduce
 whole words, through ``resolution_difference``.  The antipode
 convolutions add each product straight into one dict per axiom through
 ``RewriteSystem.accumulate``, the loop that ``RewriteSystem.multiply``
-runs.  The degeneration verdict works on monomial and path pairs: it
-reads the deformed product from the product table and maps the graded
-path product back through the graded presentation's PBW <-> path table
-(``RewriteSystem._to_path`` and ``_to_pbw``).  This module keeps no
-cache of its own;
+runs, which reads the table's entries itself.  The degeneration
+verdict works on monomial and path pairs: it reads the deformed product
+from the product table and maps the graded path product back through
+the graded presentation's PBW <-> path table (``RewriteSystem._to_path``
+and ``_to_pbw``).  This module keeps no cache of its own;
 ``presentation_of.cache_clear()`` frees every memo.  A degree bound of
 ``verify_antipode``, ``compute_antipode`` or ``verify_degeneration`` that
 admits more than MAX_MONOMIAL_PAIRS monomial pairs is refused before any
@@ -233,12 +235,42 @@ def _antipode_generators(rs):
 
 
 def _antipode_mono(rs, mono):
-    """S(mono), memoized under ``rs.interned(*mono)`` whatever the caller
-    passed, so the memo holds only monomial-table objects."""
+    """S(mono) for a normal monomial p^k a^j h^i, memoized under
+    ``rs.interned(*mono)`` whatever the caller passed, so the memo holds
+    only monomial-table objects.
+
+    S is anti-multiplicative, so S(x w) = S(w) S(x) for the first letter
+    x: each antipode is one product of the antipode of the memoized
+    suffix, p^(k-1) a^j h^i, else a^(j-1) h^i, else h^(i -+ 1), and a
+    generator image.  Every suffix down to the longest one already in
+    the memo (the unit at worst) is memoized on the way.  These are the
+    products of ``_antipode_word``'s reversed fold, in the same order.
+    """
     memo = rs._antipode
     out = memo.get(mono)
-    if out is None:
-        out = memo[rs.interned(*mono)] = _antipode_word(rs, mono.word())
+    if out is not None:
+        return out
+    if any(rs.letter(sym) not in memo for sym in set(mono.word())):
+        _antipode_generators(rs)
+    # the suffixes missing from the memo, each with the image of its
+    # first letter
+    missing = []
+    k, j, i = mono
+    rest = rs.interned(k, j, i)
+    while (out := memo.get(rest)) is None:
+        if k:
+            sym, k = "p", k - 1
+        elif j:
+            sym, j = "a", j - 1
+        elif i:
+            sym, i = ("h", i - 1) if i > 0 else ("H", i + 1)
+        else:
+            out = memo[rest] = rs.one()
+            break
+        missing.append((rest, memo[rs.letter(sym)]))
+        rest = rs.interned(k, j, i)
+    for rest, image in reversed(missing):
+        out = memo[rest] = rs.multiply(out, image)
     return out
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import hopfpath
+from hopfpath import cli
 from hopfpath.cli import main
 
 
@@ -409,6 +411,33 @@ def test_catalog_lcm_above_the_maximum_is_rejected(capsys):
     # lcm(1..8) = 840 is still within the bound
     code, out, _ = run(capsys, "catalog", "simple-pointed", "--max-n", "8")
     assert code == 0 and "type-one-chain" in out
+
+
+@pytest.mark.parametrize("max_n", ["3000", "100000"])
+def test_catalog_lcm_stops_at_the_first_order_past_the_maximum(capsys,
+                                                               max_n):
+    # the lcm of 1..max_n is never formed: lcm(1..9) = 2520 already
+    # exceeds the bound
+    start = time.perf_counter()
+    code, out, err = run(capsys, "catalog", "simple-pointed", "--max-n",
+                         max_n)
+    assert (code, out) == (2, "")
+    assert err == ("error: the lcm of the requested orders exceeds the "
+                   "maximum conductor 1000 at order 9\n")
+    code, out, err = run(capsys, "catalog", "simple-pointed", "--max-n",
+                         max_n, "--conductor", "840")
+    assert (code, out) == (2, "")
+    assert err == "error: context conductor 840 cannot host order 9\n"
+    assert len(err) < 200 and time.perf_counter() - start < 2
+
+
+def test_the_conductor_reads_its_orders_lazily(monkeypatch):
+    # the catalog passes range(1, max_n + 1) itself, not a list of it
+    monkeypatch.delenv("HOPFPATH_CONDUCTOR", raising=False)
+    args = argparse.Namespace(conductor=None)
+    with pytest.raises(ValueError, match="at order 9$"):
+        cli._conductor(args, range(1, 10 ** 18))
+    assert cli._conductor(args, (4, None, 6)) == 12
 
 
 @pytest.mark.parametrize("argv", [

@@ -527,6 +527,15 @@ def test_simple_pointed_catalog():
     assert len(ta) == 10
 
 
+@pytest.mark.parametrize("max_n", [9, 3000, 100000])
+def test_the_catalog_refuses_its_conductor_at_the_first_order_past_it(max_n):
+    with pytest.raises(ValueError) as info:
+        simple_pointed_catalog(max_n)
+    assert str(info.value) == ("the lcm of the requested orders exceeds the "
+                               "maximum conductor 1000 at order 9")
+    assert len(str(info.value)) < 200
+
+
 def test_descriptor_json_round_trip():
     ctx2 = cyclotomic_context(2)
     descs = [

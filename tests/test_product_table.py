@@ -8,15 +8,18 @@ the normal form of the concatenated word.  The generator powers
 h^i * x^e, and every prefix their fold leaves in the table, must each
 equal the normal form of their whole word.  The antipode convolutions
 accumulate products into one dict, and must equal the sum of one
-product of whole elements per coproduct term.
+product of whole elements per coproduct term.  ``accumulate`` and the
+tensor-square product read the table themselves; they must give the
+keys, order and values of the loops through ``mono_product`` that they
+replaced, and leave every table entry as it was.
 """
 
 from hopfpath import (
-    PBWMonomial, RewriteSystem, cyclotomic_context, presentation_of,
-    simple_pointed_catalog,
+    Lin, PBWMonomial, RewriteSystem, cycle_graded, cyclotomic_context,
+    presentation_of, root_of_unity, simple_pointed_catalog,
 )
 from hopfpath.verifier import (
-    _antipode_mono, _convolutions, _delta_word, _monomials,
+    _CHAIN_WINDOW, _antipode_mono, _convolutions, _delta_word, _monomials,
 )
 
 from test_acceptance import _family_sweep, _hopf_bound
@@ -101,3 +104,120 @@ def test_convolutions_equal_the_products_of_whole_elements():
             assert _convolutions(rs, delta) \
                 == _reference_convolutions(rs, delta), (desc.label(), mono)
     assert monos == 3_406
+
+
+def _reference_accumulate(rs, acc, x, y):
+    """The accumulate loop through ``mono_product``, each new key's sum
+    started from zero."""
+    zero = rs.ctx.zero()
+    for ma, ca in x.items():
+        for mb, cb in y.items():
+            c = ca * cb
+            for m, v in rs.mono_product(ma, mb).items():
+                acc[m] = acc.get(m, zero) + c * v
+    return acc
+
+
+def _reference_square_product(x, y):
+    """Lin.__mul__'s tensor-square loop through ``mono_product``, each
+    new key's sum started from zero."""
+    rs = x.space[0]
+    zero = x.ctx.zero()
+    acc = {}
+    for (l1, r1), c1 in x.terms.items():
+        for (l2, r2), c2 in y.terms.items():
+            left = rs.mono_product(l1, l2)
+            if not left:
+                continue
+            right = rs.mono_product(r1, r2)
+            if not right:
+                continue
+            c = c1 * c2
+            for ml, cl in left.items():
+                ccl = c * cl
+                for mr, cr in right.items():
+                    key = (ml, mr)
+                    acc[key] = acc.get(key, zero) + ccl * cr
+    return Lin(x.ctx, x.space, acc)
+
+
+def _table(rs):
+    """The product table's entries, each as its list of terms."""
+    return {key: list(terms.items()) for key, terms in rs._prod.items()}
+
+
+def _loop_inputs(desc):
+    """A fresh copy of the presentation, its normal monomials of weight
+    at most 2 p_weight (at least 4) and the pairs of them whose weights
+    sum to at most that bound."""
+    rs = _fresh(presentation_of(desc))
+    bound = max(2 * rs.p_weight, 4)
+    monos = rs.normal_monomials(bound, _CHAIN_WINDOW)
+    return rs, monos, list(rs.monomial_pairs(bound, _CHAIN_WINDOW))
+
+
+def _accumulate_all(accumulate, rs, monos, pairs):
+    """Every pair into one dict, then the first half of the pairs again
+    with the opposite sign, then two whole elements."""
+    ctx = rs.ctx
+    acc = {}
+    for n, (x, y) in enumerate(pairs):
+        accumulate(rs, acc, {x: ctx.scalar(n % 5 + 1)}, {y: ctx.one()})
+    for n, (x, y) in enumerate(pairs[:len(pairs) // 2]):
+        accumulate(rs, acc, {x: ctx.scalar(-(n % 5 + 1))}, {y: ctx.one()})
+    half = monos[:len(monos) // 2 + 1]
+    accumulate(rs, acc, {m: ctx.scalar(n - 2) for n, m in enumerate(half)},
+               {m: ctx.scalar(n + 1) for n, m in enumerate(half)})
+    return list(acc.items())
+
+
+def test_accumulate_equals_the_loop_through_mono_product():
+    pairs = zeros = 0
+    for desc in _family_sweep():
+        rs, monos, mono_pairs = _loop_inputs(desc)
+        ref = _fresh(rs)
+        expected = _accumulate_all(_reference_accumulate, ref, monos,
+                                   mono_pairs)
+        # cold, the loop fills the table through _middle; warm, it reads it
+        for _ in range(2):
+            table = _table(rs)
+            assert _accumulate_all(RewriteSystem.accumulate, rs, monos,
+                                   mono_pairs) == expected, desc.label()
+            if table:
+                assert _table(rs) == table, desc.label()
+        assert _table(rs) == _table(ref), desc.label()
+        pairs += len(mono_pairs)
+        zeros += sum(c.is_zero() for _, c in expected)
+    # cancelled sums stay in the dict as zero coefficients
+    assert (pairs, zeros > 0) == (72_864, True)
+
+
+def test_the_tensor_square_product_equals_the_loop_through_mono_product():
+    products = 0
+    for desc in _family_sweep():
+        rs, monos, mono_pairs = _loop_inputs(desc)
+        deltas = {m: _delta_word(rs, m.word()) for m in monos}
+        pairs = mono_pairs[::7]
+        # the reference fills the table; the product must only read it
+        expected = [list(_reference_square_product(deltas[x], deltas[y])
+                         .terms.items()) for x, y in pairs]
+        table = _table(rs)
+        for (x, y), terms in zip(pairs, expected):
+            assert list((deltas[x] * deltas[y]).terms.items()) == terms, \
+                (desc.label(), x, y)
+        assert _table(rs) == table, desc.label()
+        products += len(pairs)
+    assert products == 10_442
+
+
+def test_a_cancelled_tensor_square_sum_is_dropped():
+    # (h (x) 1 - h^2 (x) 1)(h (x) 1 + 1 (x) 1): the two h^2 (x) 1 cancel
+    ctx = cyclotomic_context(3)
+    rs = presentation_of(cycle_graded(3, root_of_unity(ctx, 3)))
+    one, h, h2 = (rs.group_like(i) for i in range(3))
+    x = Lin(ctx, (rs, rs), {(h, one): ctx.one(), (h2, one): -ctx.one()})
+    y = Lin(ctx, (rs, rs), {(h, one): ctx.one(), (one, one): ctx.one()})
+    product = x * y
+    assert list(product.terms.items()) == list(
+        _reference_square_product(x, y).terms.items())
+    assert product.terms == {(h, one): ctx.one(), (one, one): -ctx.one()}

@@ -8,6 +8,7 @@ from hopfpath import (
     binom_vanishes, cyclotomic_context, cyclotomic_polynomial, gauss_binom,
     gauss_binom_row, order, parse_scalar, q_factorial, q_int, root_of_unity,
 )
+from hopfpath.scalars import conductor_for
 
 
 def test_cyclotomic_polynomials():
@@ -77,6 +78,18 @@ def test_root_of_unity_errors():
     ctx = cyclotomic_context(4)
     with pytest.raises(ValueError, match="not representable"):
         root_of_unity(ctx, 3)
+
+
+def test_conductor_for_folds_the_lcm_up_to_the_maximum():
+    assert conductor_for([]) == conductor_for([None, 0]) == 1
+    assert conductor_for([4, 0, 6, None]) == 12
+    assert conductor_for(range(1, 9)) == 840
+    # the first order past the bound is named, whatever follows it
+    for orders, first in (([1000, 7], 7), (range(1, 10 ** 9), 9),
+                          ([999, 2, 5], 2)):
+        with pytest.raises(ValueError, match=f"maximum conductor 1000 at "
+                                             f"order {first}$"):
+            conductor_for(orders)
 
 
 def test_order_examples():

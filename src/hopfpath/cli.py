@@ -18,7 +18,6 @@ import io
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import presentations as pres
 from . import verifier as ver
@@ -32,7 +31,9 @@ from .quiver import (
     GroupSpec, build_hopf_quiver, is_connected_hopf_quiver,
     resolve_ramification,
 )
-from .scalars import conductor_for, cyclotomic_context, root_of_unity
+from .scalars import (
+    conductor_for, cyclotomic_context, parse_rational, root_of_unity,
+)
 
 ENV_CONDUCTOR = "HOPFPATH_CONDUCTOR"
 EXIT_BROKEN_PIPE = 128 + 13  # as if killed by SIGPIPE
@@ -196,7 +197,7 @@ def _graded_params(args):
     if args.q_order is not None:
         q = root_of_unity(ctx, args.q_order) ** args.q_power
     elif args.q is not None:
-        q = ctx.from_rational(Fraction(args.q))
+        q = ctx.from_rational(parse_rational(args.q))
     else:
         q = ctx.one()
     if args.kind == "cycle":

@@ -51,7 +51,6 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_right
-from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 from typing import NamedTuple
@@ -60,8 +59,8 @@ from .linear import Lin
 from .quiver import Path, chain_kind, cycle_kind
 from .report import VerificationReport
 from .scalars import (
-    conductor_for, cyclotomic_context, order, q_factorial, q_int,
-    root_of_unity,
+    conductor_for, cyclotomic_context, order, parse_rational, q_factorial,
+    q_int, root_of_unity,
 )
 
 __all__ = [
@@ -1253,7 +1252,7 @@ def descriptor_from_dict(data, ctx=None):
             raise ValueError(
                 "a cyclotomic q literal needs an explicit conductor")
         try:
-            q = ctx.from_rational(Fraction(text))
+            q = ctx.from_rational(parse_rational(text))
         except ValueError:
             q = ctx.scalar(text)
     else:

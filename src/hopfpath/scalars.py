@@ -10,6 +10,12 @@ modulo the cyclotomic polynomial (not x^N - 1) and the normalized
 denominator make the representation canonical, so zero-testing and
 equality are decisive.
 
+Products take a closed form in the fields of degree 1 (N = 1, 2: Q
+itself) and degree 2 (N = 3, 4, 6), where the minimal polynomial is
+x^2 + m1 x + m0 and so z^2 = -m0 - m1 z; fields of degree 4 and up
+convolve the coordinates and fold the result with the context's rows
+for z^d, z^(d+1), ...
+
 There is no floating point anywhere: every operation is exact.
 """
 
@@ -35,6 +41,7 @@ __all__ = [
     "gauss_binom",
     "gauss_binom_row",
     "binom_vanishes",
+    "parse_rational",
     "parse_scalar",
 ]
 
@@ -148,6 +155,10 @@ class CyclotomicContext:
         # used to fold products back into the power basis; the minimal
         # polynomial is monic over Z, so no denominator appears.
         self._tails = self._tail_rows()
+        # (m0, m1), the two lowest coefficients of the minimal
+        # polynomial: in degree 2 it is x^2 + m1 x + m0, and
+        # ``Scalar.__mul__`` folds z^2 = -m0 - m1 z in closed form
+        self._m0, self._m1 = self.minpoly[:2]
         self._pad = (0,) * (self.degree - 1)
         self._zero = Scalar(self, (0,) * self.degree)
         self._one = Scalar(self, (1,) + self._pad)
@@ -313,6 +324,19 @@ class Scalar:
         return Scalar(self.ctx, tuple([-c for c in self.num]), self.den)
 
     def __mul__(self, other):
+        """The product, in closed form when the field has degree <= 2.
+
+        Degree 1 (N = 1, 2) multiplies the one numerator.  Degree 2
+        (N = 3, 4, 6) has minimal polynomial x^2 + m1 x + m0, so
+        z^2 = -m0 - m1 z and
+        (a0 + a1 z)(b0 + b1 z)
+            = (a0 b0 - m0 a1 b1) + (a0 b1 + a1 b0 - m1 a1 b1) z.
+        Higher degrees convolve the coordinates and fold the product
+        back with ``CyclotomicContext._reduce``.  In every degree a
+        rational factor scales the other operand's coordinates (the
+        unit 1 hands the other operand back, 0 gives zero), and every
+        new result goes through the normalizing constructor.
+        """
         if type(other) is Scalar and other.ctx is self.ctx:
             o = other
         else:
@@ -321,9 +345,35 @@ class Scalar:
                 return NotImplemented
         ctx = self.ctx
         a, b = self.num, o.num
+        degree = ctx.degree
+        if degree == 1:
+            a0, = a
+            b0, = b
+            if a0 == 1 and self.den == 1:
+                return o
+            if b0 == 1 and o.den == 1:
+                return self
+            return Scalar(ctx, (a0 * b0,), self.den * o.den)
+        if degree == 2:
+            a0, a1 = a
+            b0, b1 = b
+            if not a1:
+                if not a0:
+                    return ctx._zero
+                if a0 == 1 and self.den == 1:
+                    return o
+                return Scalar(ctx, (a0 * b0, a0 * b1), self.den * o.den)
+            if not b1:
+                if not b0:
+                    return ctx._zero
+                if b0 == 1 and o.den == 1:
+                    return self
+                return Scalar(ctx, (a0 * b0, a1 * b0), self.den * o.den)
+            t = a1 * b1
+            return Scalar(ctx, (a0 * b0 - ctx._m0 * t,
+                                a0 * b1 + a1 * b0 - ctx._m1 * t),
+                          self.den * o.den)
         den = self.den * o.den
-        if ctx.degree == 1:
-            return Scalar(ctx, (a[0] * b[0],), den)
         # rational factors scale coordinates directly
         if not any(a[1:]):
             r = a[0]
@@ -503,14 +553,28 @@ def scalar_to_str(x):
 _TERM_RE = re.compile(
     r"^(?P<coeff>[+-]?(?:\d+(?:/\d+)?)?)(?:(?<=\d)\*)?(?P<z>z(?:\^(?P<exp>-?\d+))?)?$"
 )
+_TERM_SIGN_RE = re.compile(r"(?<!\^)-")
+
+
+def parse_rational(text):
+    """``Fraction(text)``, with a zero denominator reported as a
+    ValueError that names the literal, like any other bad literal."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in scalar {text!r}") from None
 
 
 def parse_scalar(ctx, text):
-    """Parse the grammar produced by scalar_to_str (signs, rationals, z^k)."""
+    """Parse the grammar produced by scalar_to_str (signs, rationals, z^k).
+
+    Exponents may be negative (``z^-1``): a minus sign starts a new term
+    unless it follows ``^``.
+    """
     compact = text.replace(" ", "")
     if not compact:
         raise ValueError("empty scalar text")
-    compact = compact.replace("-", "+-")
+    compact = _TERM_SIGN_RE.sub("+-", compact)
     total = ctx.zero()
     seen = False
     for chunk in compact.split("+"):
@@ -523,7 +587,11 @@ def parse_scalar(ctx, text):
         if coeff in (None, "", "-", "+"):
             value = Fraction(-1 if coeff == "-" else 1)
         else:
-            value = Fraction(coeff)
+            try:
+                value = Fraction(coeff)
+            except ZeroDivisionError:
+                raise ValueError(
+                    f"zero denominator in scalar {text!r}") from None
         term = ctx.from_rational(value)
         if m.group("z"):
             exp = int(m.group("exp") or 1)

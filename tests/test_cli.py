@@ -603,3 +603,27 @@ def test_malformed_descriptor_json_is_a_usage_error(capsys, right, message):
                          "--right", left)
     assert (code, out) == (2, "")
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, literal", [
+    (("verify", "hopf", "--family", "chain-graded", "--q", "1/0"), "1/0"),
+    (("graded", "verify", "--kind", "chain", "--q", "1/0"), "1/0"),
+    (("verify", "hopf", "--family", "chain-q1", "--lambda", "1/0"), "1/0"),
+    (("verify", "hopf", "--family", "chain-q1", "--lambda", "3/0*z"),
+     "3/0*z"),
+    (("present", "classify", "--left", '{"family":"chain-graded","q":"1/0"}',
+      "--right", '{"family":"chain-graded","q":"2"}'), "1/0"),
+], ids=["q", "graded-q", "lambda", "lambda-z", "descriptor-q"])
+def test_a_zero_denominator_is_a_usage_error(capsys, argv, literal):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: zero denominator in scalar {literal!r}\n"
+
+
+def test_a_negative_exponent_in_lambda_is_read(capsys):
+    code, out, _ = run(capsys, "verify", "hopf", "--family", "cycle-deform",
+                       "--n", "3", "--q-order", "3", "--lambda", "z^-1",
+                       "--json")
+    assert code == 0
+    assert json.loads(out)["pass"] is True
+    assert json.loads(out)["subject"].endswith("lambda=-1 - z")

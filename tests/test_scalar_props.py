@@ -4,6 +4,7 @@ trip and the normalization that makes equality decisive."""
 
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -173,3 +174,94 @@ def test_conductor_bound():
         cyclotomic_context(MAX_CONDUCTOR + 1)
     with pytest.raises(ValueError, match="exceeds the maximum"):
         cyclotomic_context(math.lcm(*range(1, 101)))
+
+
+# -- the closed-form products of degree 1 and 2 ---------------------------------
+
+CLOSED_FORM = (1, 2, 3, 4, 6)
+
+# chain-q1 coefficients reach 4.7e14, so the coordinates go past them
+wide = st.one_of(st.just(0), st.just(1), st.just(-1),
+                 st.integers(-10 ** 15, 10 ** 15))
+wide_coords = st.builds(Fraction, wide, st.integers(1, 10 ** 6))
+
+
+def _wide_vectors(n):
+    d = cyclotomic_context(n).degree
+    return st.lists(wide_coords, min_size=d, max_size=d).map(tuple)
+
+
+wide_cases = st.sampled_from(CLOSED_FORM).flatmap(
+    lambda n: st.tuples(st.just(cyclotomic_context(n)), _wide_vectors(n),
+                        _wide_vectors(n)))
+
+
+@given(wide_cases)
+def test_closed_form_products_match_the_reference(case):
+    ctx, a, b = case
+    x, y = build(ctx, a), build(ctx, b)
+    for left, right, expected in ((x, y, ref_mul(ctx, a, b)),
+                                  (y, x, ref_mul(ctx, b, a))):
+        value = left * right
+        assert value.coeffs == expected
+        assert _normalized(value)
+
+
+@given(wide_cases, st.sampled_from((Fraction(1), Fraction(0), Fraction(-1),
+                                    Fraction(1, 2), Fraction(10 ** 15, 7))))
+def test_closed_form_rational_factors_on_either_side(case, r):
+    ctx, a, _ = case
+    x, s = build(ctx, a), ctx.from_rational(r)
+    expected = tuple(r * c for c in a)
+    for value in (x * s, s * x, x * r, r * x):
+        assert value.coeffs == expected
+        assert _normalized(value)
+    if r == 1 and x != 1 and (ctx.degree == 1 or not x.is_rational()):
+        # a unit factor hands back the other operand itself
+        assert x * s is x and s * x is x
+    if r == 0:
+        assert (x * s).num == ctx.zero().num and (x * s).den == 1
+
+
+# -- the products against the convolution they replaced ---------------------------
+
+def conv_mul(x, y):
+    """The product as every degree formed it before degrees 1 and 2 took
+    a closed form: convolve the integer coordinates, then fold each
+    power z^e with e >= d back through the context's row for it."""
+    ctx = x.ctx
+    d = ctx.degree
+    a, b = x.num, y.num
+    conv = [0] * (2 * d - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for k, bj in enumerate(b, i):
+                if bj:
+                    conv[k] += ai * bj
+    out = conv[:d]
+    for e in range(d, len(conv)):
+        c = conv[e]
+        if c:
+            row = ctx._tails[e - d]
+            for t in range(d):
+                out[t] += c * row[t]
+    return Scalar(ctx, tuple(out), x.den * y.den)
+
+
+def _grid(ctx, values, dens):
+    return [Scalar(ctx, num, den)
+            for num in product(values, repeat=ctx.degree) for den in dens]
+
+
+@pytest.mark.parametrize("n, values, dens",
+                         [(n, range(-2, 3), (1, 2, 3)) for n in CLOSED_FORM]
+                         + [(n, range(-1, 2), (1, 2)) for n in (5, 8, 12)])
+def test_products_agree_with_the_convolution_on_a_grid(n, values, dens):
+    ctx = cyclotomic_context(n)
+    grid = [Scalar(ctx, num, den)
+            for num in product(values, repeat=ctx.degree) for den in dens]
+    for x in grid:
+        for y in grid:
+            value, before = x * y, conv_mul(x, y)
+            assert (value.num, value.den) == (before.num, before.den)
+            assert hash(value) == hash(before)

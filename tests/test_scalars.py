@@ -8,7 +8,7 @@ from hopfpath import (
     binom_vanishes, cyclotomic_context, cyclotomic_polynomial, gauss_binom,
     gauss_binom_row, order, parse_scalar, q_factorial, q_int, root_of_unity,
 )
-from hopfpath.scalars import conductor_for
+from hopfpath.scalars import conductor_for, parse_rational
 
 
 def test_cyclotomic_polynomials():
@@ -208,6 +208,37 @@ def test_parse_scalar_rejects_garbage():
     for bad in ("", "x + 1", "1//2", "z^"):
         with pytest.raises(ValueError):
             parse_scalar(ctx, bad)
+
+
+@pytest.mark.parametrize("n", (3, 4, 6, 12))
+def test_parse_scalar_reads_negative_exponents(n):
+    ctx = cyclotomic_context(n)
+    z = ctx.zeta()
+    assert parse_scalar(ctx, "z^-1") == z.inverse()
+    assert parse_scalar(ctx, "2 - z^-2") == 2 - z ** -2
+    assert parse_scalar(ctx, "-z^-1 - 3/2*z^-3 + 1") \
+        == 1 - z.inverse() - Fraction(3, 2) * z ** -3
+    # a sign after ``^`` belongs to the exponent, any other starts a term
+    assert parse_scalar(ctx, "z^-1-z") == z.inverse() - z
+    for x in (z ** -1, 2 - z ** -2, z - z ** -1, Fraction(-1, 3) * z ** -5):
+        assert parse_scalar(ctx, str(x)) == x
+    with pytest.raises(ValueError, match="cannot parse scalar term"):
+        parse_scalar(ctx, "z^-")
+
+
+@pytest.mark.parametrize("text", ["1/0", "3/0*z", "2 - 1/00*z^2"])
+def test_parse_scalar_names_a_zero_denominator(text):
+    with pytest.raises(ValueError) as info:
+        parse_scalar(cyclotomic_context(12), text)
+    assert str(info.value) == f"zero denominator in scalar {text!r}"
+
+
+def test_parse_rational_names_a_zero_denominator():
+    assert parse_rational("-6/4") == Fraction(-3, 2)
+    assert parse_rational("0.5") == Fraction(1, 2)
+    with pytest.raises(ValueError) as info:
+        parse_rational("1/0")
+    assert str(info.value) == "zero denominator in scalar '1/0'"
 
 
 def test_order_search_covers_lcm_two_n():

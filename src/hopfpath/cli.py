@@ -250,7 +250,7 @@ def cmd_present_nf(args):
 
 def cmd_present_confluence(args):
     desc = _descriptor(args)
-    rep = check_confluence(presentation_of(desc), args.degree_bound)
+    rep = check_confluence(presentation_of(desc))
     return _report_result(args, rep,
                           {"descriptor": descriptor_to_dict(desc)})
 
@@ -378,7 +378,6 @@ def build_parser():
     pn.set_defaults(func=cmd_present_nf)
     pc = psub.add_parser("confluence", help="resolve all overlap ambiguities")
     _add_family_opts(pc)
-    pc.add_argument("--degree-bound", type=int, dest="degree_bound", default=6)
     _add_output_opts(pc)
     pc.set_defaults(func=cmd_present_confluence)
     pt = psub.add_parser("table", help="structure constants on PBW monomials")
@@ -400,7 +399,7 @@ def build_parser():
             ("hopf", ver.verify_hopf,
              "finite certificate: relations, confluence, and the coalgebra "
              "and antipode axioms on the generators",
-             "weight of the normal-form basis audit (default 6)"),
+             "ignored: the certificate has no bound"),
             ("antipode", ver.verify_antipode, "two-sided antipode axioms",
              "weight bound (default 6)"),
             ("degeneration", ver.verify_degeneration,

@@ -353,11 +353,6 @@ _RANK = {"h": 3, "H": 2, "a": 1, "p": 0}
 # memo with them.
 MAX_MONOMIAL_PAIRS = 10_000
 
-# The most normal monomials one confluence audit (``present confluence``
-# or ``verify hopf``) may predict and check.  The acceptance sweep
-# predicts at most 114 (the 6-cycle at weight 18).
-MAX_AUDIT_MONOMIALS = 2_000
-
 
 class RewriteSystem:
     """An oriented rule set over the letters h, H, a, p.
@@ -932,74 +927,56 @@ def _ambiguities(rs):
 
 
 def check_confluence(rs, degree_bound=None):
-    """Resolve every overlap ambiguity and audit the normal-form basis.
+    """Audit the normal-form basis, then resolve every overlap ambiguity.
 
-    Each ambiguity word is reduced through both overlapping redexes and
-    the results compared.  When a degree bound is given, the irreducible
-    monomials up to that weight are enumerated and counted against the
-    predicted normal-form basis (i = 0 on a chain), and short words over
-    the presentation's letters are classified (reducible versus normal
-    shape) with the outcome of an exhaustive search
-    (``_misclassified_word``).  A bound that predicts more than
-    MAX_AUDIT_MONOMIALS monomials is refused before any ambiguity is
-    resolved, so a refused call leaves the memos as they were.
+    The audit, ``irreducible words are exactly the PBW words``, has no
+    bound; its witness is the shortest misclassified word
+    (``_misclassified_word``).  When it fails, no ambiguity is resolved:
+    the reductions assume that every irreducible word spells a PBW
+    monomial.  Each ambiguity word is reduced through both overlapping
+    redexes and the results compared.  ``degree_bound`` is accepted and
+    ignored.
     """
     rs = as_presentation(rs)
-    if degree_bound is not None:
-        if degree_bound < 0:
-            raise ValueError("degree_bound must be non-negative")
-        width = len(rs._i_values((0,)))
-        shapes = islice(rs.shapes(degree_bound),
-                        MAX_AUDIT_MONOMIALS // width + 1)
-        if width * sum(1 for _ in shapes) > MAX_AUDIT_MONOMIALS:
-            raise ValueError(
-                f"degree bound {degree_bound} predicts more than "
-                f"{MAX_AUDIT_MONOMIALS:,} normal monomials; lower it")
     rep = VerificationReport(f"confluence of {rs.name}")
+    bad = _misclassified_word(rs)
+    rep.add("irreducible words are exactly the PBW words", bad is None,
+            bad or "")
+    if bad is not None:
+        return rep
     for word, left, right in _ambiguities(rs):
         diff = resolution_difference(rs, word, left, right)
         rep.add(f"ambiguity {word} at {left[0]}/{right[0]}", diff.is_zero(),
                 "" if diff.is_zero() else f"residual {diff}")
-    if degree_bound is not None:
-        expected = rs.normal_monomials(degree_bound)
-        irreducible = [m for m in expected
-                       if rs._find_match(m.word()) is None]
-        rep.add(
-            f"normal-form count at weight <= {degree_bound}",
-            len(irreducible) == len(expected),
-            f"{len(irreducible)} irreducible of {len(expected)} predicted")
-        max_len = 6 if rs.h_order is not None else 5
-        bad = _misclassified_word(rs, max_len)
-        rep.add("irreducible words are exactly the PBW words "
-                f"(length <= {max_len})", bad is None, bad or "")
     return rep
 
 
-def _misclassified_word(rs, max_len):
-    """The first word of length <= max_len over the presentation's
-    letters, shortest first and then in letter order, that is reducible
-    but of PBW shape or irreducible but not of PBW shape; None if there
-    is none.
+def _misclassified_word(rs):
+    """The shortest word over the presentation's letters, first in the
+    letter order h, H, a, p, that is reducible but of PBW shape or
+    irreducible but not of PBW shape; None if there is none, that is, if
+    the irreducible words are exactly the PBW words.
 
-    Only irreducible words are extended.  A word with a reducible proper
-    prefix is reducible, and the prefixes of a PBW-shaped word are
-    PBW-shaped, so such a word is misclassified only if its shortest
-    reducible prefix is, which comes first.
+    Both languages are closed under factors, so a shortest misclassified
+    word w is a candidate below.  If w is reducible, a left-hand side in
+    it is PBW-shaped, hence misclassified, hence w; if w is irreducible,
+    a minimal non-PBW factor of w is irreducible, hence misclassified,
+    hence w.  The minimal non-PBW words are among the one- and two-letter
+    words that ``_parse_normal_word`` rejects, a^a_bound and h^h_order
+    (Crochemore, Mignosi & Restivo, "Automata and forbidden words",
+    IPL 67, 1998).
     """
-    alphabet = sorted(rs.letters, key=_RANK.get, reverse=True)
-    stems = [""]
-    for _ in range(max_len):
-        grown = []
-        for stem in stems:
-            for sym in alphabet:
-                word = stem + sym
-                reducible = rs._find_match(word) is not None
-                if reducible == (rs._parse_normal_word(word) is not None):
-                    return word
-                if not reducible:
-                    grown.append(word)
-        stems = grown
-    return None
+    letters = sorted(rs.letters, key=_RANK.get, reverse=True)
+    words = [x + y for x in ["", *letters] for y in letters]
+    words += [c * bound for c, bound in (("a", rs.a_bound),
+                                         ("h", rs.h_order))
+              if c in rs.letters and bound]
+    bad = [w for w in words if rs._parse_normal_word(w) is None
+           and rs._find_match(w) is None]
+    bad += [lhs for lhs, _ in rs.rules
+            if rs._parse_normal_word(lhs) is not None]
+    return min(bad, key=lambda w: (len(w), [-_RANK[c] for c in w]),
+               default=None)
 
 
 # -- basis change between PBW monomials and paths ------------------------------

@@ -551,9 +551,13 @@ def scalar_to_str(x):
 
 
 _TERM_RE = re.compile(
-    r"^(?P<coeff>[+-]?(?:\d+(?:/\d+)?)?)(?:(?<=\d)\*)?(?P<z>z(?:\^(?P<exp>-?\d+))?)?$"
+    r"^(?P<coeff>[+-]?(?:\d+(?:/\d+)?)?)(?:(?<=\d)\*)?(?P<z>z(?:\^(?P<exp>[+-]?\d+))?)?$"
 )
-_TERM_SIGN_RE = re.compile(r"(?<!\^)-")
+# a sign starts a new term unless it follows ``^`` or the sign of an
+# exponent, so that a malformed exponent such as ``z^+-1`` stays whole
+_NOT_IN_EXPONENT = r"(?<!\^)(?<!\^[+-])"
+_TERM_SIGN_RE = re.compile(_NOT_IN_EXPONENT + "-")
+_TERM_SPLIT_RE = re.compile(_NOT_IN_EXPONENT + r"\+")
 
 
 def parse_rational(text):
@@ -568,8 +572,9 @@ def parse_rational(text):
 def parse_scalar(ctx, text):
     """Parse the grammar produced by scalar_to_str (signs, rationals, z^k).
 
-    Exponents may be negative (``z^-1``): a minus sign starts a new term
-    unless it follows ``^``.
+    Exponents may carry a sign (``z^-1``, ``z^+1`` = ``z``): a sign
+    starts a new term unless it follows ``^``.  A malformed term is named
+    whole in the error.
     """
     compact = text.replace(" ", "")
     if not compact:
@@ -577,11 +582,11 @@ def parse_scalar(ctx, text):
     compact = _TERM_SIGN_RE.sub("+-", compact)
     total = ctx.zero()
     seen = False
-    for chunk in compact.split("+"):
+    for chunk in _TERM_SPLIT_RE.split(compact):
         if not chunk:
             continue
         m = _TERM_RE.match(chunk)
-        if not m or (m.group("coeff") is None and m.group("z") is None):
+        if not m or not (m.group("z") or m.group("coeff").lstrip("-")):
             raise ValueError(f"cannot parse scalar term {chunk!r}")
         coeff = m.group("coeff")
         if coeff in (None, "", "-", "+"):

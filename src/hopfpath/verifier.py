@@ -36,8 +36,8 @@ and ``_to_pbw``).  This module keeps no cache of its own;
 ``presentation_of.cache_clear()`` frees every memo.  A degree bound of
 ``verify_antipode``, ``compute_antipode`` or ``verify_degeneration`` that
 admits more than MAX_MONOMIAL_PAIRS monomial pairs is refused before any
-product is formed; the degree bound of ``verify_hopf`` is the weight of
-its basis audit, refused by MAX_AUDIT_MONOMIALS as in ``check_confluence``.
+product is formed.  ``verify_hopf`` accepts a degree bound and ignores
+it: its basis audit (``check_confluence``) has no bound.
 
 The forced-vanishing suite replays the obstruction arguments that cut
 the classification down: each candidate deformation is a classified
@@ -414,8 +414,8 @@ def verify_hopf(system, degree_bound):
 
     - Delta and epsilon respect every rule (``verify_relation_coproducts``);
     - coassociativity and the counit axiom on each generator;
-    - every overlap ambiguity resolves, and the normal-form basis passes
-      its audit at weight <= degree_bound (``check_confluence``);
+    - the irreducible words are exactly the PBW words, and every overlap
+      ambiguity resolves (``check_confluence``);
     - S solves on the generators, and both antipode axioms hold on them;
     - S, the reversed product of generator images, respects every rule.
 
@@ -433,14 +433,16 @@ def verify_hopf(system, degree_bound):
     and the same holds on the right (Kassel, Quantum Groups, GTM 155,
     ch. III).  So no monomial or monomial pair is checked.
 
-    ``degree_bound`` is the weight of the basis audit only.  A bound
-    that predicts more than MAX_AUDIT_MONOMIALS normal monomials is
-    refused, as by ``check_confluence``, before any product is formed.
+    ``degree_bound`` is accepted and ignored.  The basis audit runs
+    first; when it fails, the report holds it alone, since every other
+    check reduces words on the PBW basis that the audit refuted.
     """
     rs = as_presentation(system)
-    confluence = check_confluence(rs, degree_bound)
-    syms = [sym for sym in "hHap" if sym in rs.letters]
     rep = VerificationReport(f"Hopf axioms of {rs.name}")
+    confluence = check_confluence(rs)
+    if not confluence.checks[0].passed:
+        return rep.extend(confluence)
+    syms = [sym for sym in "hHap" if sym in rs.letters]
     rep.extend(verify_relation_coproducts(rs))
     _check_coalgebra_on_generators(rep, rs, syms)
     rep.extend(confluence)

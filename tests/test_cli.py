@@ -147,18 +147,21 @@ def test_verify_hopf_pass(capsys):
 
 
 def test_verify_hopf_at_degree_zero_is_the_whole_certificate(capsys):
-    # the bound sets only the weight of the basis audit
+    # the certificate has no bound: --degree is accepted and ignored, so
+    # a negative or a huge value gives the same bytes at the same cost
     args = ("verify", "hopf", "--family", "chain-root", "--q-order", "3",
             "--lambda", "1", "--json")
     code, out, _ = run(capsys, *args, "--degree", "0")
     assert code == 0
     checks = [c["name"] for c in json.loads(out)["checks"]]
-    assert "normal-form count at weight <= 0" in checks
+    assert checks[0].startswith("delta respects ")
+    assert "irreducible words are exactly the PBW words" in checks
     assert "left antipode axiom on generators h, H, a, p" in checks
-    _, wider, _ = run(capsys, *args, "--degree", "12")
-    assert [c for c in checks if "weight <=" not in c] \
-        == [c["name"] for c in json.loads(wider)["checks"]
-            if "weight <=" not in c["name"]]
+    for degree in ("-3", str(10 ** 12)):
+        hopfpath.presentation_of.cache_clear()
+        start = time.perf_counter()
+        assert run(capsys, *args, "--degree", degree) == (0, out, "")
+        assert time.perf_counter() - start < 1.0
 
 
 def test_verify_hopf_failing_reading_exits_one(capsys):
@@ -322,23 +325,36 @@ def test_nf_rejects_letters_outside_the_presentation(capsys, family_args,
 
 
 @pytest.mark.parametrize("argv", [
-    ("verify", "hopf", "--family", "cycle-deform", "--n", "4",
-     "--q-order", "4", "--lambda", "1", "--degree", "-3"),
     ("verify", "antipode", "--family", "chain-root", "--q-order", "3",
      "--lambda", "1", "--degree", "-3"),
     ("verify", "degeneration", "--family", "cycle-deform", "--n", "4",
      "--q-order", "4", "--lambda", "1", "--degree", "0"),
-    ("present", "confluence", "--family", "cycle-half", "--n", "4",
-     "--q-order", "2", "--mu", "1", "--degree-bound", "-1"),
     ("present", "table", "--family", "type-one-cycle", "--n", "2",
      "--q-order", "2", "--mu", "1", "--weight-bound", "-1"),
-], ids=["verify-hopf", "verify-antipode", "verify-degeneration",
-        "present-confluence", "present-table"])
+], ids=["verify-antipode", "verify-degeneration", "present-table"])
 def test_vacuous_bound_is_a_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "bound must be" in err
+
+
+def test_present_confluence_takes_no_degree_bound(capsys):
+    # the basis audit has no bound, so the option is gone: argparse
+    # refuses it, and the 6-cycle it used to refuse at 20,000 is audited
+    family = ("--family", "cycle-graded", "--n", "6", "--q-order", "1")
+    with pytest.raises(SystemExit) as info:
+        main(["present", "confluence", *family, "--degree-bound", "-1"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --degree-bound -1" \
+        in capsys.readouterr().err
+    hopfpath.presentation_of.cache_clear()
+    start = time.perf_counter()
+    code, out, err = run(capsys, "present", "confluence", *family)
+    assert time.perf_counter() - start < 1.0
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1] \
+        == "  [ok ] irreducible words are exactly the PBW words"
 
 
 def test_nf_negative_h_power_on_a_cycle(capsys):
@@ -457,11 +473,9 @@ PAIRS_REFUSAL = "gives more than 10,000 monomial pairs"
 
 
 @pytest.mark.parametrize("command, refusal", [
-    # the degree of verify hopf is the weight of its basis audit
-    ("hopf", "predicts more than 2,000 normal monomials"),
     ("antipode", PAIRS_REFUSAL),
     ("degeneration", PAIRS_REFUSAL),
-], ids=["hopf", "antipode", "degeneration"])
+], ids=["antipode", "degeneration"])
 def test_verify_work_is_bounded_before_it_starts(capsys, command, refusal):
     start = time.perf_counter()
     code, out, err = run(capsys, "verify", command, "--family", "chain-root",
@@ -473,20 +487,30 @@ def test_verify_work_is_bounded_before_it_starts(capsys, command, refusal):
 
 
 @pytest.mark.parametrize("argv", [
-    ("present", "confluence", "--degree-bound", str(10 ** 12)),
+    ("present", "confluence"),
     ("verify", "hopf", "--degree", str(10 ** 12)),
 ], ids=["present-confluence", "verify-hopf"])
-def test_a_refused_audit_resolves_no_ambiguity(capsys, argv):
-    family = ("--family", "chain-root", "--q-order", "3", "--lambda", "1")
-    hopfpath.presentation_of.cache_clear()
-    desc = hopfpath.chain_root(
-        hopfpath.root_of_unity(hopfpath.cyclotomic_context(3), 3), 1)
-    rs = hopfpath.presentation_of(desc)
-    code, out, err = run(capsys, *argv, *family)
-    assert (code, out) == (2, "")
-    assert "predicts more than 2,000 normal monomials" in err
-    assert hopfpath.presentation_of(desc) is rs
-    assert (rs._nf, rs._prod) == ({}, {})
+def test_a_refused_audit_resolves_no_ambiguity(capsys, monkeypatch, argv):
+    # chain-graded at q = zeta_6 without a^6 -> 0: aaaaaa is irreducible
+    # and not a PBW word, so the audit fails with it as the witness, and
+    # no word is reduced (verify hopf used to crash on it, exit 3)
+    from hopfpath import presentations
+    desc = hopfpath.chain_graded(
+        hopfpath.root_of_unity(hopfpath.cyclotomic_context(6), 6))
+    full = hopfpath.presentation_of(desc)
+    rs = hopfpath.RewriteSystem(
+        full.ctx, [r for r in full.rules if r[0] != "aaaaaa"],
+        p_weight=full.p_weight, h_order=full.h_order, a_bound=full.a_bound,
+        qfact=full.qfact, name="no a^6 rule")
+    for module in (cli, presentations):
+        monkeypatch.setattr(module, "presentation_of", lambda _: rs)
+    code, out, err = run(capsys, *argv, "--family", "chain-graded",
+                         "--q-order", "6", "--json")
+    assert (code, err) == (1, "")
+    assert json.loads(out)["checks"] == [
+        {"name": "irreducible words are exactly the PBW words",
+         "pass": False, "witness": "aaaaaa"}]
+    assert (rs._nf, rs._prod, rs._delta) == ({}, {}, {})
 
 
 def test_present_nf_on_a_long_word_is_fast(capsys):
@@ -507,11 +531,7 @@ def test_present_nf_on_a_long_word_is_fast(capsys):
     (("table", "--family", "chain-q1", "--lambda", "1",
       "--weight-bound", "400"),
      "weight bound 400 gives more than 10,000 monomial pairs; lower it"),
-    (("confluence", "--family", "cycle-graded", "--n", "6", "--q-order", "1",
-      "--degree-bound", "20000"),
-     "degree bound 20000 predicts more than 2,000 normal monomials; "
-     "lower it"),
-], ids=["table-cycle", "table-chain", "confluence"])
+], ids=["table-cycle", "table-chain"])
 def test_present_work_is_bounded_before_it_starts(capsys, argv, message):
     start = time.perf_counter()
     code, out, err = run(capsys, "present", *argv)

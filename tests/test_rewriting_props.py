@@ -1,11 +1,12 @@
 """Property tests of the rewriting engine on every classified family: the
-first-letter rule index against a full scan, and the normal form against
-a reducer that works in another order (the diamond lemma, Bergman 1978)."""
+first-letter rule index against a full scan, the normal form against
+a reducer that works in another order (the diamond lemma, Bergman 1978),
+and the unbounded basis audit against bounded word searches."""
 
 from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hopfpath import (
     RewriteSystem, chain_graded, chain_q1, chain_root, cycle_deform,
@@ -107,7 +108,8 @@ def test_the_letter_fold_equals_the_whole_word_reduction(case):
 
 def _with_rules(rs, rules, name):
     return RewriteSystem(rs.ctx, rules, p_weight=rs.p_weight,
-                         h_order=rs.h_order, a_bound=rs.a_bound, name=name)
+                         h_order=rs.h_order, a_bound=rs.a_bound,
+                         qfact=rs.qfact, name=name)
 
 
 def _exhaustive_misclassified(rs, max_len):
@@ -120,6 +122,39 @@ def _exhaustive_misclassified(rs, max_len):
             if reducible == (rs._parse_normal_word(word) is not None):
                 return word
     return None
+
+
+def _bounded_misclassified_word(rs, max_len):
+    """The first word of length <= max_len over the presentation's
+    letters, shortest first and then in letter order, that is reducible
+    but of PBW shape or irreducible but not of PBW shape; None if there
+    is none.  The bounded audit that ``_misclassified_word`` replaced.
+
+    Only irreducible words are extended.  A word with a reducible proper
+    prefix is reducible, and the prefixes of a PBW-shaped word are
+    PBW-shaped, so such a word is misclassified only if its shortest
+    reducible prefix is, which comes first.
+    """
+    alphabet = sorted(rs.letters, key=_RANK.get, reverse=True)
+    stems = [""]
+    for _ in range(max_len):
+        grown = []
+        for stem in stems:
+            for sym in alphabet:
+                word = stem + sym
+                reducible = rs._find_match(word) is not None
+                if reducible == (rs._parse_normal_word(word) is not None):
+                    return word
+                if not reducible:
+                    grown.append(word)
+        stems = grown
+    return None
+
+
+def _within(word, max_len):
+    """What a search up to max_len finds when the shortest misclassified
+    word is ``word``."""
+    return word if word is not None and len(word) <= max_len else None
 
 
 def _misclassifying_systems():
@@ -137,11 +172,73 @@ def test_the_pruned_audit_finds_the_first_misclassified_word():
     found = []
     for rs in [*SWEEP, *_misclassifying_systems()]:
         for max_len in (5, 6):
-            bad = _misclassified_word(rs, max_len)
+            bad = _bounded_misclassified_word(rs, max_len)
             assert bad == _exhaustive_misclassified(rs, max_len), rs.name
             found.append(bad)
     assert found[-4:] == ["aaaa", "aaaa", "pah", "pah"]
     assert not any(found[:-4])
+
+
+def _dropped_rule_systems(presentations):
+    """Each presentation once for each rule, without that rule, named
+    with its field, since q = z in Q(zeta_d) has one label for every d."""
+    for rs in presentations:
+        for lhs, _ in rs.rules:
+            yield _with_rules(rs, [r for r in rs.rules if r[0] != lhs],
+                              f"{rs.name} over Q(zeta_{rs.ctx.N}) "
+                              f"without {lhs}")
+
+
+def test_the_unbounded_audit_finds_the_bounded_witness():
+    beyond = []
+    for rs in [*SWEEP, *_dropped_rule_systems(SWEEP)]:
+        max_len = 6 if rs.h_order is not None else 5
+        bad = _misclassified_word(rs)
+        assert _within(bad, max_len) \
+            == _bounded_misclassified_word(rs, max_len), rs.name
+        if bad != _within(bad, max_len):
+            beyond.append((rs.name, bad))
+    # the d = 6 chains without a^6 -> 0, which the bounded search missed
+    assert beyond == [(f"{family} over Q(zeta_6) without aaaaaa", "aaaaaa")
+                      for family in (
+                          "chain-graded, q=z", "chain-root, q=z, lambda=0",
+                          "chain-root, q=z, lambda=1",
+                          "chain-root, q=z, lambda=2",
+                          "type-one-chain, q=z, mu=0",
+                          "type-one-chain, q=z, mu=1")]
+
+
+@st.composite
+def _random_systems(draw):
+    """Left-hand sides, each rewritten to zero, that are the minimal
+    non-PBW words of a random p weight, a-bound and h order over random
+    letters, with up to two of them dropped and up to two random words
+    added; so the audit passes, or fails at any length."""
+    bound = st.none() | st.integers(min_value=1, max_value=5)
+    shape = RewriteSystem(cyclotomic_context(1), [],
+                          p_weight=draw(st.integers(0, 2)),
+                          a_bound=draw(bound), h_order=draw(bound))
+    letters = sorted(draw(st.sets(st.sampled_from("hHap"), min_size=1)),
+                     key=_RANK.get, reverse=True)
+    sides = {x + y for x in ["", *letters] for y in letters
+             if shape._parse_normal_word(x + y) is None}
+    sides |= {c * bound for c, bound in (("a", shape.a_bound),
+                                         ("h", shape.h_order))
+              if c in letters and bound}
+    sides -= draw(st.sets(st.sampled_from(sorted(sides)), max_size=2)) \
+        if sides else set()
+    sides |= draw(st.sets(st.text(alphabet=letters, min_size=1,
+                                  max_size=4), max_size=2))
+    return RewriteSystem(shape.ctx, [(w, []) for w in sorted(sides)],
+                         p_weight=shape.p_weight, a_bound=shape.a_bound,
+                         h_order=shape.h_order, name=f"{sorted(sides)}")
+
+
+@settings(max_examples=100, deadline=None)
+@given(_random_systems())
+def test_the_unbounded_audit_is_the_exhaustive_search(rs):
+    assert _within(_misclassified_word(rs), 7) \
+        == _exhaustive_misclassified(rs, 7)
 
 
 def test_empty_left_hand_side_is_rejected():

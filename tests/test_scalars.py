@@ -226,6 +226,25 @@ def test_parse_scalar_reads_negative_exponents(n):
         parse_scalar(ctx, "z^-")
 
 
+@pytest.mark.parametrize("n", (3, 4, 6, 12))
+def test_parse_scalar_reads_an_explicit_plus_in_an_exponent(n):
+    # z^+k is z^k, as z^-k is z^(-k): the sign belongs to the exponent
+    ctx = cyclotomic_context(n)
+    z = ctx.zeta()
+    assert parse_scalar(ctx, "z^+1") == z
+    assert parse_scalar(ctx, "2 - z^+2") == 2 - z ** 2
+    assert parse_scalar(ctx, "z^+1+z^-1") == z + z.inverse()
+    assert parse_scalar(ctx, "-3/2*z^+3 + 1") == 1 - Fraction(3, 2) * z ** 3
+
+
+@pytest.mark.parametrize("term", ["z^+", "z^+-1", "z^-+1", "z^--1", "z^++1",
+                                  "-"])
+def test_parse_scalar_names_a_malformed_term_whole(term):
+    with pytest.raises(ValueError) as info:
+        parse_scalar(cyclotomic_context(6), f"1 + {term}")
+    assert str(info.value) == f"cannot parse scalar term {term!r}"
+
+
 @pytest.mark.parametrize("text", ["1/0", "3/0*z", "2 - 1/00*z^2"])
 def test_parse_scalar_names_a_zero_denominator(text):
     with pytest.raises(ValueError) as info:

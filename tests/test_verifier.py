@@ -3,18 +3,18 @@ from fractions import Fraction
 import pytest
 
 from hopfpath import (
-    PBWMonomial, chain_q1, chain_root, comultiply, compute_antipode,
-    coproduct, cycle_deform, cycle_graded, cycle_half,
+    PBWMonomial, chain_q1, chain_root, check_confluence, comultiply,
+    compute_antipode, coproduct, cycle_deform, cycle_graded, cycle_half,
     cyclotomic_context, forced_vanishing_suite, generator_coproducts,
     multiply_alg, pbw_to_path, presentation_of, root_of_unity,
     type_one_chain, type_one_cycle, verify_antipode, verify_degeneration,
     verify_hopf, verify_relation_coproducts,
 )
-from hopfpath.presentations import MAX_AUDIT_MONOMIALS
 from hopfpath.verifier import (
     MAX_MONOMIAL_PAIRS, TensorAlg, _antipode_mono, _delta_word, _monomials,
 )
 from test_acceptance import _family_sweep
+from test_rewriting_props import SWEEP, _dropped_rule_systems
 
 
 def small_descriptors():
@@ -198,7 +198,7 @@ def test_verify_hopf_all_checks():
                 if n.startswith(f"{what} respects ")] \
             == [f"{what} respects {l}" for l in lhs]
     assert any(n.startswith("ambiguity ") for n in names)
-    assert "normal-form count at weight <= 8" in names
+    assert "irreducible words are exactly the PBW words" in names
     assert "antipode solve" in names
     # the coalgebra and antipode axioms are checked on the generators only
     for sym in "hap":
@@ -355,28 +355,31 @@ def test_delta_word_of_a_long_word_needs_no_recursion(word):
 
 
 @pytest.mark.parametrize("verify", [compute_antipode, verify_antipode,
-                                    verify_hopf, verify_degeneration])
+                                    verify_degeneration])
 def test_monomial_pairs_are_bounded_before_any_product(verify):
     q3 = root_of_unity(cyclotomic_context(3), 3)
     desc = chain_root(q3, 1)
     rs = presentation_of(desc)
-    if verify is verify_hopf:
-        # the bound of the certificate is the weight of its basis audit:
-        # one normal monomial p^k a^j per weight at d = 3, so 1,999 is
-        # the largest bound within the maximum
-        assert len(rs.normal_monomials(1_999)) == MAX_AUDIT_MONOMIALS
-        smallest, refusal = 2_000, "normal monomials"
-    else:
-        # 26 is the largest chain-root bound at d = 3 within the maximum
-        window = range(-2, 3)
-        assert rs.pair_count(26, window) <= MAX_MONOMIAL_PAIRS \
-            < rs.pair_count(27, window)
-        smallest, refusal = 27, "monomial pairs"
+    # 26 is the largest chain-root bound at d = 3 within the maximum
+    window = range(-2, 3)
+    assert rs.pair_count(26, window) <= MAX_MONOMIAL_PAIRS \
+        < rs.pair_count(27, window)
     before = len(rs._prod), len(rs._nf)
-    for bound in (smallest, 10_000, 10 ** 12):
-        with pytest.raises(ValueError, match=refusal):
+    for bound in (27, 10_000, 10 ** 12):
+        with pytest.raises(ValueError, match="monomial pairs"):
             verify(desc, bound)
     assert (len(rs._prod), len(rs._nf)) == before
+
+
+def test_the_certificate_ignores_its_degree_bound():
+    # the certificate forms no monomial and its basis audit has no
+    # bound, so every degree bound gives the same report
+    q3 = root_of_unity(cyclotomic_context(3), 3)
+    desc = chain_root(q3, 1)
+    reports = [verify_hopf(desc, bound)
+               for bound in (6, -3, 0, 2_000, 10 ** 12)]
+    assert reports[0].passed
+    assert all(rep == reports[0] for rep in reports)
 
 
 def test_monomial_pairs_are_counted_exactly_within_the_maximum():
@@ -391,3 +394,33 @@ def test_monomial_pairs_are_counted_exactly_within_the_maximum():
             weights = [rs.monomial_weight(m) for m in monos]
             assert rs.pair_count(bound, range(-2, 3)) == sum(
                 1 for u in weights for v in weights if u + v <= bound)
+
+
+AUDIT = "irreducible words are exactly the PBW words"
+
+
+def test_a_dropped_rule_fails_the_audit_and_crashes_nothing():
+    failed, passed = {}, []
+    for rs in _dropped_rule_systems(SWEEP):
+        confluence, hopf = check_confluence(rs, 6), verify_hopf(rs, 6)
+        assert confluence.passed == hopf.passed, rs.name
+        if hopf.passed:
+            passed.append(rs)
+            continue
+        for rep in (confluence, hopf):
+            assert [c.name for c in rep.checks] == [AUDIT], rs.name
+        failed[rs.name] = hopf.checks[0].witness
+    assert len(failed) == 456
+    # the group algebras of Z/n on h: with ha -> ah gone, a is no letter
+    assert [rs.name for rs in passed] \
+        == [f"cycle-graded, n={n}, q=1 over Q(zeta_{n}) without ha"
+            for n in range(1, 7)]
+    assert all(rs.letters == {"h"} for rs in passed)
+    # verify_hopf crashed on the first (AssertionError: irreducible word
+    # 'aaaaaa' is not in PBW shape) and passed the last two; the audit
+    # bounded at length 5 on chains passed all six
+    for family in ("chain-graded, q=z", "chain-root, q=z, lambda=0",
+                   "chain-root, q=z, lambda=1", "chain-root, q=z, lambda=2",
+                   "type-one-chain, q=z, mu=0", "type-one-chain, q=z, mu=1"):
+        assert failed[f"{family} over Q(zeta_6) without aaaaaa"] \
+            == "aaaaaa"

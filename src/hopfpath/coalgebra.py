@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .linear import Lin
-from .quiver import Path
+from .quiver import Path, _require_int
 
 __all__ = [
     "CoalgElement",
@@ -54,13 +54,16 @@ def _path_terms(x):
 
 
 def comultiply(x):
-    """Deconcatenation: delta(p_i^l) = sum_t p_{i+t}^{l-t} (x) p_i^t."""
-    acc = {}
-    zero = x.ctx.zero()
-    for path, coeff in _path_terms(x).items():
-        for key in splits(path):
-            acc[key] = acc.get(key, zero) + coeff
-    return Lin(x.ctx, (x.space, x.space), acc)
+    """Deconcatenation: delta(p_i^l) = sum_t p_{i+t}^{l-t} (x) p_i^t.
+
+    Distinct paths have disjoint splits, since a split (l, r) determines
+    its path (source of r, total length), so each split of each term is
+    written once with the term's coefficient and nothing is added.
+    """
+    out = Lin(x.ctx, (x.space, x.space))
+    out.terms = {key: c for path, c in _path_terms(x).items()
+                 for key in splits(path)}
+    return out
 
 
 def counit(x):
@@ -91,19 +94,16 @@ def _correction(n, d, j, path):
     defining correction vanishes identically and the coderivation is
     zero; on the chain (n None, j = 0) they are exact index equalities.
     """
-    def same(x, y):
-        return x == y if n is None else (x - y) % n == 0
-
     kind, i, l = path
-    if l < d or same(d, 0):
+    if l < d or n is not None and d % n == 0:
         return ()
-    if l == d and same(i, j):
-        return (Path(kind, j, 0), 1), (Path(kind, j + d, 0), -1)
-    if same(i, j):
-        if same(l, d):
+    if (i == j) if n is None else (i - j) % n == 0:
+        if l == d:
+            return (Path(kind, j, 0), 1), (Path(kind, j + d, 0), -1)
+        if n is not None and (l - d) % n == 0:
             return (Path(kind, j + d, l - d), -1), (Path(kind, j, l - d), 1)
         return ((Path(kind, j + d, l - d), -1),)
-    if same(i + l, j + d):
+    if (i + l == j + d) if n is None else (i + l - j - d) % n == 0:
         return ((Path(kind, i, l - d), 1),)
     return ()
 
@@ -115,7 +115,8 @@ def _exp_correction(x, lam, n, d, j):
     are coalgebra automorphisms, with exp(-lam G) the exact inverse.
     Where G^2 = 0 (no index wrap-around) this is just id + lam G.  One
     pass per order adds c or -c for each (path, sign) term to give G^k x,
-    and lam^k / k! is formed once per order from the one before.
+    and lam^k / k! is formed once per order from the one before.  The
+    series stops before order k's dict is built when G^k x has no terms.
     """
     out = x.copy()
     if lam.is_zero():
@@ -130,6 +131,8 @@ def _exp_correction(x, lam, n, d, j):
                 ci = c if sign > 0 else -c
                 old = acc.get(image)
                 acc[image] = ci if old is None else old + ci
+        if not acc:
+            return out
         term = {p: c for p, c in acc.items() if not c.is_zero()}
         if not term:
             return out
@@ -147,8 +150,13 @@ def cycle_automorphism(n, d, lam, j, x):
     with the comultiplication.  Implemented as the exponential of the
     underlying coderivation, which also covers the wrap-around cases
     (n = 2d needs a second-order term at length 3d; for d = 0 mod n the
-    map degenerates to the identity).  Requires d > 1.
+    map degenerates to the identity).  Requires d > 1; n, d and j must
+    be ints.
     """
+    if type(n) is not int or type(d) is not int or type(j) is not int:
+        _require_int("n", n)
+        _require_int("d", d)
+        _require_int("j", j)
     if d <= 1:
         raise ValueError("cycle automorphism requires degree d > 1")
     if x.space != ("cycle", n):
@@ -163,8 +171,9 @@ def chain_automorphism(d, lam, x):
     Same exponential construction as on the cycle, with the congruence
     conditions replaced by exact index equalities; sources never wrap,
     the coderivation squares to zero, and the map is id + lam G.
-    Valid for every d >= 1.
+    Valid for every int d >= 1.
     """
+    _require_int("d", d)
     if d < 1:
         raise ValueError("chain automorphism requires degree d >= 1")
     if x.space != ("chain",):

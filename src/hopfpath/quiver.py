@@ -399,7 +399,15 @@ def is_connected_hopf_quiver(group, ramification):
 
 # -- paths -------------------------------------------------------------------
 
+def _require_int(name, value):
+    """Refuse a quiver or path index that is not an int (a bool is
+    refused too), naming its field."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, not {value!r}")
+
+
 def cycle_kind(n):
+    _require_int("n", n)
     if n < 1:
         raise ValueError("cycle length must be positive")
     return ("cycle", n)
@@ -421,12 +429,16 @@ class Path(_PathFields):
     A tuple (kind, source, length), so hash and equality are the
     tuple's own: paths key every dict in the package.  Cycle sources
     are reduced modulo n on construction, so equal paths are equal
-    tuples; length 0 is the vertex g^i.
+    tuples; length 0 is the vertex g^i.  Source and length must be
+    ints: a float or string index is refused, not carried into a key.
     """
 
     __slots__ = ()
 
     def __new__(cls, kind, source, length):
+        if type(source) is not int or type(length) is not int:
+            _require_int("source", source)
+            _require_int("length", length)
         if length < 0:
             raise ValueError("path length must be nonnegative")
         if kind[0] == "cycle":

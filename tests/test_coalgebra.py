@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, strategies as st
 
 from hopfpath import (
     CoalgElement, Lin, PBWMonomial, Path, TensorElement, chain_automorphism,
@@ -141,6 +142,51 @@ def test_splits_match_validated_paths():
     assert count > 500
 
 
+def _reference_comultiply(x):
+    """Deconcatenation as written before the splits were known to be
+    disjoint: every split adds into one dict from zero, and zeros are
+    dropped afterwards."""
+    acc = {}
+    zero = x.ctx.zero()
+    for path, coeff in x.terms.items():
+        for key in splits(path):
+            acc[key] = acc.get(key, zero) + coeff
+    return Lin(x.ctx, (x.space, x.space), acc)
+
+
+def _check_comultiply(x):
+    dx = comultiply(x)
+    assert dx.space == (x.space, x.space)
+    assert dx.terms == _reference_comultiply(x).terms
+    # disjoint splits: one term per split of each path, none cancelled
+    assert len(dx.terms) == sum(p.length + 1 for p in x.terms)
+
+
+def test_comultiply_matches_the_adding_reference_on_the_sweep():
+    count = 0
+    for path in _sweep_paths():
+        _check_comultiply(elem(path))
+        count += 1
+    assert count > 500
+
+
+_ELEMENT_PATHS = (enumerate_paths(cycle_kind(4), 6),
+                  enumerate_paths(chain_kind(), 6, window=(-3, 3)))
+_nonzero = st.tuples(
+    st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    .filter(bool), st.integers(0, 11)).map(
+    lambda cz: CTX.scalar(cz[0]) * CTX.zeta() ** cz[1])
+
+
+@given(st.sampled_from(_ELEMENT_PATHS).flatmap(
+    lambda paths: st.dictionaries(st.sampled_from(paths), _nonzero,
+                                  min_size=1, max_size=6)))
+def test_comultiply_matches_the_adding_reference_on_elements(terms):
+    x = Lin(CTX, next(iter(terms)).kind, terms)
+    assert 1 <= len(x.terms) <= 6
+    _check_comultiply(x)
+
+
 @pytest.mark.parametrize("f", [comultiply, counit, degree])
 def test_structure_maps_refuse_non_path_elements(f):
     rs = presentation_of(cycle_deform(4, root_of_unity(CTX, 4), 1))
@@ -186,6 +232,26 @@ def test_chain_automorphism_examples():
         == elem(chain_path(1, 2))
     for path in enumerate_paths(chain_kind(), 5, window=(-2, 2)):
         assert chain_automorphism(3, 0, elem(path)) == elem(path)
+
+
+NOT_INTS = [0.5, 2.0, "1", None, True]
+
+
+@pytest.mark.parametrize("value", NOT_INTS, ids=repr)
+@pytest.mark.parametrize("field", ["n", "d", "j"])
+def test_cycle_automorphism_refuses_a_non_integer_index(field, value):
+    # d = 2.0 once returned 1 + -1 * g^2.0 + p[0,2], and j = 0.5 the
+    # element itself
+    args = {"n": 4, "d": 2, "j": 0, field: value}
+    x = elem(cycle_path(4, 0, 2))
+    with pytest.raises(ValueError, match=f"^{field} must be an int"):
+        cycle_automorphism(args["n"], args["d"], 1, args["j"], x)
+
+
+@pytest.mark.parametrize("value", NOT_INTS, ids=repr)
+def test_chain_automorphism_refuses_a_non_integer_degree(value):
+    with pytest.raises(ValueError, match="^d must be an int"):
+        chain_automorphism(value, 1, elem(chain_path(0, 2)))
 
 
 LAMBDAS = [0, 1, 2, -1, Fraction(1, 2)]
@@ -320,7 +386,10 @@ def _reference_exp_correction(x, lam, step):
         out.add_scaled(term, factor * Fraction(1, math.factorial(k)))
 
 
-SERIES_LAMBDAS = [0, 1, -1, Fraction(1, 2), CTX.zeta()]
+# Scalars, then the ints and Fraction that reach the automorphisms
+# uncoerced and are coerced there by ``ctx.scalar``
+SERIES_LAMBDAS = [CTX.scalar(lam) for lam in (0, 1, -1, Fraction(1, 2))] \
+    + [CTX.zeta(), 1, -1, Fraction(1, 2)]
 
 
 def _element(kind, pairs):
@@ -357,9 +426,8 @@ def test_automorphism_series_matches_the_element_reference():
             x = elem(path)
             second_order += not x.map_terms(step).map_terms(step).is_zero()
             for lam in SERIES_LAMBDAS:
-                lam = CTX.scalar(lam)
                 fx = auto(lam, x)
                 assert fx.terms == _reference_exp_correction(
-                    x, lam, step).terms, (path, lam)
+                    x, CTX.scalar(lam), step).terms, (path, lam)
                 assert auto(-lam, fx) == x, (path, lam)
     assert second_order > 0

@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hopfpath import (
-    CoalgElement, Lin, PBWMonomial, TensorAlg, TensorElement,
-    chain_automorphism, chain_path, comultiply, compute_antipode, coproduct,
-    cycle_automorphism, cycle_deform, cycle_kind, cycle_path,
-    cyclotomic_context, enumerate_paths, generator_coproducts,
+    CoalgElement, GradedHopfParams, Lin, PBWMonomial, TensorAlg,
+    TensorElement, chain_automorphism, chain_path, comultiply,
+    compute_antipode, coproduct, cycle_automorphism, cycle_deform,
+    cycle_graded, cycle_kind, cycle_path, cyclotomic_context,
+    enumerate_paths, generator_coproducts, multiply, pbw_image,
     presentation_of, root_of_unity, type_one_cycle,
 )
 from hopfpath.verifier import _delta_word
@@ -145,3 +146,28 @@ def test_results_do_not_alias_caches_or_arguments():
             before = dict(arg.terms)
             image.add_term(arg.sorted_terms()[0][0], one).add_scaled(image)
             assert arg.terms == before
+
+    # results built in one pass from an argument's terms or a memo:
+    # deconcatenation, automorphisms that add nothing (G x = 0, and
+    # lam = 0), the path product and the PBW-to-path map
+    x = Lin.from_path(ctx, cycle_path(4, 1, 2), Fraction(1, 2))
+    y = Lin.from_path(ctx, cycle_path(4, 3, 1), 3)
+    q = root_of_unity(ctx, 4)
+    params = GradedHopfParams.cycle(4, q)
+    desc = cycle_graded(4, q)
+    graded = presentation_of(desc)
+    z = graded.monomial(PBWMonomial(0, 2, 1), Fraction(1, 3))
+    for args, make in (((x,), lambda: comultiply(x)),
+                       ((x,), lambda: cycle_automorphism(4, 2, 1, 0, x)),
+                       ((x,), lambda: cycle_automorphism(4, 2, 0, 1, x)),
+                       ((x, y), lambda: multiply(params, x, y)),
+                       ((z,), lambda: pbw_image(desc, z))):
+        image = make()
+        before = [dict(arg.terms) for arg in args]
+        to_path = dict(graded._to_path)
+        rows = [dict(row) for row in params._rows]
+        image.add_term(image.sorted_terms()[0][0], one).add_scaled(image)
+        assert [arg.terms for arg in args] == before
+        assert graded._to_path == to_path
+        assert params._rows == rows
+        assert make() != image

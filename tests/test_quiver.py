@@ -7,8 +7,8 @@ from hypothesis import given, strategies as st
 
 from hopfpath import (
     GroupSpec, Path, build_hopf_quiver, chain_kind, conjugacy_class_of,
-    conjugacy_classes, cycle_kind, enumerate_paths, is_connected_hopf_quiver,
-    resolve_ramification,
+    conjugacy_classes, cycle_kind, cycle_path, enumerate_paths,
+    is_connected_hopf_quiver, resolve_ramification,
 )
 
 
@@ -270,3 +270,26 @@ def test_path_keeps_its_validation_and_survives_copy_and_pickle():
         == Path(("cycle", 6), 7, 2)
     with pytest.raises(ValueError, match="^path length must be nonnegative$"):
         Path(("chain",), 0, 1)._replace(length=-1)
+
+
+NOT_INTS = [0.5, 2.0, "1", None, True]
+
+
+@pytest.mark.parametrize("value", NOT_INTS, ids=repr)
+@pytest.mark.parametrize("field", ["source", "length"])
+def test_path_refuses_a_non_integer_index(field, value):
+    # a float or string index once built p[0.5,1] or failed with a
+    # TypeError far from the call
+    args = {"source": 0, "length": 1, field: value}
+    with pytest.raises(ValueError, match=f"^{field} must be an int"):
+        Path(("cycle", 4), **args)
+    with pytest.raises(ValueError, match=f"^{field} must be an int"):
+        Path(("chain",), **args)
+    with pytest.raises(ValueError, match=f"^{field} must be an int"):
+        cycle_path(4, args["source"], args["length"])
+
+
+@pytest.mark.parametrize("value", NOT_INTS, ids=repr)
+def test_cycle_kind_refuses_a_non_integer_length(value):
+    with pytest.raises(ValueError, match="^n must be an int"):
+        cycle_kind(value)

@@ -115,8 +115,7 @@ def _exp_correction(x, lam, n, d, j):
     are coalgebra automorphisms, with exp(-lam G) the exact inverse.
     Where G^2 = 0 (no index wrap-around) this is just id + lam G.  One
     pass per order adds c or -c for each (path, sign) term to give G^k x,
-    and lam^k / k! is formed once per order from the one before.  The
-    series stops before order k's dict is built when G^k x has no terms.
+    and lam^k / k! is formed once per order from the one before.
     """
     out = x.copy()
     if lam.is_zero():
@@ -131,8 +130,6 @@ def _exp_correction(x, lam, n, d, j):
                 ci = c if sign > 0 else -c
                 old = acc.get(image)
                 acc[image] = ci if old is None else old + ci
-        if not acc:
-            return out
         term = {p: c for p, c in acc.items() if not c.is_zero()}
         if not term:
             return out
@@ -153,10 +150,9 @@ def cycle_automorphism(n, d, lam, j, x):
     map degenerates to the identity).  Requires d > 1; n, d and j must
     be ints.
     """
-    if type(n) is not int or type(d) is not int or type(j) is not int:
-        _require_int("n", n)
-        _require_int("d", d)
-        _require_int("j", j)
+    _require_int("n", n)
+    _require_int("d", d)
+    _require_int("j", j)
     if d <= 1:
         raise ValueError("cycle automorphism requires degree d > 1")
     if x.space != ("cycle", n):

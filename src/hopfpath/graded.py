@@ -176,21 +176,18 @@ def _fill(params, i, j):
 
 
 def multiply(params, x, y):
-    """Bilinear extension of the path product.  A key's first product
-    is stored as it is, not added to zero; zeros are dropped once, when
-    the element is built."""
+    """Bilinear extension of the path product."""
     if x.space != params.kind or y.space != params.kind:
         raise ValueError("element does not match the multiplication parameters")
     acc = {}
+    zero = params.ctx.zero()
     for pa, ca in x.terms.items():
         for pb, cb in y.terms.items():
             out = _mul_path_raw(params, pa, pb)
             if out is None:
                 continue
             path, coeff = out
-            v = ca * cb * coeff
-            old = acc.get(path)
-            acc[path] = v if old is None else old + v
+            acc[path] = acc.get(path, zero) + ca * cb * coeff
     return Lin(params.ctx, params.kind, acc)
 
 

@@ -1057,14 +1057,12 @@ def path_to_pbw(desc, path):
 def _map_basis(term, rs, elt, space):
     """The linear extension to ``elt`` of a basis map whose image of each
     key is one (key, scalar) term, ``term(rs, key)``, as an element of
-    ``space``.  A key's first term is stored as it is, not added to zero;
-    zeros are dropped once, when the element is built."""
+    ``space``; every term adds into one dict."""
+    zero = elt.ctx.zero()
     acc = {}
     for key, c in elt.terms.items():
         image, coeff = term(rs, key)
-        v = c * coeff
-        old = acc.get(image)
-        acc[image] = v if old is None else old + v
+        acc[image] = acc.get(image, zero) + c * coeff
     return Lin(elt.ctx, space, acc)
 
 

@@ -436,9 +436,8 @@ class Path(_PathFields):
     __slots__ = ()
 
     def __new__(cls, kind, source, length):
-        if type(source) is not int or type(length) is not int:
-            _require_int("source", source)
-            _require_int("length", length)
+        _require_int("source", source)
+        _require_int("length", length)
         if length < 0:
             raise ValueError("path length must be nonnegative")
         if kind[0] == "cycle":

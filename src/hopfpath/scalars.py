@@ -215,16 +215,7 @@ class CyclotomicContext:
         return Scalar(self, tuple(num))
 
     def scalar(self, value):
-        """Coerce an int, Fraction, Scalar or text rendering to a Scalar.
-
-        The exact types most callers pass, a Scalar of this context and
-        the int 1, are tested first.
-        """
-        cls = type(value)
-        if cls is Scalar and value.ctx is self:
-            return value
-        if cls is int and value == 1:
-            return self._one
+        """Coerce an int, Fraction, Scalar or text rendering to a Scalar."""
         if isinstance(value, Scalar):
             if value.ctx is not self and value.ctx != self:
                 raise ValueError("scalar belongs to a different context")

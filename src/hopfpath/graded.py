@@ -158,12 +158,18 @@ def _mul_path_raw(params, a, b):
     row = params._rows[i]
     out = row.get(j, False)
     if out is False:
+        kind, source, l = a
+        _, s, m = b
         coeff_id = params._coeff_id
-        c = params._product(
-            coeff_id(params.q_power(a.source * b.length)),
-            coeff_id(params.binom(a.length + b.length, a.length)))
+        c = params._product(coeff_id(params.q_power(source * m)),
+                            coeff_id(params.binom(l + m, l)))
+        # the product of two valid paths is valid: built unchecked, as
+        # in ``splits``, its source reduced modulo n on a cycle
+        source += s
+        if kind[0] == "cycle":
+            source %= kind[1]
         out = row[j] = None if c == 0 else (params._path_id(
-            Path(a.kind, a.source + b.source, a.length + b.length)), c)
+            tuple.__new__(Path, (kind, source, l + m))), c)
     return None if out is None else (params._paths[out[0]],
                                      params._coeffs[out[1]])
 
@@ -176,19 +182,24 @@ def _fill(params, i, j):
 
 
 def multiply(params, x, y):
-    """Bilinear extension of the path product."""
+    """Bilinear extension of the path product: a path's first term is
+    stored as it is, not added to zero, and sums that cancel are
+    dropped."""
     if x.space != params.kind or y.space != params.kind:
         raise ValueError("element does not match the multiplication parameters")
     acc = {}
-    zero = params.ctx.zero()
     for pa, ca in x.terms.items():
         for pb, cb in y.terms.items():
             out = _mul_path_raw(params, pa, pb)
             if out is None:
                 continue
             path, coeff = out
-            acc[path] = acc.get(path, zero) + ca * cb * coeff
-    return Lin(params.ctx, params.kind, acc)
+            c = ca * cb * coeff
+            old = acc.get(path)
+            acc[path] = c if old is None else old + c
+    out = Lin(params.ctx, params.kind)
+    out.terms = {path: c for path, c in acc.items() if not c.is_zero()}
+    return out
 
 
 def unit(params):

@@ -41,9 +41,11 @@ The PBW <-> path identification of a descriptor's presentation is one
 table on the presentation in two memos: ``_to_path`` maps a monomial to
 its (path, scalar) image and ``_to_pbw`` maps a path to its (monomial,
 scalar) preimage, each filled on first use by ``_path_term`` and
-``_pbw_term`` with monomials from ``_monos``.  ``pbw_to_path`` and
-``path_to_pbw`` build a new element from an entry; ``pbw_image`` and
-``path_preimage`` add every term's entry into one dict.
+``_pbw_term`` with monomials from ``_monos``, on the descriptor's
+``path_kind``.  ``pbw_to_path`` and ``path_to_pbw`` build a new element
+from an entry; ``pbw_image`` and ``path_preimage`` add every term's
+entry into one dict, a key's first term stored as it is, as in
+``accumulate``.
 """
 
 from __future__ import annotations
@@ -166,10 +168,11 @@ class HopfFamilyDescriptor:
     coproduct-compatibility checks single out, and is the default.  No
     other family has the coefficient, so it refuses "integer".
 
-    The derived invariant ``d``, the order of q (the divided-power
-    degree; None if infinite), is set once, when the descriptor is
-    built, and takes no part in comparison.  It stays a property over
-    the stored ``_d``, so that the perfbench tracer can count its reads.
+    The derived invariants ``d``, the order of q (the divided-power
+    degree; None if infinite), and ``path_kind``, the quiver kind of the
+    family's paths, are set once, when the descriptor is built, and take
+    no part in comparison.  ``d`` stays a property over the stored
+    ``_d``, so that the perfbench tracer can count its reads.
     Provenance ``notes`` take no part in comparison either.  The hash is
     computed once too, when the descriptor is built or unpickled.
 
@@ -193,7 +196,7 @@ class HopfFamilyDescriptor:
             raise ValueError(f"the {self.half_coeff!r} coefficient reading "
                              f"applies to cycle-half only, not {self.family}")
         if self.family in _CYCLE_FAMILIES:
-            if not isinstance(self.n, int) or self.n < 1:
+            if type(self.n) is not int or self.n < 1:
                 raise ValueError("cycle families need a positive integer n")
             if self.q ** self.n != ctx.one():
                 raise ValueError("q must satisfy q^n = 1 on a cycle")
@@ -226,6 +229,8 @@ class HopfFamilyDescriptor:
                     "type-one families need q a root of unity of order > 1")
             self._normalize_param("mu")
         object.__setattr__(self, "_d", d)
+        object.__setattr__(self, "path_kind", chain_kind() if self.is_chain
+                           else cycle_kind(self.n))
         self._set_hash()
 
     def _set_hash(self):
@@ -557,7 +562,10 @@ class RewriteSystem:
         return self.monomial(self.interned(0, 0, 0))
 
     def monomial(self, mono, coeff=1):
-        return Lin(self.ctx, self, {mono: self.ctx.scalar(coeff)})
+        out = Lin(self.ctx, self)
+        if not (c := self.ctx.scalar(coeff)).is_zero():
+            out.terms[mono] = c
+        return out
 
     def letter(self, sym):
         """The normal monomial of a one-letter word (h is 1 on the 1-cycle)."""
@@ -693,7 +701,11 @@ class RewriteSystem:
     def multiply(self, x, y):
         if x.space is not self or y.space is not self:
             raise ValueError("elements belong to a different presentation")
-        return Lin(self.ctx, self, self.accumulate({}, x.terms, y.terms))
+        out = Lin(self.ctx, self)
+        out.terms = {m: c for m, c in
+                     self.accumulate({}, x.terms, y.terms).items()
+                     if not c.is_zero()}
+        return out
 
     def accumulate(self, acc, x, y):
         """Add x * y to ``acc`` and return it; x, y and acc are
@@ -981,10 +993,6 @@ def _misclassified_word(rs):
 
 # -- basis change between PBW monomials and paths ------------------------------
 
-def _path_kind(desc):
-    return cycle_kind(desc.n) if not desc.is_chain else chain_kind()
-
-
 def _path_term(rs, mono):
     """The (path, coefficient) that p^k a^j h^i maps to, from the memo
     ``rs._to_path``, keyed by the presentation's monomial; ``rs`` is a
@@ -993,7 +1001,7 @@ def _path_term(rs, mono):
     if term is not None:
         return term
     desc, ctx = rs.descriptor, rs.ctx
-    kind = _path_kind(desc)
+    kind = desc.path_kind
     if mono.k and not rs.p_weight:
         raise ValueError("this family has no divided-power generator")
     if not desc.is_graded:
@@ -1023,7 +1031,7 @@ def _pbw_term(rs, path):
     if not desc.is_graded:
         raise ValueError(
             "identification is generator-level only for deformed families")
-    if path.kind != _path_kind(desc):
+    if path.kind != desc.path_kind:
         raise ValueError("path does not live on this family's quiver")
     k, j = divmod(path.length, rs.p_weight) if rs.p_weight \
         else (0, path.length)
@@ -1057,18 +1065,22 @@ def path_to_pbw(desc, path):
 def _map_basis(term, rs, elt, space):
     """The linear extension to ``elt`` of a basis map whose image of each
     key is one (key, scalar) term, ``term(rs, key)``, as an element of
-    ``space``; every term adds into one dict."""
-    zero = elt.ctx.zero()
+    ``space``; every term adds into one dict, a key's first term stored
+    as it is, and sums that cancel are dropped."""
     acc = {}
     for key, c in elt.terms.items():
         image, coeff = term(rs, key)
-        acc[image] = acc.get(image, zero) + c * coeff
-    return Lin(elt.ctx, space, acc)
+        c = c * coeff
+        old = acc.get(image)
+        acc[image] = c if old is None else old + c
+    out = Lin(elt.ctx, space)
+    out.terms = {k: c for k, c in acc.items() if not c.is_zero()}
+    return out
 
 
 def pbw_image(desc, x):
     """Linear extension of pbw_to_path to an element of the presentation."""
-    return _map_basis(_path_term, presentation_of(desc), x, _path_kind(desc))
+    return _map_basis(_path_term, presentation_of(desc), x, desc.path_kind)
 
 
 def path_preimage(desc, elt):

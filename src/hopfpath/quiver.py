@@ -478,7 +478,9 @@ def chain_path(source, length):
 
 
 def enumerate_paths(kind, max_len, window=None):
-    """All p_i^l with 0 <= l <= max_len; chain sources come from window."""
+    """All p_i^l with 0 <= l <= max_len; chain sources come from window,
+    whose ends, like max_len, must be ints."""
+    _require_int("max_len", max_len)
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
     out = []
@@ -491,6 +493,8 @@ def enumerate_paths(kind, max_len, window=None):
         if window is None:
             raise ValueError("chain enumeration needs a source window")
         lo, hi = window
+        _require_int("window start", lo)
+        _require_int("window end", hi)
         for l in range(max_len + 1):
             for i in range(lo, hi + 1):
                 out.append(Path(kind, i, l))

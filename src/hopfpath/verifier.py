@@ -54,7 +54,7 @@ from .linear import Lin
 from .presentations import (
     MAX_MONOMIAL_PAIRS, RewriteSystem, as_presentation, chain_graded,
     check_confluence, cycle_deform, cycle_graded, presentation_of,
-    resolution_difference, _path_kind, _path_term, _pbw_term, _with_terms,
+    resolution_difference, _path_term, _pbw_term, _with_terms,
 )
 from .report import VerificationReport
 from .scalars import root_of_unity
@@ -486,7 +486,7 @@ def verify_degeneration(system, degree_bound):
     _check_degree_bound(rs, degree_bound)
     gdesc = _graded_sibling(desc)
     grs = presentation_of(gdesc)
-    params = GradedHopfParams(_path_kind(desc), gdesc.q)
+    params = GradedHopfParams(desc.path_kind, gdesc.q)
     rep = VerificationReport(f"degeneration of {rs.name}")
     images = {m: _path_term(grs, m) for m in _monomials(rs, degree_bound)}
     pw = rs.p_weight

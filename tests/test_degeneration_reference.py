@@ -19,7 +19,7 @@ from hopfpath import (
     verify_degeneration,
 )
 from hopfpath import verifier
-from hopfpath.presentations import _path_kind, as_presentation
+from hopfpath.presentations import as_presentation
 from hopfpath.verifier import _CHAIN_WINDOW, _monomials
 
 from test_acceptance import _degeneration_descriptors, _hopf_bound
@@ -31,7 +31,7 @@ def _reference_degeneration(system, degree_bound):
     rs = as_presentation(system)
     desc = rs.descriptor
     gdesc = verifier._graded_sibling(desc)
-    params = GradedHopfParams(_path_kind(desc), gdesc.q)
+    params = GradedHopfParams(desc.path_kind, gdesc.q)
     images = {m: pbw_image(gdesc, rs.monomial(m))
               for m in _monomials(rs, degree_bound)}
     pairs = 0

@@ -8,8 +8,8 @@ from hopfpath import (
     TensorElement, chain_automorphism, chain_path, comultiply,
     compute_antipode, coproduct, cycle_automorphism, cycle_deform,
     cycle_graded, cycle_kind, cycle_path, cyclotomic_context,
-    enumerate_paths, generator_coproducts, multiply, pbw_image,
-    presentation_of, root_of_unity, type_one_cycle,
+    enumerate_paths, generator_coproducts, multiply, path_preimage,
+    pbw_image, presentation_of, root_of_unity, type_one_cycle,
 )
 from hopfpath.verifier import _delta_word
 
@@ -149,7 +149,8 @@ def test_results_do_not_alias_caches_or_arguments():
 
     # results built in one pass from an argument's terms or a memo:
     # deconcatenation, automorphisms that add nothing (G x = 0, and
-    # lam = 0), the path product and the PBW-to-path map
+    # lam = 0), the path and PBW products, a monomial and both
+    # directions of the basis change
     x = Lin.from_path(ctx, cycle_path(4, 1, 2), Fraction(1, 2))
     y = Lin.from_path(ctx, cycle_path(4, 3, 1), 3)
     q = root_of_unity(ctx, 4)
@@ -157,17 +158,22 @@ def test_results_do_not_alias_caches_or_arguments():
     desc = cycle_graded(4, q)
     graded = presentation_of(desc)
     z = graded.monomial(PBWMonomial(0, 2, 1), Fraction(1, 3))
+    u = graded.monomial(PBWMonomial(0, 1, 3), 2)
     for args, make in (((x,), lambda: comultiply(x)),
                        ((x,), lambda: cycle_automorphism(4, 2, 1, 0, x)),
                        ((x,), lambda: cycle_automorphism(4, 2, 0, 1, x)),
                        ((x, y), lambda: multiply(params, x, y)),
-                       ((z,), lambda: pbw_image(desc, z))):
+                       ((), lambda: graded.monomial(PBWMonomial(0, 2, 1))),
+                       ((z, u), lambda: graded.multiply(z, u)),
+                       ((z,), lambda: pbw_image(desc, z)),
+                       ((x,), lambda: path_preimage(desc, x))):
         image = make()
+        assert all(image.terms is not arg.terms for arg in args)
         before = [dict(arg.terms) for arg in args]
-        to_path = dict(graded._to_path)
+        to_path, to_pbw = dict(graded._to_path), dict(graded._to_pbw)
         rows = [dict(row) for row in params._rows]
         image.add_term(image.sorted_terms()[0][0], one).add_scaled(image)
         assert [arg.terms for arg in args] == before
-        assert graded._to_path == to_path
+        assert (graded._to_path, graded._to_pbw) == (to_path, to_pbw)
         assert params._rows == rows
         assert make() != image

@@ -12,6 +12,7 @@ from hopfpath import (
     chain_root, check_confluence, classify_iso, cycle_deform, cycle_graded,
     cycle_half, cycle_path, cyclotomic_context, descriptor_from_dict,
     descriptor_to_dict, multiply, multiply_alg, normal_form, parse_word,
+    chain_kind, cycle_kind,
     path_to_pbw, pbw_image, pbw_to_path, presentation_of, q_factorial,
     root_of_unity, simple_pointed_catalog, type_one_chain, type_one_cycle,
     verify_antipode, verify_degeneration, verify_hopf, GradedHopfParams,
@@ -43,6 +44,10 @@ def test_descriptor_validation():
         chain_q1(ctx, 1).__class__(CHAIN_Q1, None, i, ctx.one())
     with pytest.raises(ValueError, match="order > 1"):
         type_one_cycle(4, ctx.one(), 1)
+    # a bool is an int instance but no cycle length: it once built a
+    # descriptor that failed later, in the basis change
+    with pytest.raises(ValueError, match="positive integer n"):
+        cycle_graded(True, ctx.one())
 
 
 def test_graded_families_refuse_a_deformation_parameter():
@@ -90,9 +95,16 @@ def test_descriptors_are_frozen_and_survive_copy_and_pickle():
                      pickle.loads(pickle.dumps(desc))):
             assert type(twin) is type(desc)
             assert twin == desc and hash(twin) == hash(desc)
-            assert (twin.d, twin.notes, repr(twin)) \
-                == (desc.d, desc.notes, repr(desc))
-        for name in ("family", "param", "notes", "_d", "label"):
+            assert (twin.d, twin.path_kind, twin.notes, repr(twin)) \
+                == (desc.d, desc.path_kind, desc.notes, repr(desc))
+        assert desc.path_kind == (chain_kind() if desc.is_chain
+                                  else cycle_kind(desc.n))
+        # the path kind takes no part in comparison or hashing either
+        other = copy.copy(desc)
+        object.__setattr__(other, "path_kind", ("cycle", 99))
+        assert other == desc and hash(other) == hash(desc)
+        for name in ("family", "param", "notes", "_d", "path_kind",
+                     "label"):
             with pytest.raises(AttributeError, match=f"^cannot assign to "
                                                      f"field '{name}'$"):
                 setattr(desc, name, None)

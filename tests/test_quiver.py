@@ -293,3 +293,22 @@ def test_path_refuses_a_non_integer_index(field, value):
 def test_cycle_kind_refuses_a_non_integer_length(value):
     with pytest.raises(ValueError, match="^n must be an int"):
         cycle_kind(value)
+
+
+@pytest.mark.parametrize("value", NOT_INTS, ids=repr)
+def test_enumerate_paths_refuses_a_non_integer_bound(value):
+    # a float bound once died with a TypeError inside range, and True
+    # enumerated the paths of length at most 1
+    for kind in (cycle_kind(3), chain_kind()):
+        with pytest.raises(ValueError, match="^max_len must be an int"):
+            enumerate_paths(kind, value, window=(-1, 1))
+
+
+@pytest.mark.parametrize("value", NOT_INTS, ids=repr)
+@pytest.mark.parametrize("end", ["start", "end"])
+def test_enumerate_paths_refuses_a_non_integer_window_end(end, value):
+    window = (value, 1) if end == "start" else (-1, value)
+    with pytest.raises(ValueError, match=f"^window {end} must be an int"):
+        enumerate_paths(chain_kind(), 1, window=window)
+    # a cycle has no window to check
+    assert len(enumerate_paths(cycle_kind(3), 1, window=window)) == 6

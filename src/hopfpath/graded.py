@@ -213,8 +213,12 @@ def tensor_multiply(params, tx, ty):
     The coalgebra is pointed with group-likes acting diagonally, so the
     tensor-square product used by the bialgebra axiom is the plain
     component-wise one; the exhaustive axiom check below is the arbiter
-    for that reading.
+    for that reading.  Both factors must lie in the square of the
+    params' path space.
     """
+    square = (params.kind, params.kind)
+    if tx.space != square or ty.space != square:
+        raise ValueError("element does not match the multiplication parameters")
     acc = {}
     zero = params.ctx.zero()
     for (al, ar), ca in tx.terms.items():
@@ -229,7 +233,7 @@ def tensor_multiply(params, tx, ty):
             rp, rc = right
             key = (lp, rp)
             acc[key] = acc.get(key, zero) + (ca * cb) * (lc * rc)
-    return Lin(params.ctx, (params.kind, params.kind), acc)
+    return Lin(params.ctx, square, acc)
 
 
 def verify_graded_bialgebra(params, max_len, assoc_len=None):

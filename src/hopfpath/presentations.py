@@ -16,11 +16,14 @@ h > H > a > p.  This orients every defining relation toward the normal
 form and lets the inverse-pair and power rules shrink words.
 
 A product of two normal monomials is folded, not rewritten as one
-word.  In p^k a^j h^i * p^k' a^j' h^i' only the middle a^j h^i p^k' a^j'
+word.  A group-like right factor h^e only shifts the h exponent,
+x h^e (``RewriteSystem.h_shift``), and reads no table.  Otherwise, in
+p^k a^j h^i * p^k' a^j' h^i' only the middle a^j h^i p^k' a^j'
 changes; ``RewriteSystem.mono_product`` memoizes its normal form in
-``_prod``, keyed (j, i, k', j'), beside the word memo ``_nf``, and
-carries p^k and h^i' through by shifting exponents; ``accumulate``
-reads the entries itself and shifts term by term as it adds.  A middle
+``_prod``, keyed (j, i, k', j') with k' + j' > 0, beside the word memo
+``_nf``, and carries p^k and h^i' through by shifting exponents;
+``accumulate`` reads the entries itself and shifts term by term as it
+adds.  A middle
 is folded once, from its longest prefix in ``_prod`` one letter at a
 time, and every prefix it passes is kept.  A middle of one letter x, a^j h^i x,
 is a^j * NF(h^i x), so the table reduces only the words h^i x and
@@ -397,9 +400,9 @@ class RewriteSystem:
         self.letters = frozenset("".join(
             lhs + "".join(w for w, _ in rhs) for lhs, rhs in self.rules))
         self._nf = {}
-        # (j, i, k', j') -> normal form of a^j h^i p^k' a^j', kept by
-        # _middle with every prefix a^j h^i p^f or a^j h^i p^k' a^g that
-        # its one-letter fold passes
+        # (j, i, k', j') -> normal form of a^j h^i p^k' a^j', k' + j' > 0,
+        # kept by _middle with every nonempty prefix a^j h^i p^f or
+        # a^j h^i p^k' a^g that its one-letter fold passes
         self._prod = {}
         self._monos = {}  # (k, j, i) -> the one PBWMonomial p^k a^j h^i
         self._delta = {}  # word -> coproduct, kept by verifier._delta_word
@@ -617,17 +620,21 @@ class RewriteSystem:
         """The normal form of x * y for normal monomials x, y, as a
         {monomial: scalar} dict.
 
-        In p^k a^j h^i * p^k' a^j' h^i' only the middle a^j h^i p^k' a^j'
+        A group-like y = h^e gives the one monomial x h^e (``h_shift``)
+        and reads no table entry; that dict is new.  Otherwise, in
+        p^k a^j h^i * p^k' a^j' h^i' only the middle a^j h^i p^k' a^j'
         is rewritten: the outer p^k and h^i' are carried through
         unchanged.  ``_prod`` memoizes the normal form of the middle,
-        keyed (j, i, k', j'), and this method shifts its p exponents by k
-        and its h exponents by i' (modulo n on cycles), which maps
-        distinct monomials to distinct monomials; the shifted monomials
-        are looked up in the monomial table, not built.  ``accumulate``
-        applies the same shift rule term by term instead of calling
-        this method.  When k = i' = 0 the dict is the memo entry itself:
-        callers must not change it.
+        keyed (j, i, k', j') with k' + j' > 0, and this method shifts its
+        p exponents by k and its h exponents by i' (modulo n on cycles),
+        which maps distinct monomials to distinct monomials; the shifted
+        monomials are looked up in the monomial table, not built.
+        ``accumulate`` applies the same rules term by term instead of
+        calling this method.  When k = i' = 0 the dict is the memo entry
+        itself: callers must not change it.
         """
+        if not y.k and not y.j:
+            return {self.h_shift(x, y.i): self.ctx.one()}
         key = (x.j, x.i, y.k, y.j)
         mid = self._prod.get(key)
         if mid is None:
@@ -643,9 +650,9 @@ class RewriteSystem:
         return out
 
     def _middle(self, j, i, k, j2):
-        """The normal form of a^j h^i p^k a^j2 as a {monomial: scalar}
-        dict, kept in ``_prod`` with every prefix a^j h^i p^f or
-        a^j h^i p^k a^g that it passes.
+        """The normal form of a^j h^i p^k a^j2, k + j2 > 0, as a
+        {monomial: scalar} dict, kept in ``_prod`` with every nonempty
+        prefix a^j h^i p^f or a^j h^i p^k a^g that it passes.
 
         It is folded from its longest prefix in the table one letter at
         a time, NF(w x) = NF(w) * x, formed by ``accumulate``.  A prefix
@@ -676,10 +683,8 @@ class RewriteSystem:
         return out
 
     def _short_middle(self, j, i, x):
-        """The normal form of a^j h^i x for x empty or one letter, "a" or
-        "p": a^j * NF(h^i x), from the words h^i x and a^j p^K a^J."""
-        if not x:
-            return {self.interned(0, j, i): self.ctx.one()}
+        """The normal form of a^j h^i x for x one letter, "a" or "p":
+        a^j * NF(h^i x), from the words h^i x and a^j p^K a^J."""
         zero = self.ctx.zero()
         acc = {}
         hx, _ = self.reduce_word(self.group_like(i).word() + x)
@@ -698,6 +703,16 @@ class RewriteSystem:
         chain."""
         return self.interned(0, 0, self._h_exp(i))
 
+    def h_shift(self, x, e):
+        """The normal monomial x h^e = p^k a^j h^(i+e) of a normal
+        monomial x = p^k a^j h^i, from the monomial table: the exponent
+        modulo n on a cycle, signed on a chain.  The word x h^e is in
+        PBW shape once its h power is reduced, so no rule is read."""
+        n = self.h_order
+        e += x.i
+        key = (x.k, x.j, e if n is None else e % n)
+        return self._monos.get(key) or self.interned(*key)
+
     def multiply(self, x, y):
         if x.space is not self or y.space is not self:
             raise ValueError("elements belong to a different presentation")
@@ -712,23 +727,29 @@ class RewriteSystem:
         {normal monomial: scalar} dicts.  A sum that cancels stays in
         ``acc`` as a zero coefficient.
 
-        Each product of monomials is the ``_prod`` entry of its middle
-        (filled by ``_middle`` on a miss) under the shift rule of
-        ``mono_product``: p exponents up by k, h exponents up by i'
-        (modulo n on cycles), the shifted monomials looked up in the
-        monomial table.  The shift is applied term by term as the
-        products are added, so no shifted dict is built and the entry
-        is only read.  A key's first product is stored as it is, not
-        added to zero.
+        A group-like factor mb = h^e adds ca * cb at ma h^e
+        (``h_shift``) and reads no table entry.  Any other product of
+        monomials is the ``_prod`` entry of its middle (filled by
+        ``_middle`` on a miss) under the shift rule of ``mono_product``:
+        p exponents up by k, h exponents up by i' (modulo n on cycles),
+        the shifted monomials looked up in the monomial table.  The
+        shift is applied term by term as the products are added, so no
+        shifted dict is built and the entry is only read.  A key's first
+        product is stored as it is, not added to zero.
         """
         memo, monos, n = self._prod, self._monos, self.h_order
         for ma, ca in x.items():
             k, j, i = ma
             for mb, cb in y.items():
+                c = ca * cb
+                if not mb.k and not mb.j:
+                    m = self.h_shift(ma, mb.i)
+                    old = acc.get(m)
+                    acc[m] = c if old is None else old + c
+                    continue
                 mid = memo.get((j, i, mb.k, mb.j))
                 if mid is None:
                     mid = self._middle(j, i, mb.k, mb.j)
-                c = ca * cb
                 shift = mb.i
                 for m, v in mid.items():
                     if k or shift:

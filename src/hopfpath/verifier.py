@@ -23,7 +23,10 @@ monomial's is one product: the entry of the suffix left when its first
 letter is removed, times that letter's image).
 Every product in the presentation or its tensor square reads the
 presentation's monomial product table, ``RewriteSystem._prod``, keyed
-by the middle a^j h^i p^k' a^j' of the product; only the overlap
+by the middle a^j h^i p^k' a^j' of the product, unless its right factor
+is a group-like h^e, which only moves the h exponent
+(``RewriteSystem.h_shift``): delta(w h) shifts both factors of each
+term of delta(w), and forms no product; only the overlap
 ambiguities of ``verify_hopf`` and the forced-vanishing trials reduce
 whole words, through ``resolution_difference``.  The antipode
 convolutions add each product straight into one dict per axiom through
@@ -100,6 +103,11 @@ def _delta_word(rs, word):
     presentation's memo (the empty word is the unit of the tensor
     square), multiplies in the remaining letters one at a time and
     memoizes every prefix it reaches, so no word is too long for it.
+    A group-like letter, delta(h^e) = h^e (x) h^e with e = 1 for h and
+    -1 for H, shifts both factors of every term of delta(w)
+    (``RewriteSystem.h_shift``) and forms no product.  Every letter
+    goes through ``_generator_delta`` first, so a letter that is not a
+    generator raises ValueError.
     """
     memo = rs._delta
     start = len(word)
@@ -110,8 +118,18 @@ def _delta_word(rs, word):
         unit = rs.interned(0, 0, 0)
         out = memo[""] = Lin(rs.ctx, (rs, rs),
                              {(unit, unit): rs.ctx.one()})
+    shift = rs.h_shift
     for end in range(start + 1, len(word) + 1):
-        out = out * _generator_delta(rs, word[end - 1])
+        sym = word[end - 1]
+        delta = _generator_delta(rs, sym)
+        if sym in ("h", "H"):
+            e = 1 if sym == "h" else -1
+            terms = {(shift(l, e), shift(r, e)): c
+                     for (l, r), c in out.terms.items()}
+            out = Lin(rs.ctx, out.space)
+            out.terms = terms
+        else:
+            out = out * delta
         memo[word[:end]] = out
     return out
 
@@ -146,8 +164,11 @@ def _generator_delta(rs, sym):
 
 
 def coproduct(system, x):
-    """Coproduct of an algebra element, linearly extended."""
+    """Coproduct of an algebra element, linearly extended.  An element
+    of another presentation, or of a path space, raises ValueError."""
     rs = as_presentation(system)
+    if x.space is not rs:
+        raise ValueError("elements belong to a different presentation")
     return x.map_terms(lambda mono: _delta_word(rs, mono.word()), (rs, rs))
 
 

@@ -250,6 +250,21 @@ def test_comultiplication_is_algebra_map_spot():
                 == counit(ea) * counit(eb)
 
 
+def test_tensor_multiply_refuses_a_square_of_another_quiver():
+    # chain paths under cycle params would come back as a cycle-square
+    # element holding chain paths
+    params = cyc(4, 4)
+    chain = comultiply(CoalgElement.from_path(params.ctx, chain_path(0, 1)))
+    with pytest.raises(ValueError, match="does not match the multiplication"):
+        tensor_multiply(params, chain, chain)
+    cycle = comultiply(elem(params, cycle_path(4, 0, 1)))
+    for tx, ty in [(chain, cycle), (cycle, chain)]:
+        with pytest.raises(ValueError, match="does not match the multiplication"):
+            tensor_multiply(params, tx, ty)
+    assert tensor_multiply(params, cycle, cycle).space \
+        == (params.kind, params.kind)
+
+
 def test_structure_table_rows():
     rows = structure_table(cyc(2, 2), 1)
     lookup = {(r["left"], r["right"]): r for r in rows}

@@ -121,6 +121,17 @@ def test_commutator_coproduct_cycle_deform():
     assert lhs == expected
 
 
+def test_coproduct_refuses_an_element_of_another_space():
+    z4 = root_of_unity(cyclotomic_context(4), 4)
+    deformed, graded = cycle_deform(4, z4, 1), cycle_graded(4, z4)
+    x = presentation_of(graded).normal_form("ap")
+    path = pbw_to_path(graded, PBWMonomial(1, 1, 0))
+    for elt in (x, path):
+        with pytest.raises(ValueError, match="different presentation"):
+            coproduct(deformed, elt)
+    assert coproduct(graded, x).space == (presentation_of(graded),) * 2
+
+
 def test_printed_chain_commutator_fails_coproduct():
     # with g p g^{-1} = p + lam (1 - g^d) and [a, p] = 0 the coproduct
     # does not respect the relations: the residual is lam (h - h^{d+1}) (x) a,

@@ -214,13 +214,13 @@ def tensor_multiply(params, tx, ty):
     tensor-square product used by the bialgebra axiom is the plain
     component-wise one; the exhaustive axiom check below is the arbiter
     for that reading.  Both factors must lie in the square of the
-    params' path space.
+    params' path space.  A key's first term is stored as it is, not
+    added to zero.
     """
     square = (params.kind, params.kind)
     if tx.space != square or ty.space != square:
         raise ValueError("element does not match the multiplication parameters")
     acc = {}
-    zero = params.ctx.zero()
     for (al, ar), ca in tx.terms.items():
         for (bl, br), cb in ty.terms.items():
             left = _mul_path_raw(params, al, bl)
@@ -232,7 +232,9 @@ def tensor_multiply(params, tx, ty):
             lp, lc = left
             rp, rc = right
             key = (lp, rp)
-            acc[key] = acc.get(key, zero) + (ca * cb) * (lc * rc)
+            c = (ca * cb) * (lc * rc)
+            old = acc.get(key)
+            acc[key] = c if old is None else old + c
     return Lin(params.ctx, square, acc)
 
 

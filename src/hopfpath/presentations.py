@@ -442,12 +442,14 @@ class RewriteSystem:
         applications actually performed by this call; previously cached
         words contribute nothing.  Every intermediate word is cached, so
         rules with several right-hand terms stay polynomial instead of
-        branching into exponentially many reduction paths.
+        branching into exponentially many reduction paths.  A rewritten
+        word's normal form sums its children's, scaled by the rule's
+        coefficients: a key's first term is stored as it is, not added
+        to zero, and sums that cancel are dropped.
         """
         cached = self._nf.get(word)
         if cached is not None:
             return cached, 0
-        zero = self.ctx.zero()
         steps = 0
         stack = [word]
         while stack:
@@ -476,7 +478,8 @@ class RewriteSystem:
             out = {}
             for child, (_, rcoeff) in zip(children, rhs):
                 for m, c in self._nf[child].items():
-                    out[m] = out.get(m, zero) + rcoeff * c
+                    old = out.get(m)
+                    out[m] = rcoeff * c if old is None else old + rcoeff * c
             self._nf[w] = {m: v for m, v in out.items() if not v.is_zero()}
             steps += 1
             stack.pop()
@@ -485,14 +488,14 @@ class RewriteSystem:
     def _parse_normal_word(self, word):
         """The PBW monomial spelled by ``word``, or None when the word is
         not of the shape p^k a^j h^i with the a- and h-powers reduced (and
-        no p at all when p carries no weight)."""
-        m = re.fullmatch(r"(p*)(a*)(h*|H*)", word)
-        if not m:
+        no p at all when p carries no weight).  The shape p^k a^j
+        (h^i | H^i) is read by stripping each run of letters in turn."""
+        rest = word.lstrip("p")
+        tail = rest.lstrip("a")
+        if tail and (tail[0] not in "hH" or tail.lstrip(tail[0])):
             return None
-        k = len(m.group(1))
-        j = len(m.group(2))
-        tail = m.group(3)
-        i = len(tail) if not tail or tail[0] == "h" else -len(tail)
+        k, j = len(word) - len(rest), len(rest) - len(tail)
+        i = -len(tail) if tail[:1] == "H" else len(tail)
         if (self.a_bound is not None and j >= self.a_bound) \
                 or (self.h_order is not None and i >= self.h_order) \
                 or (self.p_weight == 0 and k):
@@ -666,33 +669,33 @@ class RewriteSystem:
         """
         memo, one = self._prod, self.ctx.one()
         tail = "p" * k + "a" * j2
-
-        def key(f):  # the prefix a^j h^i tail[:f]
-            return (j, i, min(f, k), max(f - k, 0))
-
+        # keys[f] is the key of the prefix a^j h^i tail[:f]
+        keys = [(j, i, f, 0) for f in range(k + 1)] \
+            + [(j, i, k, g) for g in range(1, j2 + 1)]
         f = len(tail)
-        while f > 1 and key(f) not in memo:
+        while f > 1 and keys[f] not in memo:
             f -= 1
-        out = memo.get(key(f))
+        out = memo.get(keys[f])
         if out is None:
-            out = memo[key(f)] = self._short_middle(j, i, tail[:f])
+            out = memo[keys[f]] = self._short_middle(j, i, tail[:f])
         for f in range(f + 1, len(tail) + 1):
             acc = self.accumulate({}, out, {self.letter(tail[f - 1]): one})
-            out = memo[key(f)] = {m: c for m, c in acc.items()
-                                  if not c.is_zero()}
+            out = memo[keys[f]] = {m: c for m, c in acc.items()
+                                   if not c.is_zero()}
         return out
 
     def _short_middle(self, j, i, x):
         """The normal form of a^j h^i x for x one letter, "a" or "p":
-        a^j * NF(h^i x), from the words h^i x and a^j p^K a^J."""
-        zero = self.ctx.zero()
+        a^j * NF(h^i x), from the words h^i x and a^j p^K a^J; a key's
+        first product is stored as it is, not added to zero."""
         acc = {}
         hx, _ = self.reduce_word(self.group_like(i).word() + x)
         for m1, c1 in hx.items():
             word = "a" * j + "p" * m1.k + "a" * m1.j
             for m2, c2 in self.reduce_word(word)[0].items():
                 mono = self.interned(m2.k, m2.j, self._h_exp(m2.i + m1.i))
-                acc[mono] = acc.get(mono, zero) + c1 * c2
+                old = acc.get(mono)
+                acc[mono] = c1 * c2 if old is None else old + c1 * c2
         return {m: c for m, c in acc.items() if not c.is_zero()}
 
     def _h_exp(self, i):
@@ -919,15 +922,16 @@ def multiply_alg(system_or_desc, x, y):
 # -- confluence ----------------------------------------------------------------
 
 def _resolve_at(rs, word, pos, ridx):
-    """Apply one specific rule at one position, then fully reduce."""
+    """Apply one specific rule at one position, then fully reduce; a
+    key's first term is stored as it is, not added to zero."""
     lhs, rhs = rs.rules[ridx]
     prefix, suffix = word[:pos], word[pos + len(lhs):]
     acc = {}
-    zero = rs.ctx.zero()
     for rword, rcoeff in rhs:
         terms, _ = rs.reduce_word(prefix + rword + suffix)
         for m, c in terms.items():
-            acc[m] = acc.get(m, zero) + rcoeff * c
+            old = acc.get(m)
+            acc[m] = rcoeff * c if old is None else old + rcoeff * c
     return Lin(rs.ctx, rs, acc)
 
 

@@ -10,10 +10,11 @@ modulo the cyclotomic polynomial (not x^N - 1) and the normalized
 denominator make the representation canonical, so zero-testing and
 equality are decisive.
 
-Products take a closed form in the fields of degree 1 (N = 1, 2: Q
-itself) and degree 2 (N = 3, 4, 6), where the minimal polynomial is
-x^2 + m1 x + m0 and so z^2 = -m0 - m1 z; fields of degree 4 and up
-convolve the coordinates and fold the result with the context's rows
+Sums, differences and products take a closed form in the fields of
+degree 1 (N = 1, 2: Q itself) and degree 2 (N = 3, 4, 6), where the
+minimal polynomial is x^2 + m1 x + m0 and so z^2 = -m0 - m1 z; fields
+of degree 4 and up map over the coordinates of a sum, and convolve the
+coordinates of a product and fold the result with the context's rows
 for z^d, z^(d+1), ...
 
 There is no floating point anywhere: every operation is exact.
@@ -197,10 +198,19 @@ class CyclotomicContext:
         return self._one
 
     def from_rational(self, value):
+        """The rational ``value``: an int (a bool included), a Fraction or
+        the text of a rational.  Anything else, a float, a Decimal, a
+        complex or None, raises ValueError naming it, so that no
+        floating-point value is silently made exact."""
         if type(value) is int:
             if value == 1:
                 return self._one
             return Scalar(self, (value,) + self._pad)
+        if isinstance(value, str):
+            value = parse_rational(value)
+        elif not isinstance(value, (int, Fraction)):
+            raise ValueError(f"{value!r} is not an exact scalar: give an "
+                             f"int, a Fraction, a Scalar or text")
         v = Fraction(value)
         return Scalar(self, (v.numerator,) + self._pad, v.denominator)
 
@@ -215,7 +225,8 @@ class CyclotomicContext:
         return Scalar(self, tuple(num))
 
     def scalar(self, value):
-        """Coerce an int, Fraction, Scalar or text rendering to a Scalar."""
+        """Coerce an int, Fraction, Scalar or text rendering to a Scalar;
+        any other value raises ValueError (``from_rational``)."""
         if isinstance(value, Scalar):
             if value.ctx is not self and value.ctx != self:
                 raise ValueError("scalar belongs to a different context")
@@ -287,32 +298,59 @@ class Scalar:
         return None
 
     def __add__(self, other):
+        """The sum; over equal denominators it is formed coordinate by
+        coordinate, in closed form when the field has degree <= 2.
+
+        Over one denominator the sum (or difference, ``__sub__``) of
+        (a0 + a1 z)/d and (b0 + b1 z)/d is ((a0 + b0) + (a1 + b1) z)/d,
+        one coordinate fewer in degree 1; higher degrees map over the
+        coordinates.  Unequal denominators cross-multiply.  Every result
+        goes through the normalizing constructor, so 1/2 + 1/2 is 1/1
+        and a sum that cancels has the context zero's (0, ..., 0)/1.
+        """
         if type(other) is Scalar and other.ctx is self.ctx:
             o = other
         else:
             o = self._coerce(other)
             if o is None:
                 return NotImplemented
-        da, db = self.den, o.den
-        if da == db:
-            return Scalar(self.ctx, tuple(map(_add, self.num, o.num)), da)
-        return Scalar(self.ctx, tuple([x * db + y * da for x, y
-                                       in zip(self.num, o.num)]), da * db)
+        ctx, da = self.ctx, self.den
+        if da == o.den:
+            degree = ctx.degree
+            if degree == 2:
+                a0, a1 = self.num
+                b0, b1 = o.num
+                return Scalar(ctx, (a0 + b0, a1 + b1), da)
+            if degree == 1:
+                return Scalar(ctx, (self.num[0] + o.num[0],), da)
+            return Scalar(ctx, tuple(map(_add, self.num, o.num)), da)
+        db = o.den
+        return Scalar(ctx, tuple([x * db + y * da for x, y
+                                  in zip(self.num, o.num)]), da * db)
 
     __radd__ = __add__
 
     def __sub__(self, other):
+        """The difference, formed as ``__add__`` forms the sum."""
         if type(other) is Scalar and other.ctx is self.ctx:
             o = other
         else:
             o = self._coerce(other)
             if o is None:
                 return NotImplemented
-        da, db = self.den, o.den
-        if da == db:
-            return Scalar(self.ctx, tuple(map(_sub, self.num, o.num)), da)
-        return Scalar(self.ctx, tuple([x * db - y * da for x, y
-                                       in zip(self.num, o.num)]), da * db)
+        ctx, da = self.ctx, self.den
+        if da == o.den:
+            degree = ctx.degree
+            if degree == 2:
+                a0, a1 = self.num
+                b0, b1 = o.num
+                return Scalar(ctx, (a0 - b0, a1 - b1), da)
+            if degree == 1:
+                return Scalar(ctx, (self.num[0] - o.num[0],), da)
+            return Scalar(ctx, tuple(map(_sub, self.num, o.num)), da)
+        db = o.den
+        return Scalar(ctx, tuple([x * db - y * da for x, y
+                                  in zip(self.num, o.num)]), da * db)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -467,6 +505,8 @@ class Scalar:
         return not self.is_zero()
 
     def __eq__(self, other):
+        if type(other) is Scalar and other.ctx is self.ctx:
+            return self.num == other.num and self.den == other.den
         if isinstance(other, Scalar):
             return self.ctx.N == other.ctx.N and self.num == other.num \
                 and self.den == other.den

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hopfpath import cyclotomic_context, parse_scalar
-from hopfpath.scalars import MAX_CONDUCTOR, Scalar
+from hopfpath.scalars import MAX_CONDUCTOR, CyclotomicContext, Scalar
 
 CONDUCTORS = (1, 2, 3, 4, 5, 6, 8, 12)
 
@@ -265,3 +265,92 @@ def test_products_agree_with_the_convolution_on_a_grid(n, values, dens):
             value, before = x * y, conv_mul(x, y)
             assert (value.num, value.den) == (before.num, before.den)
             assert hash(value) == hash(before)
+
+
+# -- the closed-form sums and differences -----------------------------------------
+
+# the closed-form fields and one of degree 4, whose sums map over the
+# coordinates
+SUM_FIELDS = CLOSED_FORM + (5,)
+DENS = (1, 2, 3, 6, 10 ** 6)
+
+
+def ref_sum(x, y, sign):
+    """x + sign * y coordinate by coordinate in Fractions, handed to the
+    normalizing constructor."""
+    return build(x.ctx, tuple(a + sign * b
+                              for a, b in zip(x.coeffs, y.coeffs)))
+
+
+def _numerators(n):
+    d = cyclotomic_context(n).degree
+    return st.lists(wide, min_size=d, max_size=d).map(tuple)
+
+
+# y over x's denominator (None) or its own, so that both branches run
+sum_cases = st.sampled_from(SUM_FIELDS).flatmap(
+    lambda n: st.tuples(st.just(cyclotomic_context(n)), _numerators(n),
+                        _numerators(n), st.sampled_from(DENS),
+                        st.sampled_from((None,) + DENS)))
+
+
+def _same_scalar(value, expected):
+    assert (value.num, value.den) == (expected.num, expected.den)
+    assert hash(value) == hash(expected) and value == expected
+    assert _normalized(value)
+
+
+@given(sum_cases)
+def test_closed_form_sums_match_the_reference(case):
+    ctx, a, b, da, db = case
+    x, y = Scalar(ctx, a, da), Scalar(ctx, b, da if db is None else db)
+    for left, right in ((x, y), (y, x), (x, x), (x, -x)):
+        _same_scalar(left + right, ref_sum(left, right, 1))
+        _same_scalar(left - right, ref_sum(left, right, -1))
+
+
+@pytest.mark.parametrize("n", SUM_FIELDS)
+def test_sums_that_normalize_or_cancel(n):
+    ctx = cyclotomic_context(n)
+    z, zero, one = ctx.zeta(), ctx.zero(), ctx.one()
+    half = ctx.from_rational(Fraction(1, 2))
+    _same_scalar(half + half, one)
+    _same_scalar(z / 6 + z / 6, z / 3)
+    _same_scalar((z + 1) / 4 + (z - 1) / 4, z / 2)
+    _same_scalar(one - half, half)
+    for x in (half, z / 2, 3 * z - 5, (z + 7) / 10 ** 6, -z):
+        for value in (x - x, x + (-x), -x + x):
+            _same_scalar(value, zero)
+            assert value.num == zero.num and value.den == 1
+
+
+@pytest.mark.parametrize("n, values, dens",
+                         [(n, range(-2, 3), (1, 2, 3)) for n in CLOSED_FORM]
+                         + [(5, range(-1, 2), (1, 2))])
+def test_sums_agree_with_the_reference_on_a_grid(n, values, dens):
+    ctx = cyclotomic_context(n)
+    grid = _grid(ctx, values, dens)
+    for x in grid:
+        for y in grid:
+            _same_scalar(x + y, ref_sum(x, y, 1))
+            _same_scalar(x - y, ref_sum(x, y, -1))
+
+
+@pytest.mark.parametrize("n", SUM_FIELDS)
+def test_equality_fast_path_agrees_with_the_general_branch(n):
+    # the same context object takes the fast path; an equal context
+    # built anew takes the general branch, and must agree
+    ctx, twin = cyclotomic_context(n), CyclotomicContext(n)
+    other = cyclotomic_context(7)
+    grid = _grid(ctx, range(-1, 2), (1, 2))
+    for x in grid:
+        for y in grid:
+            expected = (x.num, x.den) == (y.num, y.den)
+            assert (x == y) is expected and (x != y) is not expected
+            y_twin = Scalar(twin, y.num, y.den)
+            assert (x == y_twin) is expected and (y_twin == x) is expected
+        # another conductor never compares equal, even on a rational
+        assert x != Scalar(other, x.num[:1] + (0,) * (other.degree - 1),
+                           x.den)
+        assert (x == x.num[0]) is (x.den == 1 and x.is_rational())
+        assert (x == Fraction(x.num[0], x.den)) is x.is_rational()

@@ -1,12 +1,15 @@
 import math
+import re
+from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from hopfpath import (
-    binom_vanishes, cyclotomic_context, cyclotomic_polynomial, gauss_binom,
-    gauss_binom_row, order, parse_scalar, q_factorial, q_int, root_of_unity,
+    Lin, binom_vanishes, cycle_deform, cycle_path, cyclotomic_context,
+    cyclotomic_polynomial, gauss_binom, gauss_binom_row, order,
+    parse_scalar, q_factorial, q_int, root_of_unity,
 )
 from hopfpath.scalars import conductor_for, parse_rational
 
@@ -298,3 +301,44 @@ def test_hash_tells_minus_one_from_minus_two(n):
     for x, y in ((-one, one - 2 * one), (one - z, (2 - 2 * z) / 2),
                  (z - one, -(one - z))):
         assert x == y and hash(x) == hash(y)
+
+
+# -- coercion takes exact values only ------------------------------------------
+
+INEXACT = (0.1, 0.5, 2.0, float("inf"), float("nan"), Decimal("0.1"),
+           Decimal(2), 1j, complex(2, 0), None, [1])
+
+
+@pytest.mark.parametrize("value", INEXACT, ids=repr)
+def test_coercion_refuses_what_is_not_exact(value):
+    # 0.1 once became 3602879701896397/36028797018963968, inf raised
+    # OverflowError and None TypeError; each is now a ValueError that
+    # names the value
+    ctx = cyclotomic_context(4)
+    z4 = root_of_unity(ctx, 4)
+    element = Lin.from_path(ctx, cycle_path(4, 0, 1))
+    calls = (lambda: ctx.scalar(value), lambda: ctx.from_rational(value),
+             lambda: element.scale(value),
+             lambda: element.copy().add_scaled(element, value),
+             lambda: cycle_deform(4, z4, value))
+    for call in calls:
+        with pytest.raises(ValueError, match=re.escape(repr(value))):
+            call()
+
+
+def test_coercion_keeps_ints_bools_fractions_scalars_and_text():
+    ctx = cyclotomic_context(4)
+    z = ctx.zeta()
+    assert ctx.scalar(3) == 3 and ctx.scalar(1) is ctx.one()
+    assert ctx.scalar(True) == 1 and ctx.scalar(False) == ctx.zero()
+    assert ctx.scalar(Fraction(3, 6)) == Fraction(1, 2)
+    assert ctx.scalar(z) is z
+    assert ctx.scalar("1/2 - z") == Fraction(1, 2) - z
+    assert ctx.from_rational("3/4") == Fraction(3, 4)
+    assert cycle_deform(4, root_of_unity(ctx, 4), Fraction(1, 10)) \
+        .label().endswith("1/10")
+    with pytest.raises(ValueError, match="zero denominator"):
+        ctx.from_rational("1/0")
+    # the arithmetic operators already refused a float
+    with pytest.raises(TypeError):
+        ctx.one() + 0.5

@@ -209,8 +209,8 @@ class CyclotomicContext:
         if isinstance(value, str):
             value = parse_rational(value)
         elif not isinstance(value, (int, Fraction)):
-            raise ValueError(f"{value!r} is not an exact scalar: give an "
-                             f"int, a Fraction, a Scalar or text")
+            raise ValueError(f"{value!r} is not an exact rational: give an "
+                             f"int, a Fraction or text")
         v = Fraction(value)
         return Scalar(self, (v.numerator,) + self._pad, v.denominator)
 
@@ -505,11 +505,9 @@ class Scalar:
         return not self.is_zero()
 
     def __eq__(self, other):
-        if type(other) is Scalar and other.ctx is self.ctx:
-            return self.num == other.num and self.den == other.den
         if isinstance(other, Scalar):
-            return self.ctx.N == other.ctx.N and self.num == other.num \
-                and self.den == other.den
+            return (other.ctx is self.ctx or other.ctx.N == self.ctx.N) \
+                and self.num == other.num and self.den == other.den
         if isinstance(other, int):
             return self.den == 1 and self.num[0] == other \
                 and self.is_rational()

@@ -337,9 +337,9 @@ def test_sums_agree_with_the_reference_on_a_grid(n, values, dens):
 
 
 @pytest.mark.parametrize("n", SUM_FIELDS)
-def test_equality_fast_path_agrees_with_the_general_branch(n):
-    # the same context object takes the fast path; an equal context
-    # built anew takes the general branch, and must agree
+def test_equality_within_a_context_agrees_with_an_equal_context(n):
+    # the same context object is recognised by identity; an equal context
+    # built anew is recognised by its conductor, and must agree
     ctx, twin = cyclotomic_context(n), CyclotomicContext(n)
     other = cyclotomic_context(7)
     grid = _grid(ctx, range(-1, 2), (1, 2))

@@ -326,6 +326,18 @@ def test_coercion_refuses_what_is_not_exact(value):
             call()
 
 
+def test_from_rational_refuses_a_scalar_and_does_not_offer_one():
+    # only scalar() takes a Scalar; from_rational's refusal lists what
+    # from_rational itself takes
+    ctx = cyclotomic_context(4)
+    for value in (ctx.zeta(), ctx.one(), ctx.from_rational(3)):
+        with pytest.raises(ValueError, match=re.escape(repr(value))) as err:
+            ctx.from_rational(value)
+        assert "int, a Fraction or text" in str(err.value)
+        assert "Scalar or" not in str(err.value)
+        assert ctx.scalar(value) is value
+
+
 def test_coercion_keeps_ints_bools_fractions_scalars_and_text():
     ctx = cyclotomic_context(4)
     z = ctx.zeta()

@@ -93,18 +93,24 @@ def _correction(n, d, j, path):
     target congruences are read modulo n, and when d = 0 (mod n) the
     defining correction vanishes identically and the coderivation is
     zero; on the chain (n None, j = 0) they are exact index equalities.
+    The image paths are built without Path's checks, as in ``splits``:
+    path is valid and the callers have checked n, d and j, so only the
+    cycle sources j and j + d need reducing modulo n, which is done here.
     """
     kind, i, l = path
     if l < d or n is not None and d % n == 0:
         return ()
+    new = tuple.__new__
     if (i == j) if n is None else (i - j) % n == 0:
+        s, t = (j, j + d) if n is None else (j % n, (j + d) % n)
         if l == d:
-            return (Path(kind, j, 0), 1), (Path(kind, j + d, 0), -1)
+            return (new(Path, (kind, s, 0)), 1), (new(Path, (kind, t, 0)), -1)
         if n is not None and (l - d) % n == 0:
-            return (Path(kind, j + d, l - d), -1), (Path(kind, j, l - d), 1)
-        return ((Path(kind, j + d, l - d), -1),)
+            return (new(Path, (kind, t, l - d)), -1), \
+                (new(Path, (kind, s, l - d)), 1)
+        return ((new(Path, (kind, t, l - d)), -1),)
     if (i + l == j + d) if n is None else (i + l - j - d) % n == 0:
-        return ((Path(kind, i, l - d), 1),)
+        return ((new(Path, (kind, i, l - d)), 1),)
     return ()
 
 
@@ -115,13 +121,14 @@ def _exp_correction(x, lam, n, d, j):
     are coalgebra automorphisms, with exp(-lam G) the exact inverse.
     Where G^2 = 0 (no index wrap-around) this is just id + lam G.  One
     pass per order adds c or -c for each (path, sign) term to give G^k x,
-    and lam^k / k! is formed once per order from the one before.
+    and lam^k / k! is formed once per order from the one before.  x is
+    copied once, and the copy is returned as soon as a pass finds no
+    term.  Most calls find G x = 0: they form no scalar and do not test
+    lam, which is tested for zero only once a term exists.
     """
     out = x.copy()
-    if lam.is_zero():
-        return out
     term = x.terms
-    factor = x.ctx.one()
+    factor = lam
     k = 0
     while True:
         acc = {}
@@ -130,11 +137,16 @@ def _exp_correction(x, lam, n, d, j):
                 ci = c if sign > 0 else -c
                 old = acc.get(image)
                 acc[image] = ci if old is None else old + ci
+        if not acc:
+            return out
         term = {p: c for p, c in acc.items() if not c.is_zero()}
         if not term:
             return out
         k += 1
-        factor = factor * lam * Fraction(1, k)
+        if k > 1:
+            factor = factor * lam * Fraction(1, k)
+        elif lam.is_zero():
+            return out
         for path, c in term.items():
             out.add_term(path, factor * c)
 

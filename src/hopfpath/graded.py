@@ -22,14 +22,18 @@ products and sums of two coefficients are kept in tables keyed by pairs
 of coefficient ids, each formed once per params.  The pair and triple
 checks of ``verify_graded_bialgebra`` run on ids: their loops hash ints
 and pairs of ints, and a path or ``Scalar`` is hashed only when a path
-is split or a product is first formed.
+is split or a product is first formed.  They read the two tables
+inline and call ``_product`` or ``_sum`` only on a miss, which is rare:
+a verdict meets most of its products and sums many times.
 """
 
 from __future__ import annotations
 
 from .coalgebra import splits
 from .linear import Lin
-from .quiver import Path, chain_kind, cycle_kind, enumerate_paths
+from .quiver import (
+    Path, _require_int, chain_kind, cycle_kind, enumerate_paths,
+)
 from .report import VerificationReport
 from .scalars import gauss_binom_row
 
@@ -247,12 +251,15 @@ def verify_graded_bialgebra(params, max_len, assoc_len=None):
     of the counit.  Unitality runs on the element API; the pairs and
     triples are checked on the ids of basis paths, where a product is
     one (path id, coefficient id) pair or zero.  Failures are recorded
-    with the offending paths, not raised.
+    with the offending paths, not raised.  max_len and assoc_len must be
+    ints; a bool is refused too.
     """
+    _require_int("max_len", max_len)
     if max_len < 2:
         raise ValueError("max_len must be at least 2")
     if assoc_len is None:
         assoc_len = max(2, max_len - 1)
+    _require_int("assoc_len", assoc_len)
     if not 0 <= assoc_len <= max_len:
         raise ValueError("assoc_len must be between 0 and max_len")
     _check_work(params.kind, max_len, assoc_len)
@@ -290,10 +297,13 @@ def _bialgebra_pair_failure(params, basis):
     read from the params' rows, and products and running sums of
     coefficients from its tables of coefficient ids, so both sides are
     dicts from pairs of path ids to coefficient ids, and a sum that
-    cancels is id 0, zero.  Both sides keep only nonzero coefficients.
+    cancels is id 0, zero.  The tables are read inline, and a miss is
+    ``is None``, not a falsy id, since id 0 is a value; ``_product`` and
+    ``_sum`` form an entry on a miss.  Both sides keep only nonzero
+    coefficients.
     """
     paths, rows, path_id = params._paths, params._rows, params._path_id
-    product, add = params._product, params._sum
+    products, sums = params._products, params._sums
     one = params._coeff_id(params.ctx.one())
     cuts = {}
 
@@ -326,9 +336,15 @@ def _bialgebra_pair_failure(params, basis):
                     if right is None:
                         continue
                     key = left[0], right[0]
-                    c = product(left[1], right[1])
+                    pair = left[1], right[1]
+                    c = products.get(pair)
+                    if c is None:
+                        c = params._product(*pair)
                     old = acc.get(key)
-                    acc[key] = c if old is None else add(old, c)
+                    if old is not None:
+                        s = sums.get((old, c))
+                        c = params._sum(old, c) if s is None else s
+                    acc[key] = c
             lhs = {} if out is None else dict.fromkeys(cut(out[0]), out[1])
             if {k: c for k, c in acc.items() if c} != lhs:
                 return f"delta({paths[a]} * {paths[b]})"
@@ -345,10 +361,11 @@ def _associativity_failure(params, basis):
 
     Each side is one (path id, coefficient id) pair or None: the path
     products are read from the params' rows, and the product of the two
-    coefficients from its table, so each distinct product is formed once
-    per params, not once per triple.
+    coefficients from its table, inline, with ``_product`` called only on
+    a miss, so each distinct product is formed once per params, not once
+    per triple.
     """
-    paths, rows, product = params._paths, params._rows, params._product
+    paths, rows, products = params._paths, params._rows, params._products
     for a in basis:
         row_a = rows[a]
         for b in basis:
@@ -364,7 +381,10 @@ def _associativity_failure(params, basis):
                     if out is False:
                         out = _fill(params, ab[0], c)
                     if out is not None:
-                        lhs = out[0], product(ab[1], out[1])
+                        pair = ab[1], out[1]
+                        v = products.get(pair)
+                        lhs = out[0], params._product(*pair) if v is None \
+                            else v
                 bc = row_b.get(c, False)
                 if bc is False:
                     bc = _fill(params, b, c)
@@ -373,7 +393,10 @@ def _associativity_failure(params, basis):
                     if out is False:
                         out = _fill(params, a, bc[0])
                     if out is not None:
-                        rhs = out[0], product(out[1], bc[1])
+                        pair = out[1], bc[1]
+                        v = products.get(pair)
+                        rhs = out[0], params._product(*pair) if v is None \
+                            else v
                 if lhs != rhs:
                     return f"({paths[a]} * {paths[b]}) * {paths[c]}"
     return None

@@ -588,21 +588,32 @@ def scalar_to_str(x):
     return text
 
 
+# the one rational literal of the package, read by ``parse_rational``
+# and as a coefficient of ``parse_scalar``, both of which drop spaces
+# first: an integer, a fraction a/b, or a decimal with an optional
+# exponent (``0.5``, ``.25``, ``1e3``)
+_RATIONAL = r"(?:\d+/\d+|(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+_RATIONAL_RE = re.compile(r"[+-]?" + _RATIONAL)
 _TERM_RE = re.compile(
-    r"^(?P<coeff>[+-]?(?:\d+(?:/\d+)?)?)(?:(?<=\d)\*)?(?P<z>z(?:\^(?P<exp>[+-]?\d+))?)?$"
+    r"^(?P<coeff>[+-]?(?:" + _RATIONAL
+    + r")?)(?:(?<=[\d.])\*)?(?P<z>z(?:\^(?P<exp>[+-]?\d+))?)?$"
 )
-# a sign starts a new term unless it follows ``^`` or the sign of an
-# exponent, so that a malformed exponent such as ``z^+-1`` stays whole
-_NOT_IN_EXPONENT = r"(?<!\^)(?<!\^[+-])"
+# a sign starts a new term unless it follows ``^``, the sign of an
+# exponent or a decimal's ``e``, so that a malformed exponent such as
+# ``z^+-1`` stays whole and ``1e-3`` is one coefficient
+_NOT_IN_EXPONENT = r"(?<!\^)(?<!\^[+-])(?<![\d.][eE])"
 _TERM_SIGN_RE = re.compile(_NOT_IN_EXPONENT + "-")
 _TERM_SPLIT_RE = re.compile(_NOT_IN_EXPONENT + r"\+")
 
 
 def parse_rational(text):
-    """``Fraction(text)``, with a zero denominator reported as a
-    ValueError that names the literal, like any other bad literal."""
+    """The rational of a literal in the one grammar above; anything
+    else, and a zero denominator, is a ValueError naming the literal."""
+    compact = text.replace(" ", "")
+    if not _RATIONAL_RE.fullmatch(compact):
+        raise ValueError(f"cannot parse rational {text!r}")
     try:
-        return Fraction(text)
+        return Fraction(compact)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in scalar {text!r}") from None
 

@@ -11,6 +11,7 @@ import pytest
 import hopfpath
 from hopfpath import cli
 from hopfpath.cli import main
+from test_scalars import NOT_RATIONAL, RATIONAL_SPELLINGS
 
 
 def run(capsys, *argv):
@@ -647,3 +648,39 @@ def test_a_negative_exponent_in_lambda_is_read(capsys):
     assert code == 0
     assert json.loads(out)["pass"] is True
     assert json.loads(out)["subject"].endswith("lambda=-1 - z")
+
+
+# one rational literal: the spellings of ``test_scalars``' table through
+# --q and --lambda print what their canonical spelling prints
+LITERAL_COMMANDS = {
+    "lambda": ("verify", "hopf", "--family", "cycle-deform", "--n", "3",
+               "--q-order", "3", "--degree", "2", "--json", "--lambda"),
+    "q": ("verify", "hopf", "--family", "chain-graded", "--degree", "2",
+          "--q"),
+    "graded-q": ("graded", "verify", "--kind", "chain", "--max-len", "2",
+                 "--q"),
+}
+
+
+def _with_literal(command, text):
+    # --q=-1/4, not --q -1/4, which argparse reads as an option
+    *argv, option = LITERAL_COMMANDS[command]
+    return (*argv, f"{option}={text}")
+
+
+@pytest.mark.parametrize("command", LITERAL_COMMANDS)
+@pytest.mark.parametrize("text, value", RATIONAL_SPELLINGS)
+def test_every_rational_spelling_prints_the_same_bytes(capsys, command,
+                                                       text, value):
+    # --lambda 0.5 once exited 2 while --q 0.5 was read
+    got = run(capsys, *_with_literal(command, text))
+    assert got == run(capsys, *_with_literal(command, str(value)))
+    assert got[0] == (2 if command != "lambda" and value == 0 else 0)
+
+
+@pytest.mark.parametrize("command", LITERAL_COMMANDS)
+@pytest.mark.parametrize("text", NOT_RATIONAL)
+def test_every_non_rational_spelling_is_a_usage_error(capsys, command, text):
+    code, out, err = run(capsys, *_with_literal(command, text))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot parse")

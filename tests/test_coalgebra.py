@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hopfpath import (
-    CoalgElement, Lin, PBWMonomial, Path, TensorElement, chain_automorphism,
-    chain_kind, chain_path, comultiply, counit, cycle_automorphism,
-    cycle_deform, cycle_kind, cycle_path, cyclotomic_context, degree,
-    enumerate_paths, presentation_of, root_of_unity,
+    CoalgElement, Lin, PBWMonomial, Path, Scalar, TensorElement,
+    chain_automorphism, chain_kind, chain_path, comultiply, counit,
+    cycle_automorphism, cycle_deform, cycle_kind, cycle_path,
+    cyclotomic_context, degree, enumerate_paths, presentation_of,
+    root_of_unity,
 )
 from hopfpath.coalgebra import _correction, splits
 
@@ -343,12 +344,17 @@ def test_merged_correction_matches_the_cycle_and_chain_versions():
     for n in range(1, 9):
         for d in range(2, 2 * n + 2):
             paths = enumerate_paths(cycle_kind(n), 3 * d)
-            for j in range(n):
+            # offsets outside 0..n-1 too: the image sources are reduced
+            # modulo n by _correction itself, not by Path
+            for j in range(-n, 2 * n):
                 for path in paths:
                     got = _correction(n, d, j, path)
                     want = _reference_cycle_correction(n, d, j, CTX, path)
                     assert _signed(got) == list(want.terms.items()), \
                         (n, d, j, path)
+                    for image, _ in got:
+                        assert 0 <= image.source < n, (n, d, j, path)
+                        assert image == Path(*image), (n, d, j, path)
                     cases += 1
     for d in range(1, 9):
         for path in enumerate_paths(chain_kind(), 3 * d,
@@ -357,7 +363,7 @@ def test_merged_correction_matches_the_cycle_and_chain_versions():
             want = _reference_chain_correction(d, CTX, path)
             assert _signed(got) == list(want.terms.items()), (d, path)
             cases += 1
-    assert cases > 30_000
+    assert cases > 90_000
 
 
 def _signed(pairs):
@@ -404,7 +410,10 @@ def test_automorphism_series_matches_the_element_reference():
         for d in range(2, n + 1):
             if n % d:
                 continue
-            for j in range(n):
+            offsets = range(n)
+            if (n, d) == (6, 3):  # and offsets outside 0..n-1
+                offsets = (-1, *offsets, n + 1)
+            for j in offsets:
                 def step(p, n=n, d=d, j=j):
                     return _element(p.kind, _correction(n, d, j, p))
 
@@ -431,3 +440,42 @@ def test_automorphism_series_matches_the_element_reference():
                     x, CTX.scalar(lam), step).terms, (path, lam)
                 assert auto(-lam, fx) == x, (path, lam)
     assert second_order > 0
+
+
+def test_an_automorphism_that_finds_no_correction_returns_a_copy(
+        monkeypatch):
+    # criterion 04's sweep, where most calls find G x = 0: the result is
+    # a new element equal to x, and no scalar is multiplied or added
+    formed = []
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        def counting(self, other, op=getattr(Scalar, name), name=name):
+            formed.append(name)
+            return op(self, other)
+        monkeypatch.setattr(Scalar, name, counting)
+    cases = []
+    for n in range(2, 7):
+        for d in range(2, n + 1):
+            if n % d == 0:
+                cases += [(n, d, j, enumerate_paths(cycle_kind(n), 3 * d))
+                          for j in range(n)]
+    cases += [(None, d, 0, enumerate_paths(
+        chain_kind(), 3 * d, window=(-2 * d - 1, 2 * d + 1)))
+        for d in range(1, 4)]
+    lambdas = [0, 1, 2, -1, Fraction(1, 2)]
+    fixed = moved = 0
+    for n, d, j, paths in cases:
+        for path in paths:
+            x = elem(path)
+            if _correction(n, d, j, path):
+                moved += 1
+                continue
+            for lam in lambdas:
+                fx = cycle_automorphism(n, d, lam, j, x) if n \
+                    else chain_automorphism(d, lam, x)
+                assert fx == x and fx is not x, (n, d, j, path, lam)
+                assert fx.terms is not x.terms, (n, d, j, path, lam)
+                fx.terms.clear()
+                assert x.terms == {path: CTX.one()}
+                fixed += 1
+    assert formed == []
+    assert fixed > 10 * moved > 0

@@ -7,6 +7,7 @@ agree with it check for check and witness for witness, on correct
 products and on deliberately wrong ones.
 """
 
+import re
 import sys
 from fractions import Fraction
 
@@ -387,6 +388,29 @@ def test_assoc_len_must_lie_between_zero_and_max_len():
             verify_graded_bialgebra(params, 3, assoc_len)
     assert verify_graded_bialgebra(params, 3, 0).passed
     assert verify_graded_bialgebra(params, 3, 3).passed
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, True, "2", None, Fraction(2)],
+                         ids=repr)
+def test_lengths_must_be_ints(value):
+    # assoc_len 2.5 once checked associativity up to length 2 and passed,
+    # True was read as 1 and "2" died with a TypeError from ``<=``
+    params = cycle(4, 4)
+    if value is not None:  # None is the default assoc_len
+        with pytest.raises(ValueError, match=re.escape(
+                f"assoc_len must be an int, not {value!r}")):
+            verify_graded_bialgebra(params, 4, value)
+    with pytest.raises(ValueError, match=re.escape(
+            f"max_len must be an int, not {value!r}")):
+        verify_graded_bialgebra(params, value)
+
+
+def test_length_checks_come_before_the_work_bound():
+    # a length that is not an int is named, not sized against the bound
+    with pytest.raises(ValueError, match="^max_len must be an int"):
+        verify_graded_bialgebra(cycle(6, 6), 10.0)
+    with pytest.raises(ValueError, match="^assoc_len must be an int"):
+        verify_graded_bialgebra(cycle(6, 6), 10, 9.0)
 
 
 def test_work_above_the_bound_is_refused_before_it_starts():

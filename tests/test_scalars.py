@@ -263,6 +263,47 @@ def test_parse_rational_names_a_zero_denominator():
     assert str(info.value) == "zero denominator in scalar '1/0'"
 
 
+# -- one rational literal ------------------------------------------------------
+
+# every spelling of a rational that the package reads, and its value;
+# ``parse_rational``, ``from_rational``, ``scalar`` and the CLI's --q and
+# --lambda all read the same literals
+RATIONAL_SPELLINGS = [
+    ("1/2", Fraction(1, 2)), ("0.5", Fraction(1, 2)), (".5", Fraction(1, 2)),
+    ("5e-1", Fraction(1, 2)), ("-0.25", Fraction(-1, 4)),
+    ("-1/4", Fraction(-1, 4)), ("-6/4", Fraction(-3, 2)),
+    ("1e3", Fraction(1000)), ("2.5E+2", Fraction(250)), ("+3", Fraction(3)),
+    ("3.", Fraction(3)), ("0", Fraction(0)), (" 1 / 2 ", Fraction(1, 2)),
+]
+# and what none of them reads
+NOT_RATIONAL = ["1_000", "abc", "1/2.0", "1.5/2", "inf", "nan", "1e", "e3",
+                "--1", "1/-2", ".", "0x10", "\t1"]
+
+
+@pytest.mark.parametrize("text, value", RATIONAL_SPELLINGS)
+def test_every_entry_point_reads_the_same_rational_literals(text, value):
+    # ``scalar`` once refused 0.5, -0.25 and 1e3, which ``from_rational``
+    # read
+    ctx = cyclotomic_context(4)
+    assert parse_rational(text) == value
+    assert ctx.from_rational(text) == value
+    assert ctx.scalar(text) == value
+    assert ctx.scalar(f"{text}*z") == value * ctx.zeta()
+    assert ctx.scalar(f"z - {text.lstrip('+-')}") \
+        == ctx.zeta() - abs(value)
+
+
+@pytest.mark.parametrize("text", NOT_RATIONAL)
+def test_every_entry_point_refuses_the_same_literals(text):
+    # ``scalar`` names the malformed term, which a sign may cut short
+    ctx = cyclotomic_context(4)
+    for call in (parse_rational, ctx.from_rational):
+        with pytest.raises(ValueError, match=re.escape(repr(text))):
+            call(text)
+    with pytest.raises(ValueError, match="cannot parse scalar term"):
+        ctx.scalar(text)
+
+
 def test_order_search_covers_lcm_two_n():
     # all roots of unity in Q(zeta_N) have order dividing lcm(2, N)
     for conductor in (3, 4, 5, 6):

@@ -35,7 +35,7 @@ from .quiver import (
     Path, _require_int, chain_kind, cycle_kind, enumerate_paths,
 )
 from .report import VerificationReport
-from .scalars import gauss_binom_row
+from .scalars import _grow_q_pascal
 
 __all__ = [
     "MAX_BASIS_TUPLES",
@@ -73,7 +73,11 @@ class GradedHopfParams:
         else:
             raise ValueError(f"unknown quiver kind {kind!r}")
         self._qpow = {}
-        self._binom_rows = {}
+        # the q-Pascal rows 0, 1, ... grown on demand from the last one
+        # held, and the powers of q they read
+        one = self.ctx.one()
+        self._binom_rows = [[one]]
+        self._binom_powers = [one]
         # the path index: id -> path (the one copy kept), path -> id, and
         # id -> row of products {right id: (product id, coefficient id)
         # or None}
@@ -104,10 +108,10 @@ class GradedHopfParams:
         return out
 
     def binom(self, n, k):
-        row = self._binom_rows.get(n)
-        if row is None:
-            row = self._binom_rows[n] = gauss_binom_row(n, self.q)
-        return row[k]
+        rows = self._binom_rows
+        if n >= len(rows):
+            _grow_q_pascal(rows, self._binom_powers, self.q, n)
+        return rows[n][k]
 
     def _path_id(self, path):
         """The id of path's value, given on first sight."""

@@ -44,8 +44,12 @@ class Lin:
 
     @classmethod
     def from_path(cls, ctx, path, coeff=1):
+        """coeff times path; the default int 1 stores the context's one
+        without coercing it or testing it for zero."""
         out = cls(ctx, path.kind)
-        if not (c := ctx.scalar(coeff)).is_zero():
+        if type(coeff) is int and coeff == 1:
+            out.terms[path] = ctx.one()
+        elif not (c := ctx.scalar(coeff)).is_zero():
             out.terms[path] = c
         return out
 

@@ -61,7 +61,7 @@ from itertools import islice
 from typing import NamedTuple
 
 from .linear import Lin
-from .quiver import Path, chain_kind, cycle_kind
+from .quiver import Path, _require_int, chain_kind, cycle_kind
 from .report import VerificationReport
 from .scalars import (
     conductor_for, cyclotomic_context, order, parse_rational, q_factorial,
@@ -568,8 +568,12 @@ class RewriteSystem:
         return self.monomial(self.interned(0, 0, 0))
 
     def monomial(self, mono, coeff=1):
+        """coeff times mono; the default int 1 stores the context's one
+        without coercing it or testing it for zero."""
         out = Lin(self.ctx, self)
-        if not (c := self.ctx.scalar(coeff)).is_zero():
+        if type(coeff) is int and coeff == 1:
+            out.terms[mono] = self.ctx.one()
+        elif not (c := self.ctx.scalar(coeff)).is_zero():
             out.terms[mono] = c
         return out
 
@@ -1124,9 +1128,11 @@ def structure_rows(desc, weight_bound):
     """Structure constants of the presented algebra on bounded monomials.
 
     Rows are {left, right, result: [{coeff, k, j, i}, ...]}, ordered by
-    the (k, j, i) sort of both factors.  A bound that admits more than
-    MAX_MONOMIAL_PAIRS pairs is refused before any product is formed.
+    the (k, j, i) sort of both factors.  A bound that is not an int (a
+    bool included), or that admits more than MAX_MONOMIAL_PAIRS pairs, is
+    refused before any product is formed.
     """
+    _require_int("weight_bound", weight_bound)
     if weight_bound < 0:
         raise ValueError("weight_bound must be non-negative")
     rs = presentation_of(desc)

@@ -705,19 +705,29 @@ def q_factorial(l, q):
     return total
 
 
+def _grow_q_pascal(rows, powers, q, n):
+    """Extend ``rows``, the q-Pascal rows 0 .. len(rows) - 1 for q (row 0
+    at least), through row n in place, each new row from the last by
+    binom(m, k) = binom(m-1, k-1) + q^k * binom(m-1, k); ``powers``
+    holds q^0, q^1, ... and is extended as the rows need."""
+    one = q.ctx.one()
+    for m in range(len(rows), n + 1):
+        if len(powers) < m:
+            powers.append(powers[-1] * q)
+        prev = rows[-1]
+        row = [one]
+        for k in range(1, m):
+            row.append(prev[k - 1] + powers[k] * prev[k])
+        row.append(one)
+        rows.append(row)
+
+
 def gauss_binom_row(n, q):
     """Row n of the q-Pascal triangle for q, as a list of Scalars."""
-    ctx = q.ctx
-    row = [ctx.one()]
-    qpow = [ctx.one()]
-    for m in range(1, n + 1):
-        qpow.append(qpow[-1] * q)
-        new = [ctx.one()]
-        for k in range(1, m):
-            new.append(row[k - 1] + qpow[k] * row[k])
-        new.append(ctx.one())
-        row = new
-    return row
+    one = q.ctx.one()
+    rows = [[one]]
+    _grow_q_pascal(rows, [one], q, n)
+    return rows[n]
 
 
 def gauss_binom(n, k, q):

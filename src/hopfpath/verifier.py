@@ -32,10 +32,13 @@ whole words, through ``resolution_difference``.  The antipode
 convolutions add each product straight into one dict per axiom through
 ``RewriteSystem.accumulate``, the loop that ``RewriteSystem.multiply``
 runs, which reads the table's entries itself.  The degeneration
-verdict works on monomial and path pairs: it reads the deformed product
-from the product table and maps the graded path product back through
-the graded presentation's PBW <-> path table (``RewriteSystem._to_path``
-and ``_to_pbw``).  This module keeps no cache of its own;
+verdict works on monomial and path pairs: it reads each middle's
+product-table entry once per verdict into its leading terms, which a
+pair shifts, and maps the graded path product back through the graded
+presentation's PBW <-> path table (``RewriteSystem._to_path`` and
+``_to_pbw``), forming each graded coefficient once per verdict for each
+pair of shapes and coefficient id.  Those tables are the verdict's
+locals; this module keeps no cache of its own;
 ``presentation_of.cache_clear()`` frees every memo.  A degree bound of
 ``verify_antipode``, ``compute_antipode`` or ``verify_degeneration`` that
 admits more than MAX_MONOMIAL_PAIRS monomial pairs is refused before any
@@ -52,13 +55,14 @@ nonzero otherwise.
 
 from __future__ import annotations
 
-from .graded import GradedHopfParams, _mul_path_raw
+from .graded import GradedHopfParams, _fill
 from .linear import Lin
 from .presentations import (
     MAX_MONOMIAL_PAIRS, RewriteSystem, as_presentation, chain_graded,
     check_confluence, cycle_deform, cycle_graded, presentation_of,
     resolution_difference, _path_term, _pbw_term, _with_terms,
 )
+from .quiver import _require_int
 from .report import VerificationReport
 from .scalars import root_of_unity
 
@@ -357,8 +361,11 @@ def compute_antipode(system, degree_bound):
     recursing along the coradical filtration, and extended
     anti-multiplicatively; both convolution axioms are then verified on
     the returned monomials, not assumed.  A failure raises: it
-    falsifies the presentation rather than returning a bogus map.
+    falsifies the presentation rather than returning a bogus map.  A
+    bound that is not an int (a bool included) is refused before any
+    work.
     """
+    _require_int("degree_bound", degree_bound)
     rs = as_presentation(system)
     _check_degree_bound(rs, degree_bound)
     monos = _monomials(rs, degree_bound)
@@ -387,7 +394,9 @@ def _check_antipode(rep, rs, monos, label):
 
 
 def verify_antipode(system, degree_bound):
-    """Both antipode axioms on every monomial of bounded weight."""
+    """Both antipode axioms on every monomial of bounded weight; a bound
+    that is not an int (a bool included) is refused before any work."""
+    _require_int("degree_bound", degree_bound)
     rs = as_presentation(system)
     _check_degree_bound(rs, degree_bound)
     rep = VerificationReport(f"antipode of {rs.name}")
@@ -494,12 +503,29 @@ def verify_degeneration(system, degree_bound):
     deformed product is compared against the graded product computed
     independently on the path side (closed product formula transported
     through the basis identification); the difference must sit in
-    strictly lower weight.  Both sides stay on basis keys: the deformed
-    product is the presentation's product-table entry, and the graded
-    one is the product of the two image paths mapped back through the
-    graded presentation's PBW <-> path table.  Elements are built only
-    to render a failure.  A system without a descriptor raises ValueError.
+    strictly lower weight.  Both sides stay on basis keys, and each
+    piece of work is done once per verdict for each key it depends on.
+
+    Deformed side: x * y = p^k (a^j h^i p^k' a^j') h^i' for x = p^k a^j h^i
+    and y = p^k' a^j' h^i', so it is the middle's normal form, the
+    presentation's ``_prod`` entry (``_middle`` fills it on a miss; a
+    group-like y leaves the normal middle a^j h^i), with p exponents
+    shifted by k and h exponents by i' (modulo n on a cycle).  The
+    shift adds k*d_p to every weight, so each middle (j, i, k', j') is
+    read once per verdict into its weight excess over j + k'*d_p + j'
+    and its terms (k, j, i, c) of that weight, and a pair only shifts
+    that list.  Graded side: the product of the two image paths is
+    formed once, by ``_fill`` on the params' path ids, and mapped back
+    through the graded presentation's path -> PBW table.  Its
+    coefficient cx*cy*coeff*inverse is formed once per verdict for each
+    (k, j, k', j', coefficient id): the image coefficients cx = k!*j!_q
+    and cy depend only on the shapes, and the inverse of the product
+    path's image coefficient only on its length, the sum of theirs.
+    Elements are built only to render a failure.  A system without a
+    descriptor raises ValueError, and a bound that is not an int (a bool
+    included) is refused before any work.
     """
+    _require_int("degree_bound", degree_bound)
     rs = as_presentation(system)
     desc = rs.descriptor
     if desc is None:
@@ -509,32 +535,72 @@ def verify_degeneration(system, degree_bound):
     grs = presentation_of(gdesc)
     params = GradedHopfParams(desc.path_kind, gdesc.q)
     rep = VerificationReport(f"degeneration of {rs.name}")
-    images = {m: _path_term(grs, m) for m in _monomials(rs, degree_bound)}
-    pw = rs.p_weight
+    images = {}
+    for m in _monomials(rs, degree_bound):
+        path, coeff = _path_term(grs, m)
+        images[m] = params._path_id(path), coeff
+    paths, coeffs = params._paths, params._coeffs
+    prod, one = rs._prod, rs.ctx.one()
+    pw, n = rs.p_weight, rs.h_order
+    # (j, i, k', j') -> (weight excess, leading terms (k, j, i, c));
+    # (k, j, k', j', coefficient id) -> graded coefficient, None if zero
+    middles, graded_coeffs = {}, {}
     pairs = 0
     bad = None
     for x, y in rs.monomial_pairs(degree_bound, _CHAIN_WINDOW):
-        w = x.k * pw + x.j + y.k * pw + y.j
         pairs += 1
-        deformed = rs.mono_product(x, y)  # a memo entry: read only
-        top_weight = max((m.k * pw + m.j for m in deformed), default=w)
-        if top_weight > w:
-            bad = f"{x} * {y} has weight {top_weight} > {w}"
+        key = (x.j, x.i, y.k, y.j)
+        lead = middles.get(key)
+        if lead is None:
+            j, i, k2, j2 = key
+            if k2 or j2:
+                mid = prod.get(key)
+                if mid is None:
+                    mid = rs._middle(*key)
+            else:
+                mid = {rs.interned(0, j, i): one}
+            base = j + k2 * pw + j2
+            top = max((m.k * pw + m.j for m in mid), default=base)
+            lead = middles[key] = (top - base, [
+                (*m, c) for m, c in mid.items()
+                if m.k * pw + m.j == base])
+        excess, terms = lead
+        if excess > 0:
+            w = x.k * pw + x.j + y.k * pw + y.j
+            bad = f"{x} * {y} has weight {w + excess} > {w}"
             break
-        top = {m: c for m, c in deformed.items() if m.k * pw + m.j == w}
-        (px, cx), (py, cy) = images[x], images[y]
-        graded = {}
-        out = _mul_path_raw(params, px, py)
+        (idx, cx), (idy, cy) = images[x], images[y]
+        # the image paths of distinct pairs are distinct pairs of paths,
+        # new to this verdict's params, so each product is formed here
+        out = _fill(params, idx, idy)
+        c = None
         if out is not None:
-            path, coeff = out
-            mono, inverse = _pbw_term(grs, path)
-            c = cx * cy * coeff * inverse
-            if not c.is_zero():
-                graded[mono] = c
-        if top != graded:
-            bad = (f"{x} * {y}: leading part {Lin(rs.ctx, rs, top)} "
-                   f"differs from graded {Lin(rs.ctx, grs, graded)}")
-            break
+            pid, cid = out
+            ckey = (x.k, x.j, y.k, y.j, cid)
+            c = graded_coeffs.get(ckey, False)
+            if c is False:
+                inverse = _pbw_term(grs, paths[pid])[1]
+                c = cx * cy * coeffs[cid] * inverse
+                c = graded_coeffs[ckey] = None if c.is_zero() else c
+        if c is None:
+            if not terms:
+                continue
+        elif len(terms) == 1:
+            mono = _pbw_term(grs, paths[pid])[0]
+            mk, mj, mi, mc = terms[0]
+            e = mi + y.i
+            if (x.k + mk, mj, e if n is None else e % n) == mono \
+                    and mc == c:
+                continue
+        top = {}
+        for mk, mj, mi, mc in terms:
+            e = mi + y.i
+            top[rs.interned(x.k + mk, mj, e if n is None else e % n)] = mc
+        graded = {} if c is None else \
+            {_pbw_term(grs, paths[pid])[0]: c}
+        bad = (f"{x} * {y}: leading part {Lin(rs.ctx, rs, top)} "
+               f"differs from graded {Lin(rs.ctx, grs, graded)}")
+        break
     rep.add(f"filtered products match the graded layer on {pairs} pairs",
             bad is None, bad or "")
     return rep

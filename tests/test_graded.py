@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,9 +7,10 @@ import pytest
 from hopfpath import (
     CoalgElement, GradedHopfParams, Path, chain_path, comultiply, counit,
     cycle_path, cyclotomic_context, enumerate_paths, multiply,
-    order as q_order, q_factorial, root_of_unity, structure_table,
-    tensor_multiply, unit, verify_graded_bialgebra,
+    gauss_binom_row, order as q_order, q_factorial, root_of_unity,
+    structure_table, tensor_multiply, unit, verify_graded_bialgebra,
 )
+from hopfpath.scalars import Scalar
 
 
 def cyc(n, order=None, power=1):
@@ -272,3 +274,51 @@ def test_structure_table_rows():
     assert r["coeff"] == "0" and r["result"] == ""
     r = lookup[("g^1", "p[0,1]")]
     assert r["coeff"] == "-1" and r["result"] == "p[1,1]"
+
+
+def _pascal_qs():
+    ctx12 = cyclotomic_context(12)
+    q1 = cyclotomic_context(1).one()
+    return [root_of_unity(cyclotomic_context(3), 3),
+            root_of_unity(cyclotomic_context(4), 4) ** 3,
+            root_of_unity(ctx12, 6) ** 5,
+            2 * q1, q1 / 2]
+
+
+@pytest.mark.parametrize("q", _pascal_qs(), ids=str)
+def test_binomial_rows_are_grown_once_in_any_order(q, monkeypatch):
+    # each params holds the q-Pascal rows 0..N and extends them from the
+    # last one held, so rows 0..30 cost one addition per interior entry,
+    # 435 in all, whatever order they are first asked for in; every row
+    # equals the one ``gauss_binom_row`` builds from row 0
+    top = 30
+    reference = [gauss_binom_row(n, q) for n in range(top + 1)]
+    orders = [list(range(top + 1)), list(range(top, -1, -1)),
+              [top] + list(range(top)), [7, 3, 19, 0, 30, 12, 29, 1]]
+    for seed in range(3):
+        order = list(range(top + 1))
+        random.Random(seed).shuffle(order)
+        orders.append(order)
+    adds = []
+    add = Scalar.__add__
+
+    def counting(x, y):
+        adds.append(1)
+        return add(x, y)
+
+    monkeypatch.setattr(Scalar, "__add__", counting)
+    for order in orders:
+        params = GradedHopfParams.chain(q)
+        adds[:] = []
+        for n in order:
+            assert [params.binom(n, k) for k in range(n + 1)] \
+                == reference[n]
+        assert len(adds) == sum(m - 1 for m in range(2, max(order) + 1))
+    monkeypatch.undo()
+    if q.ctx.N == 1:
+        # an independent route where the quotient is defined: the
+        # factorial quotient n!_q / (k!_q (n - k)!_q)
+        for n in range(top + 1):
+            fact = [q_factorial(k, q) for k in range(n + 1)]
+            assert reference[n] == [fact[n] / (fact[k] * fact[n - k])
+                                    for k in range(n + 1)]

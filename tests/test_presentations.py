@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import re
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,8 @@ from hopfpath import (
     descriptor_to_dict, multiply, multiply_alg, normal_form, parse_word,
     chain_kind, cycle_kind,
     path_to_pbw, pbw_image, pbw_to_path, presentation_of, q_factorial,
-    root_of_unity, simple_pointed_catalog, type_one_chain, type_one_cycle,
+    root_of_unity, simple_pointed_catalog, structure_rows, type_one_chain,
+    type_one_cycle,
     verify_antipode, verify_degeneration, verify_hopf, GradedHopfParams,
     HopfFamilyDescriptor,
 )
@@ -569,3 +571,18 @@ def test_descriptor_json_round_trip():
         assert back.n == desc.n
         assert back.q == desc.q
         assert back.param == desc.param
+
+
+@pytest.mark.parametrize("bound", [2.0, 2.5, "2", True, Fraction(2), None],
+                         ids=repr)
+def test_structure_rows_bound_must_be_an_int(bound):
+    # 2.0 and 2.5 died with a TypeError from range, "2" with one from
+    # ``<``, and True was read as the bound 1; each is now refused before
+    # the presentation is even looked up
+    desc = cycle_deform(3, root_of_unity(cyclotomic_context(3), 3), 1)
+    before = presentation_of.cache_info()
+    with pytest.raises(ValueError, match=re.escape(
+            f"weight_bound must be an int, not {bound!r}")):
+        structure_rows(desc, bound)
+    assert presentation_of.cache_info() == before
+    assert len(structure_rows(desc, 2)) == presentation_of(desc).pair_count(2)

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -435,3 +436,27 @@ def test_a_dropped_rule_fails_the_audit_and_crashes_nothing():
                    "type-one-chain, q=z, mu=0", "type-one-chain, q=z, mu=1"):
         assert failed[f"{family} over Q(zeta_6) without aaaaaa"] \
             == "aaaaaa"
+
+
+NOT_INT_BOUNDS = [6.0, 6.5, "6", True, Fraction(6), None]
+
+
+def _fresh_chain_root():
+    """A chain-root presentation outside ``presentation_of``'s cache,
+    with empty memos."""
+    desc = chain_root(root_of_unity(cyclotomic_context(3), 3), 1)
+    return presentation_of.__wrapped__(desc)
+
+
+@pytest.mark.parametrize("bound", NOT_INT_BOUNDS, ids=repr)
+@pytest.mark.parametrize("verify", [compute_antipode, verify_antipode,
+                                    verify_degeneration])
+def test_degree_bounds_must_be_ints(verify, bound):
+    # 6.0 and 6.5 died with a TypeError from range, "6" with one from
+    # ``<``, and True was read as the bound 1 and passed
+    rs = _fresh_chain_root()
+    with pytest.raises(ValueError, match=re.escape(
+            f"degree_bound must be an int, not {bound!r}")):
+        verify(rs, bound)
+    assert not rs._prod and not rs._nf and not rs._antipode
+    assert not rs._delta and not rs._to_path

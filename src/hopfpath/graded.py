@@ -15,16 +15,21 @@ The params keep one integer index.  Each path a product meets gets a
 path id, and each structure-coefficient value a coefficient id in the
 one canonical coefficient table (zero is id 0).  The products of basis
 paths are kept in one row per path id, which maps the right factor's id
-to (product id, coefficient id), or None if the product is zero; a row
-entry is filled through ``_mul_path_raw`` the first time its pair is
-met, so each basis-path product is formed once per params.  The
+to (product id, coefficient id), or None if the product is zero.
+``_fill`` forms a row entry from the two ids the first time its pair is
+met, so each basis-path product is formed once per params; the
+product's coefficient depends only on the shape (i*m, l, m), and is
+formed once per shape into the table ``_shapes``.  ``_mul_path_raw`` is
+the entry point for paths: it maps them to ids and reads the row.  The
 products and sums of two coefficients are kept in tables keyed by pairs
 of coefficient ids, each formed once per params.  The pair and triple
 checks of ``verify_graded_bialgebra`` run on ids: their loops hash ints
 and pairs of ints, and a path or ``Scalar`` is hashed only when a path
-is split or a product is first formed.  They read the two tables
-inline and call ``_product`` or ``_sum`` only on a miss, which is rare:
-a verdict meets most of its products and sums many times.
+is split or a coefficient is first formed.  They read the rows and the
+two tables inline and call ``_fill``, ``_product`` or ``_sum`` only on
+a miss, which is rare: a verdict meets most of its products and sums
+many times.  Every table is append-only and no id changes, so one
+params can serve any number of verdicts.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from .quiver import (
     Path, _require_int, chain_kind, cycle_kind, enumerate_paths,
 )
 from .report import VerificationReport
-from .scalars import _grow_q_pascal
+from .scalars import Scalar, _grow_q_pascal
 
 __all__ = [
     "MAX_BASIS_TUPLES",
@@ -57,21 +62,26 @@ MAX_BASIS_TUPLES = 200_000
 class GradedHopfParams:
     """Quiver kind plus the structure scalar q.
 
-    Cycle: q^n must be 1.  Chain: q must be nonzero.
+    The kind is ``cycle_kind(n)`` or ``chain_kind()`` and q a ``Scalar``;
+    anything else raises ValueError naming it.  Cycle: q^n must be 1.
+    Chain: q must be nonzero.
     """
 
     def __init__(self, kind, q):
+        if not isinstance(q, Scalar):
+            raise ValueError(f"q must be a Scalar, not {q!r}")
+        if kind == chain_kind():
+            if q.is_zero():
+                raise ValueError("chain multiplication needs a nonzero q")
+        elif type(kind) is tuple and len(kind) == 2 and kind[0] == "cycle":
+            cycle_kind(kind[1])  # refuses an n that is not an int, or below 1
+            if q ** kind[1] != q.ctx.one():
+                raise ValueError("cycle of length n needs q with q^n = 1")
+        else:
+            raise ValueError(f"unknown quiver kind {kind!r}")
         self.kind = kind
         self.q = q
         self.ctx = q.ctx
-        if kind[0] == "cycle":
-            if q ** kind[1] != self.ctx.one():
-                raise ValueError("cycle of length n needs q with q^n = 1")
-        elif kind[0] == "chain":
-            if q.is_zero():
-                raise ValueError("chain multiplication needs a nonzero q")
-        else:
-            raise ValueError(f"unknown quiver kind {kind!r}")
         self._qpow = {}
         # the q-Pascal rows 0, 1, ... grown on demand from the last one
         # held, and the powers of q they read
@@ -84,6 +94,9 @@ class GradedHopfParams:
         self._paths = []
         self._path_ids = {}
         self._rows = []
+        # (i*m, l, m) -> coefficient id of q^(i*m) * binom(l+m, l)_q, the
+        # product coefficient of p_i^l * p_j^m for every source j
+        self._shapes = {}
         # the coefficient table: id -> Scalar and Scalar -> id, zero
         # seeded as id 0; and the ids of the products and sums of two
         # coefficients, keyed by pairs of ids
@@ -155,38 +168,47 @@ class GradedHopfParams:
 def _mul_path_raw(params, a, b):
     """Product of two basis paths: (path, coefficient) or None if zero.
 
-    The product is formed on the first call for a pair of values and
-    kept in the row of a's id, under b's id; coefficient id 0 is zero,
-    so a zero product is kept as None.
+    The path-level entry point: a and b are mapped to their path ids,
+    and the row of a's id is read under b's id; ``_fill`` forms the
+    entry on a miss.
     """
     ids = params._path_ids
     i, j = ids.get(a), ids.get(b)
     if i is None or j is None:
         i, j = params._path_id(a), params._path_id(b)
-    row = params._rows[i]
-    out = row.get(j, False)
+    out = params._rows[i].get(j, False)
     if out is False:
-        kind, source, l = a
-        _, s, m = b
-        coeff_id = params._coeff_id
-        c = params._product(coeff_id(params.q_power(source * m)),
-                            coeff_id(params.binom(l + m, l)))
-        # the product of two valid paths is valid: built unchecked, as
-        # in ``splits``, its source reduced modulo n on a cycle
-        source += s
-        if kind[0] == "cycle":
-            source %= kind[1]
-        out = row[j] = None if c == 0 else (params._path_id(
-            tuple.__new__(Path, (kind, source, l + m))), c)
+        out = _fill(params, i, j)
     return None if out is None else (params._paths[out[0]],
                                      params._coeffs[out[1]])
 
 
 def _fill(params, i, j):
-    """Row i's entry for j, filled through ``_mul_path_raw``."""
-    paths = params._paths
-    _mul_path_raw(params, paths[i], paths[j])
-    return params._rows[i][j]
+    """Form row i's entry for j from the path ids, store it and return
+    it: (product path id, coefficient id), or None if the product is
+    zero (coefficient id 0).
+
+    The coefficient q^(i*m) * binom(l+m, l)_q of p_i^l * p_j^m depends
+    only on the shape (i*m, l, m), so it is formed once per shape and
+    kept in ``params._shapes``; the exponent i*m is not reduced.
+    """
+    kind, source, l = params._paths[i]
+    _, s, m = params._paths[j]
+    shape = (source * m, l, m)
+    c = params._shapes.get(shape)
+    if c is None:
+        coeff_id = params._coeff_id
+        c = params._shapes[shape] = params._product(
+            coeff_id(params.q_power(shape[0])),
+            coeff_id(params.binom(l + m, l)))
+    # the product of two valid paths is valid: built unchecked, as in
+    # ``splits``, its source reduced modulo n on a cycle
+    source += s
+    if kind[0] == "cycle":
+        source %= kind[1]
+    out = params._rows[i][j] = None if c == 0 else (params._path_id(
+        tuple.__new__(Path, (kind, source, l + m))), c)
+    return out
 
 
 def multiply(params, x, y):
@@ -422,7 +444,9 @@ def _check_work(kind, max_len, assoc_len=None):
 
 
 def structure_table(params, max_len):
-    """Structure constants of the graded product on bounded paths."""
+    """Structure constants of the graded product on bounded paths.
+    max_len must be an int; a bool is refused too."""
+    _require_int("max_len", max_len)
     _check_work(params.kind, max_len)
     basis = enumerate_paths(params.kind, max_len, (-max_len, max_len))
     rows = []

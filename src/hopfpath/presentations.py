@@ -407,6 +407,9 @@ class RewriteSystem:
         self._monos = {}  # (k, j, i) -> the one PBWMonomial p^k a^j h^i
         self._delta = {}  # word -> coproduct, kept by verifier._delta_word
         self._antipode = {}  # PBW monomial -> antipode, kept by the verifier
+        # the GradedHopfParams of a graded presentation, built by the first
+        # verifier.verify_degeneration whose graded sibling this is
+        self._graded = None
         # the PBW <-> path identification of a descriptor's presentation:
         # monomial -> (path, scalar) and path -> (monomial, scalar), kept
         # by _path_term and _pbw_term

@@ -37,8 +37,11 @@ product-table entry once per verdict into its leading terms, which a
 pair shifts, and maps the graded path product back through the graded
 presentation's PBW <-> path table (``RewriteSystem._to_path`` and
 ``_to_pbw``), forming each graded coefficient once per verdict for each
-pair of shapes and coefficient id.  Those tables are the verdict's
-locals; this module keeps no cache of its own;
+pair of shapes and coefficient id.  Those two tables are the verdict's
+locals; the path products are read from the ``GradedHopfParams`` that
+the graded presentation keeps (``RewriteSystem._graded``), so each is
+formed once per sibling, not once per verdict.  This module keeps no
+cache of its own;
 ``presentation_of.cache_clear()`` frees every memo.  A degree bound of
 ``verify_antipode``, ``compute_antipode`` or ``verify_degeneration`` that
 admits more than MAX_MONOMIAL_PAIRS monomial pairs is refused before any
@@ -514,9 +517,13 @@ def verify_degeneration(system, degree_bound):
     shift adds k*d_p to every weight, so each middle (j, i, k', j') is
     read once per verdict into its weight excess over j + k'*d_p + j'
     and its terms (k, j, i, c) of that weight, and a pair only shifts
-    that list.  Graded side: the product of the two image paths is
-    formed once, by ``_fill`` on the params' path ids, and mapped back
-    through the graded presentation's path -> PBW table.  Its
+    that list.  Graded side: the graded presentation keeps one
+    ``GradedHopfParams`` (``RewriteSystem._graded``), built by the first
+    verdict on that sibling and shared by every later one, since its
+    tables are append-only and its ids never change.  A pair reads the
+    row entry of its two image paths' ids inline, ``_fill`` forms it on a
+    miss, once per params, and the product path is mapped back through
+    the graded presentation's path -> PBW table.  Its
     coefficient cx*cy*coeff*inverse is formed once per verdict for each
     (k, j, k', j', coefficient id): the image coefficients cx = k!*j!_q
     and cy depend only on the shapes, and the inverse of the product
@@ -533,13 +540,15 @@ def verify_degeneration(system, degree_bound):
     _check_degree_bound(rs, degree_bound)
     gdesc = _graded_sibling(desc)
     grs = presentation_of(gdesc)
-    params = GradedHopfParams(desc.path_kind, gdesc.q)
+    params = grs._graded
+    if params is None:
+        params = grs._graded = GradedHopfParams(gdesc.path_kind, gdesc.q)
     rep = VerificationReport(f"degeneration of {rs.name}")
     images = {}
     for m in _monomials(rs, degree_bound):
         path, coeff = _path_term(grs, m)
         images[m] = params._path_id(path), coeff
-    paths, coeffs = params._paths, params._coeffs
+    paths, coeffs, rows = params._paths, params._coeffs, params._rows
     prod, one = rs._prod, rs.ctx.one()
     pw, n = rs.p_weight, rs.h_order
     # (j, i, k', j') -> (weight excess, leading terms (k, j, i, c));
@@ -570,9 +579,9 @@ def verify_degeneration(system, degree_bound):
             bad = f"{x} * {y} has weight {w + excess} > {w}"
             break
         (idx, cx), (idy, cy) = images[x], images[y]
-        # the image paths of distinct pairs are distinct pairs of paths,
-        # new to this verdict's params, so each product is formed here
-        out = _fill(params, idx, idy)
+        out = rows[idx].get(idy, False)
+        if out is False:
+            out = _fill(params, idx, idy)
         c = None
         if out is not None:
             pid, cid = out

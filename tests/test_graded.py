@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -34,6 +35,41 @@ def test_params_validation():
         GradedHopfParams.cycle(3, root_of_unity(ctx, 4))
     with pytest.raises(ValueError, match="nonzero"):
         GradedHopfParams.chain(ctx.zero())
+
+
+@pytest.mark.parametrize("kind, match", [
+    (("cycle", -3), "cycle length must be positive"),
+    (("cycle", 0), "cycle length must be positive"),
+    (("cycle", 3.0), "n must be an int, not 3.0"),
+    (("cycle", True), "n must be an int, not True"),
+    (("chain", 5), "unknown quiver kind \\('chain', 5\\)"),
+    (("cycle",), "unknown quiver kind"),
+    (("cycle", 3, 0), "unknown quiver kind"),
+    (["cycle", 3], "unknown quiver kind"),
+    ("cycle", "unknown quiver kind"),
+    (None, "unknown quiver kind None"),
+], ids=repr)
+def test_params_refuse_a_malformed_kind(kind, match):
+    # ("cycle", -3) verified as passed, since z^-3 = 1; ("cycle", 0) died
+    # with a ZeroDivisionError inside the verdict; ("chain", 5) was taken
+    q = root_of_unity(cyclotomic_context(3), 3)
+    with pytest.raises(ValueError, match=match):
+        GradedHopfParams(kind, q)
+
+
+@pytest.mark.parametrize("make", [
+    lambda q: GradedHopfParams.cycle(3, q),
+    lambda q: GradedHopfParams.chain(q),
+    lambda q: GradedHopfParams(("chain",), q),
+], ids=["cycle", "chain", "init"])
+@pytest.mark.parametrize("q", [1, Fraction(2), 2.0, "2", None, True],
+                         ids=repr)
+def test_params_refuse_a_q_that_is_not_a_scalar(make, q):
+    # GradedHopfParams.cycle(3, 1) and .chain(Fraction(2)) died with an
+    # AttributeError
+    with pytest.raises(ValueError,
+                       match=f"^q must be a Scalar, not {re.escape(repr(q))}$"):
+        make(q)
 
 
 def test_q_power_far_exponents():

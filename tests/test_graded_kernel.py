@@ -12,11 +12,12 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from hopfpath import (
     CoalgElement, GradedHopfParams, Lin, comultiply, counit,
-    Scalar, cyclotomic_context, enumerate_paths, multiply, root_of_unity,
-    tensor_multiply, unit, verify_graded_bialgebra,
+    Scalar, cyclotomic_context, enumerate_paths, gauss_binom_row, multiply,
+    root_of_unity, tensor_multiply, unit, verify_graded_bialgebra,
 )
 from hopfpath import Path, graded
 from hopfpath.report import VerificationReport
@@ -192,18 +193,112 @@ def test_each_check_can_fail():
             == expected[cls.__name__, kind]
 
 
+# -- the id-level kernel ------------------------------------------------------
+
+CHAIN_QS = [cyclotomic_context(1).from_rational(Fraction(v))
+            for v in (2, -1, Fraction(1, 2), Fraction(-3, 2))] \
+    + [root_of_unity(cyclotomic_context(k), k) for k in (3, 4)]
+
+
+@st.composite
+def _fill_cases(draw):
+    """Fresh params on a cycle of length n <= 6 or on the chain, its basis
+    paths up to a length, and every pair of them in a random order."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 6))
+        params = cycle(n, n, draw(st.integers(0, n - 1)))
+    else:
+        params = GradedHopfParams.chain(draw(st.sampled_from(CHAIN_QS)))
+    max_len = draw(st.integers(0, 3))
+    basis = enumerate_paths(params.kind, max_len, (-max_len, max_len))
+    pairs = draw(st.permutations([(a, b) for a in basis for b in basis]))
+    return params, basis, pairs
+
+
+@given(_fill_cases())
+def test_each_fill_is_the_closed_formula(case):
+    # p_i^l * p_j^m = q^(i*m) * binom(l+m, l)_q * p_{i+j}^{l+m}, the
+    # coefficient formed here from `q ** (i*m)` and a q-Pascal row built
+    # from row 0, whatever order the pairs are filled in
+    params, basis, pairs = case
+    ids = {p: params._path_id(p) for p in basis}
+    pascal = {}
+    for a, b in pairs:
+        i, j = ids[a], ids[b]
+        out = graded._fill(params, i, j)
+        assert params._rows[i][j] == out
+        l, m = a.length, b.length
+        row = pascal.get(l + m)
+        if row is None:
+            row = pascal[l + m] = gauss_binom_row(l + m, params.q)
+        c = params.q ** (a.source * m) * row[l]
+        if c.is_zero():
+            assert out is None, (a, b)
+        else:
+            assert out is not None, (a, b)
+            assert params._paths[out[0]] \
+                == Path(a.kind, a.source + b.source, l + m), (a, b)
+            assert params._coeffs[out[1]] == c, (a, b)
+    assert all(len(params._rows[i]) == len(basis) for i in ids.values())
+
+
+@pytest.mark.parametrize("make, max_len", [
+    (lambda: cycle(6, 6), 4),
+    (lambda: cycle(4, 4, 3), 3),
+    (lambda: chain(2), 3),
+], ids=["cycle6", "cycle4", "chain"])
+def test_each_product_coefficient_is_formed_once_per_shape(make, max_len):
+    # the coefficient of p_i^l * p_j^m depends only on the shape
+    # (i*m, l, m), not on j: it is formed once per shape, from the
+    # exponent i*m as it is, not reduced modulo n
+    params = make()
+    q_power, binom = params.q_power, params.binom
+    formed = []
+
+    def recording_q_power(e):
+        formed.append(e)
+        return q_power(e)
+
+    def recording_binom(n, k):
+        formed.append((n, k))
+        return binom(n, k)
+
+    params.q_power, params.binom = recording_q_power, recording_binom
+    basis = enumerate_paths(params.kind, max_len, (-max_len, max_len))
+    for a in basis:
+        for b in basis:
+            graded._mul_path_raw(params, a, b)
+    shapes = {(a.source * b.length, a.length, b.length)
+              for a in basis for b in basis}
+    assert len(shapes) < len(basis) ** 2
+    assert sorted(zip(formed[::2], formed[1::2])) \
+        == sorted((e, (l + m, l)) for e, l, m in shapes)
+    assert len(params._shapes) == len(shapes)
+    formed[:] = []
+    for a in basis:
+        for b in basis:
+            graded._mul_path_raw(params, a, b)
+    assert formed == []
+
+
 # -- the same work as the element loop ----------------------------------------
 
 def _recording(monkeypatch):
-    """Record each ``_mul_path_raw`` call as (caller, a, b)."""
+    """Record each ``_fill`` call, each basis-path product formed, as
+    (caller, a, b): the caller is "multiply" when the call came through
+    ``multiply``'s ``_mul_path_raw``, else the function that called
+    ``_fill``."""
     calls = []
-    raw = graded._mul_path_raw
+    fill = graded._fill
 
-    def recording(params, a, b):
-        calls.append((sys._getframe(1).f_code.co_name, a, b))
-        return raw(params, a, b)
+    def recording(params, i, j):
+        caller = sys._getframe(1).f_code.co_name
+        if caller == "_mul_path_raw":
+            caller = sys._getframe(2).f_code.co_name
+        calls.append((caller, params._paths[i], params._paths[j]))
+        return fill(params, i, j)
 
-    monkeypatch.setattr(graded, "_mul_path_raw", recording)
+    monkeypatch.setattr(graded, "_fill", recording)
     return calls
 
 
@@ -220,7 +315,8 @@ def test_kernel_forms_the_reference_products_once_in_the_same_order(
     # every distinct basis-path product the element loop asks for is
     # formed, in the order of its first appearance there; the pair and
     # triple checks form none twice (unitality asks on elements, through
-    # `multiply`, as the element loop does)
+    # `multiply`, as the element loop does), and no product is formed
+    # twice at all
     calls = _recording(monkeypatch)
     ref = reference_verify(make(), max_len)
     expected = _first_appearances((a, b) for _, a, b in calls)
@@ -228,6 +324,7 @@ def test_kernel_forms_the_reference_products_once_in_the_same_order(
     rep = verify_graded_bialgebra(make(), max_len)
     assert rep.passed and checks(rep) == checks(ref)
     assert _first_appearances((a, b) for _, a, b in calls) == expected
+    assert len(calls) == len(expected)
     formed = [(a, b) for caller, a, b in calls if caller != "multiply"]
     assert formed and len(formed) == len(set(formed))
     assert not set(formed) & {(a, b) for caller, a, b in calls
@@ -243,9 +340,10 @@ def test_a_second_verdict_forms_no_product_in_the_pair_or_triple_checks(
         assert verify_graded_bialgebra(params, *lengths).passed
         assert {caller for caller, _, _ in calls} > {"multiply"}
         calls[:] = []
+        # every product is in the rows now: neither the pair and triple
+        # checks nor unitality's `multiply` forms one
         assert verify_graded_bialgebra(params, *lengths).passed
-        assert calls and {caller for caller, _, _ in calls} == {"multiply"}
-        calls[:] = []
+        assert calls == []
 
 
 def _wrong_products(params, a, b):
@@ -403,6 +501,16 @@ def test_lengths_must_be_ints(value):
     with pytest.raises(ValueError, match=re.escape(
             f"max_len must be an int, not {value!r}")):
         verify_graded_bialgebra(params, value)
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, True, "2", None, Fraction(2)],
+                         ids=repr)
+def test_structure_table_length_must_be_an_int(value):
+    # "2" died with a TypeError inside the work bound, and True was read
+    # as 1
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"max_len must be an int, not {value!r}")):
+        graded.structure_table(cycle(4, 4), value)
 
 
 def test_length_checks_come_before_the_work_bound():

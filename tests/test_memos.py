@@ -1,5 +1,8 @@
 """The coproduct and antipode memos live on the interned presentation."""
 
+import gc
+import weakref
+
 from hypothesis import given, strategies as st
 
 import pytest
@@ -12,7 +15,7 @@ from hopfpath import (
     verify_antipode, verify_degeneration, verify_hopf,
 )
 from hopfpath.quiver import Path
-from hopfpath import verifier
+from hopfpath import graded, verifier
 from hopfpath.verifier import (
     _CHAIN_WINDOW, _antipode_generators, _antipode_mono, _antipode_word,
     _delta_word, _monomials, _trial_system,
@@ -424,3 +427,68 @@ def test_refused_identifications_are_not_memoized():
     for desc in (no_p, *no_p_deformed):
         assert (1, 0, 0) not in presentation_of(desc)._to_path
     assert Path(chain_kind(), 0, 1) not in presentation_of(GRADED[0])._to_pbw
+
+
+# -- the graded params a degeneration verdict shares ---------------------------
+
+Z3 = root_of_unity(cyclotomic_context(3), 3)
+ONE_SIBLING = [cycle_deform(3, Z3, lam) for lam in (0, 1, 2)] \
+    + [type_one_cycle(3, Z3, 1)]
+
+
+def _recording_fills(monkeypatch):
+    """Record each path product formed, through the graded kernel or the
+    degeneration verdict, as (params, a, b)."""
+    formed = []
+    fill = graded._fill
+
+    def recording(params, i, j):
+        formed.append((params, params._paths[i], params._paths[j]))
+        return fill(params, i, j)
+
+    monkeypatch.setattr(graded, "_fill", recording)
+    monkeypatch.setattr(verifier, "_fill", recording)
+    return formed
+
+
+def test_degeneration_verdicts_share_the_graded_siblings_params(monkeypatch):
+    # the four descriptors have one graded sibling, whose presentation
+    # keeps one GradedHopfParams across their verdicts: each report is
+    # the one the verdict gives on a freshly cleared cache, cold or warm,
+    # each path product is formed once for all of them, and a second
+    # verdict on the sibling forms none
+    bound = 6
+    expected = []
+    for desc in ONE_SIBLING:
+        presentation_of.cache_clear()
+        expected.append(verify_degeneration(desc, bound))
+    assert all(rep.passed for rep in expected)
+    gdesc = verifier._graded_sibling(ONE_SIBLING[0])
+    assert {verifier._graded_sibling(desc) for desc in ONE_SIBLING} == {gdesc}
+
+    presentation_of.cache_clear()
+    formed = _recording_fills(monkeypatch)
+    assert presentation_of(gdesc)._graded is None
+    per_verdict = []
+    for _ in ("cold", "warm"):
+        for desc, rep in zip(ONE_SIBLING, expected):
+            start = len(formed)
+            assert verify_degeneration(desc, bound) == rep
+            per_verdict.append(len(formed) - start)
+    params = presentation_of(gdesc)._graded
+    assert params is not None
+    assert formed and {p for p, _, _ in formed} == {params}
+    pairs = [(a, b) for _, a, b in formed]
+    assert len(pairs) == len(set(pairs))
+    # cycle-deform's first verdict forms its products, the two after it
+    # meet the same image paths; every warm verdict forms none
+    assert per_verdict[0] and per_verdict[1:3] == [0, 0]
+    assert per_verdict[4:] == [0, 0, 0, 0]
+
+    # cache_clear() frees the params with the presentation that keeps them
+    kept = weakref.ref(params)
+    del params, formed[:]
+    presentation_of.cache_clear()
+    gc.collect()
+    assert kept() is None
+    assert presentation_of(gdesc)._graded is None

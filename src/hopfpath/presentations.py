@@ -23,14 +23,20 @@ changes; ``RewriteSystem.mono_product`` memoizes its normal form in
 ``_prod``, keyed (j, i, k', j') with k' + j' > 0, beside the word memo
 ``_nf``, and carries p^k and h^i' through by shifting exponents;
 ``accumulate`` reads the entries itself and shifts term by term as it
-adds.  A middle
-is folded once, from its longest prefix in ``_prod`` one letter at a
-time, and every prefix it passes is kept.  A middle of one letter x, a^j h^i x,
-is a^j * NF(h^i x), so the table reduces only the words h^i x and
-a^j p^K a^J (for each term p^K a^J h^I of NF(h^i x)), which ``_nf``
-memoizes.  Every
-monomial these tables hold comes from the presentation's table
-``_monos``, keyed (k, j, i), so equal monomials are one object.
+adds.  Where the rules q-commute h with the middle's letters,
+hx -> c_x xh, a middle with i != 0 is its i = 0 entry conjugated,
+c_p^(ik') c_a^(ij') times it with every h exponent moved by i, and is
+kept alone.  Any other middle is folded once, from its longest prefix
+in ``_prod`` one letter at a time, and every prefix it passes is kept.
+A middle of one letter x, a^j h^i x, is a^j * NF(h^i x), so the table
+reduces only the words h^i x and a^j p^K a^J (for each term p^K a^J h^I
+of NF(h^i x)), which ``_nf`` memoizes; and where the rules allow it,
+``reduce_word`` takes a word that ends in a run of h (or H) to its
+stem's normal form shifted, not rewriting the run.  Both shortcuts
+reach what the leftmost rewriter reaches, term for term, so neither
+presupposes confluence.  Every monomial these tables hold comes from
+the presentation's table ``_monos``, keyed (k, j, i), so equal
+monomials are one object.
 ``multiply`` and the tensor-square product
 of ``Lin`` read the product table, so the basis change and the
 degeneration check reach ``reduce_word`` only through its entries, and
@@ -401,9 +407,13 @@ class RewriteSystem:
             lhs + "".join(w for w, _ in rhs) for lhs, rhs in self.rules))
         self._nf = {}
         # (j, i, k', j') -> normal form of a^j h^i p^k' a^j', k' + j' > 0,
-        # kept by _middle with every nonempty prefix a^j h^i p^f or
-        # a^j h^i p^k' a^g that its one-letter fold passes
+        # kept by _middle: an i = 0 entry (or one whose letters do not
+        # q-commute with h) with every nonempty prefix a^j h^i p^f or
+        # a^j h^i p^k' a^g that its one-letter fold passes, any other
+        # entry alone, conjugated from its i = 0 entry
         self._prod = {}
+        self._runs = self._run_letters()
+        self._conj = None  # filled by _middle: _conjugations()
         self._monos = {}  # (k, j, i) -> the one PBWMonomial p^k a^j h^i
         self._delta = {}  # word -> coproduct, kept by verifier._delta_word
         self._antipode = {}  # PBW monomial -> antipode, kept by the verifier
@@ -428,6 +438,51 @@ class RewriteSystem:
 
     # -- reduction ----------------------------------------------------------
 
+    def _run_letters(self):
+        """The letters whose trailing runs ``reduce_word`` shifts, found
+        once: "hH" on a chain and "h" on a cycle (where no rule may
+        mention H) when every left-hand side is an exact group-like rule
+        (h^n -> 1 on a cycle, hH -> 1 or Hh -> 1 on a chain), one of
+        ha, hp, Ha, Hp, or a word without h or H; else "".  Then no
+        left-hand side overlaps both a word that does not end in h or H
+        and a run after it, so the leftmost rewriter only carries the run
+        along."""
+        n, one = self.h_order, self.ctx.one()
+        exact = ("hH", "Hh") if n is None else ("h" * n,)
+        for lhs, rhs in self.rules:
+            if lhs in exact:
+                if rhs != (("", one),):
+                    return ""
+            elif ("h" in lhs or "H" in lhs) \
+                    and not (len(lhs) == 2 and lhs[1] in "ap"):
+                return ""
+        return "hH" if n is None else "" if "H" in self.letters else "h"
+
+    def _conjugations(self):
+        """{x: {1: c, -1: d}} for each letter x of "ap" that h
+        conjugates, found by the first middle that needs it: the runs
+        shift (``_run_letters``), the first rules on hx and Hx are
+        hx -> c xh and Hx -> d xH with c d = 1 (on a cycle d = c^(n-1),
+        so c^n = 1).  Then the leftmost rewriter takes h^i x to
+        c^i x h^i."""
+        n, one = self.h_order, self.ctx.one()
+        first = dict(reversed(self.rules))  # lhs -> its first rule's terms
+
+        def coefficient(lhs):  # c of a first rule lhs -> c lhs[::-1]
+            rhs = first.get(lhs, ())
+            return rhs[0][1] if len(rhs) == 1 and rhs[0][0] == lhs[::-1] \
+                else None
+
+        conj = {}
+        for x in "ap" if self._runs else "":
+            c = coefficient("h" + x)
+            if c is None:
+                continue
+            d = coefficient("H" + x) if n is None else c ** (n - 1)
+            if d is not None and c * d == one:
+                conj[x] = {1: c, -1: d}  # e -> c^e, filled by _middle
+        return conj
+
     def _find_match(self, word):
         """The leftmost match (pos, ridx), lowest rule index first; only
         rules whose left-hand side starts with word[pos] can match."""
@@ -449,15 +504,33 @@ class RewriteSystem:
         word's normal form sums its children's, scaled by the rule's
         coefficients: a key's first term is stored as it is, not added
         to zero, and sums that cancel are dropped.
+
+        When the rules allow it (``_run_letters``), a word w r that
+        ends in a run r of h (of h and H on a chain; on a cycle w holds
+        no H) is not rewritten: its normal form is NF(w) with every h
+        exponent moved by the run's exponent (``h_shift``), which is what
+        the leftmost rewriter reaches, term for term.  A shift is not a
+        rewrite step and is not counted.
         """
         cached = self._nf.get(word)
         if cached is not None:
             return cached, 0
+        runs = self._runs
         steps = 0
         stack = [word]
         while stack:
             w = stack[-1]
             if w in self._nf:
+                stack.pop()
+                continue
+            stem = w.rstrip(runs)
+            if stem != w and (runs == "hH" or "H" not in stem):
+                src = self._nf.get(stem)
+                if src is None:
+                    stack.append(stem)
+                    continue
+                e = len(w) - len(stem) - 2 * w.count("H", len(stem))
+                self._nf[w] = {self.h_shift(m, e): c for m, c in src.items()}
                 stack.pop()
                 continue
             match = self._find_match(w)
@@ -661,20 +734,43 @@ class RewriteSystem:
 
     def _middle(self, j, i, k, j2):
         """The normal form of a^j h^i p^k a^j2, k + j2 > 0, as a
-        {monomial: scalar} dict, kept in ``_prod`` with every nonempty
-        prefix a^j h^i p^f or a^j h^i p^k a^g that it passes.
+        {monomial: scalar} dict, kept in ``_prod``.
 
-        It is folded from its longest prefix in the table one letter at
-        a time, NF(w x) = NF(w) * x, formed by ``accumulate``.  A prefix
-        of one letter, a^j h^i x, is a^j * NF(h^i x): each term
-        p^K a^J h^I of NF(h^i x) gives NF(a^j p^K a^J) with the h
-        exponents added, modulo n on cycles.  Only these two words are
-        reduced as words.  Each step rewrites a factor of the word, so
-        the result is its normal form when the rule set is confluent.
-        Confluence is not assumed here; ``check_confluence`` checks it
-        separately.
+        When i != 0 and the rules q-commute h with the letters of the
+        middle, hx -> c_x xh (``_conjugations``), the middle is its
+        i = 0 entry conjugated by h^i: c_p^(ik) c_a^(i j2) times that
+        entry, every h exponent moved by i (``h_shift``), kept alone;
+        the fold below reaches the same terms in the same order.
+        Otherwise it is folded from its longest prefix in the table one
+        letter at a time, NF(w x) = NF(w) * x, formed by ``accumulate``,
+        and every nonempty prefix a^j h^i p^f or a^j h^i p^k a^g that it
+        passes is kept.  A prefix of one letter, a^j h^i x, is
+        a^j * NF(h^i x): each term p^K a^J h^I of NF(h^i x) gives
+        NF(a^j p^K a^J) with the h exponents added, modulo n on cycles.
+        Only these two words are reduced as words.  Each step rewrites a
+        factor of the word, so the result is its normal form when the
+        rule set is confluent.  Confluence is not assumed here;
+        ``check_confluence`` checks it separately.
         """
-        memo, one = self._prod, self.ctx.one()
+        memo, one, conj = self._prod, self.ctx.one(), self._conj
+        if i and conj is None:
+            conj = self._conj = self._conjugations()
+        if i and (not k or "p" in conj) and (not j2 or "a" in conj):
+            base = memo.get((j, 0, k, j2))
+            if base is None:
+                base = self._middle(j, 0, k, j2)
+            c = one
+            for x, e in (("p", i * k), ("a", i * j2)):
+                if e:
+                    powers = conj[x]
+                    ce = powers.get(e)
+                    if ce is None:
+                        ce = powers[e] = powers[1] ** e if e > 0 \
+                            else powers[-1] ** -e
+                    c = c * ce
+            out = memo[(j, i, k, j2)] = {self.h_shift(m, i): c * v
+                                         for m, v in base.items()}
+            return out
         tail = "p" * k + "a" * j2
         # keys[f] is the key of the prefix a^j h^i tail[:f]
         keys = [(j, i, f, 0) for f in range(k + 1)] \

@@ -1,27 +1,36 @@
-"""The rewriting layer's sums against the adding code they replaced.
+"""The rewriting layer against the engine it replaced.
 
 ``RewriteSystem.reduce_word`` (its combine step), ``_short_middle``,
 ``presentations._resolve_at`` and ``graded.tensor_multiply`` store a
 key's first term as it is instead of adding it to zero.
 ``_parse_normal_word`` reads the shape p^k a^j (h^i | H^i) by stripping
-runs of letters instead of matching a regular expression, and
-``_middle`` lists its prefix keys once instead of calling a key
-function on every probe.  The ``_reference_*`` functions below are the
-versions that did those things the old way.  Both must give the same
-keys in the same order, the same values, no zero coefficient and the
-same tables, filled in the same order: on every presentation of the
-acceptance sweep and the 1-cycle, and on the one-term mutants, which
-are not confluent.
+runs of letters instead of matching a regular expression.
+``reduce_word`` takes a word that ends in a run of group-likes to its
+stem's normal form shifted, and ``_middle`` fills a middle a^j h^i ...
+with i != 0 by conjugating its i = 0 entry, wherever the rules allow it;
+both then form fewer words and entries than the letter-by-letter
+rewriting they replace.  The ``_reference_*`` functions below are that
+engine: it adds every term to zero, rewrites every word, folds every
+middle from its longest prefix with a key function called on every
+probe, and keeps its own tables.  Every entry that either engine's
+tables hold must be the other engine's entry for the same key: the same
+keys in the same order, the same values and no zero coefficient.  This
+holds on every presentation of the acceptance sweep and the 1-cycle,
+on the one-term mutants, which are not confluent, and on hand-built
+systems where no shortcut applies.
 """
 
 import random
 import re
-from itertools import product
+from itertools import islice, product
+
+import pytest
+from hypothesis import given, strategies as st
 
 from hopfpath import (
-    GradedHopfParams, Lin, RewriteSystem, chain_root, comultiply,
-    cyclotomic_context, enumerate_paths, presentation_of, root_of_unity,
-    simple_pointed_catalog,
+    GradedHopfParams, Lin, RewriteSystem, chain_q1, chain_root, comultiply,
+    cycle_graded, cyclotomic_context, enumerate_paths, presentation_of,
+    root_of_unity, simple_pointed_catalog,
 )
 from hopfpath.graded import _mul_path_raw, tensor_multiply
 from hopfpath.presentations import _ambiguities, _resolve_at
@@ -65,7 +74,9 @@ def _reference_reduce_word(rs, word, nf):
             continue
         match = rs._find_match(w)
         if match is None:
-            nf[w] = {rs.interned(*_reference_parse(rs, w)): rs.ctx.one()}
+            shape = _reference_parse(rs, w)
+            assert shape is not None, f"irreducible word {w!r}"
+            nf[w] = {rs.interned(*shape): rs.ctx.one()}
             stack.pop()
             continue
         pos, ridx = match
@@ -112,10 +123,12 @@ def _reference_resolve_at(rs, word, pos, ridx, nf):
     return Lin(rs.ctx, rs, acc)
 
 
-def _reference_middle(rs, j, i, k, j2):
-    """``RewriteSystem._middle``, its prefix keys from a key function
-    called on every probe."""
-    memo, one = rs._prod, rs.ctx.one()
+def _reference_middle(rs, j, i, k, j2, memo, nf):
+    """``RewriteSystem._middle`` over the tables ``memo`` and ``nf``, for
+    every i: the fold from the longest prefix in ``memo``, its prefix
+    keys from a key function called on every probe, each letter's
+    product added to zero, every prefix kept."""
+    zero = rs.ctx.zero()
     tail = "p" * k + "a" * j2
 
     def key(f):  # the prefix a^j h^i tail[:f]
@@ -126,9 +139,17 @@ def _reference_middle(rs, j, i, k, j2):
         f -= 1
     out = memo.get(key(f))
     if out is None:
-        out = memo[key(f)] = rs._short_middle(j, i, tail[:f])
+        out = memo[key(f)] = _reference_short_middle(rs, j, i, tail[:f], nf)
     for f in range(f + 1, len(tail) + 1):
-        acc = rs.accumulate({}, out, {rs.letter(tail[f - 1]): one})
+        y = rs.letter(tail[f - 1])
+        acc = {}
+        for ma, ca in out.items():
+            mid = memo.get((ma.j, ma.i, y.k, y.j))
+            if mid is None:
+                mid = _reference_middle(rs, ma.j, ma.i, y.k, y.j, memo, nf)
+            for m, v in mid.items():
+                m = rs.interned(ma.k + m.k, m.j, m.i)
+                acc[m] = acc.get(m, zero) + ca * v
         out = memo[key(f)] = {m: c for m, c in acc.items()
                               if not c.is_zero()}
     return out
@@ -160,11 +181,25 @@ def _same_terms(new, ref):
     assert not any(c.is_zero() for c in new.values())
 
 
-def _same_table(new, ref):
-    """Equal keys filled in the same order, and equal entries."""
-    assert list(new) == list(ref)
-    for key, entry in new.items():
-        _same_terms(entry, ref[key])
+def _tie_tables(new, ref, memo, nf):
+    """Every entry of the new engine's tables against the reference's
+    entry for the same key, and every entry of the reference's tables
+    (``memo`` and ``nf``, over the cold copy ``ref``) against the new
+    engine's, each side forming the entries it lacks.  Return the number
+    of entries tied."""
+    for key in list(new._prod):
+        ref_entry = memo.get(key)
+        if ref_entry is None:
+            ref_entry = _reference_middle(ref, *key, memo, nf)
+        _same_terms(new._prod[key], ref_entry)
+    for key in list(memo):
+        entry = new._prod.get(key)
+        _same_terms(new._middle(*key) if entry is None else entry, memo[key])
+    for word in list(new._nf):
+        _same_terms(new._nf[word], _reference_reduce_word(ref, word, nf)[0])
+    for word in list(nf):
+        _same_terms(new.reduce_word(word)[0], nf[word])
+    return len(memo) + len(nf)
 
 
 def _presentations():
@@ -184,41 +219,39 @@ def _short_middles(rs):
 
 def _check_the_reductions(rs):
     """Resolve every ambiguity and form every short middle of a cold
-    copy of rs, new and reference side by side; the reduction tables
-    must then be equal and filled in the same order.  Return the number
-    of comparisons."""
-    rs = _fresh(rs)
+    copy of rs, new and reference side by side, then tie their tables.
+    Return the number of comparisons and the number of entries tied."""
+    rs, ref = _fresh(rs), _fresh(rs)
     nf, checks = {}, 0
     for word, left, right in _ambiguities(rs):
         for pos, ridx in (left, right):
             new = _resolve_at(rs, word, pos, ridx)
-            ref = _reference_resolve_at(rs, word, pos, ridx, nf)
+            old = _reference_resolve_at(ref, word, pos, ridx, nf)
             assert new.space is rs
-            _same_terms(new.terms, ref.terms)
+            _same_terms(new.terms, old.terms)
             checks += 1
     for j, i, x in _short_middles(rs):
         _same_terms(rs._short_middle(j, i, x),
-                    _reference_short_middle(rs, j, i, x, nf))
+                    _reference_short_middle(ref, j, i, x, nf))
         checks += 1
-    # a word reduced once more is a memo hit on both sides
-    for word in list(nf):
-        new, steps = rs.reduce_word(word)
-        assert (new, steps) == _reference_reduce_word(rs, word, nf)
-    _same_table(rs._nf, nf)
-    return checks
+    # a word reduced once more is a memo hit
+    for word in list(rs._nf):
+        assert rs.reduce_word(word) == (rs._nf[word], 0)
+    return checks, _tie_tables(rs, ref, {}, nf)
 
 
 def test_reductions_match_the_adding_code_on_the_sweep():
-    checks = sum(_check_the_reductions(rs) for rs in _presentations())
-    assert checks == 3_765  # 92 presentations
+    checks, entries = map(sum, zip(*map(_check_the_reductions,
+                                        _presentations())))
+    assert (checks, entries) == (3_765, 5_004)  # 92 presentations
 
 
 def test_reductions_match_the_adding_code_on_mutants():
-    count = checks = 0
+    count = checks = entries = 0
     for desc, terms in _one_term_mutants(3):
-        checks += _check_the_reductions(_trial_system(desc, terms, "mutant"))
-        count += 1
-    assert (count, checks) == (329, 11_788)
+        c, e = _check_the_reductions(_trial_system(desc, terms, "mutant"))
+        count, checks, entries = count + 1, checks + c, entries + e
+    assert (count, checks, entries) == (329, 11_788, 14_073)
 
 
 def test_a_cancelled_sum_leaves_no_zero():
@@ -233,7 +266,9 @@ def test_a_cancelled_sum_leaves_no_zero():
         assert (new, steps) == _reference_reduce_word(rs, word, nf)
         assert not any(c.is_zero() for c in new.values())
     assert rs._nf["hp"] == rs._nf["hpa"] == rs._nf["hhp"] == {}
-    _same_table(rs._nf, nf)
+    assert list(rs._nf) == list(nf)
+    for word, entry in rs._nf.items():
+        _same_terms(entry, nf[word])
 
 
 # -- reading the normal shape -----------------------------------------------------------
@@ -289,26 +324,163 @@ def _middles(rs, bound=6):
 
 
 def _check_the_middles(rs):
+    """Fill the middles of a cold copy of rs in a shuffled order, new and
+    reference side by side, then tie their tables.  Return the number of
+    middles and the number of entries tied."""
     new, ref = _fresh(rs), _fresh(rs)
+    memo, nf = {}, {}
     middles = _middles(rs)
     for middle in middles:
-        _same_terms(new._middle(*middle), _reference_middle(ref, *middle))
-    _same_table(new._prod, ref._prod)
-    _same_table(new._nf, ref._nf)
-    return len(middles)
+        _same_terms(new._middle(*middle),
+                    _reference_middle(ref, *middle, memo, nf))
+    return len(middles), _tie_tables(new, ref, memo, nf)
 
 
 def test_middles_fill_the_table_like_the_key_function_on_the_sweep():
-    count = sum(_check_the_middles(rs) for rs in _presentations())
-    assert count == 6_404
+    count, entries = map(sum, zip(*map(_check_the_middles, _presentations())))
+    assert (count, entries) == (6_404, 9_225)
 
 
 def test_middles_fill_the_table_like_the_key_function_on_mutants():
-    count = middles = 0
+    count = middles = entries = 0
     for desc, terms in _one_term_mutants(3):
-        middles += _check_the_middles(_trial_system(desc, terms, "mutant"))
-        count += 1
-    assert (count, middles) == (329, 16_559)
+        m, e = _check_the_middles(_trial_system(desc, terms, "mutant"))
+        count, middles, entries = count + 1, middles + m, entries + e
+    assert (count, middles, entries) == (329, 16_559, 28_535)
+
+
+# -- group-likes by a shift, and where no shortcut applies ---------------------
+
+def _hand_built(rules, n=None, **bounds):
+    return RewriteSystem(cyclotomic_context(6), rules, h_order=n,
+                         name="hand-built", **bounds)
+
+
+def _fallbacks():
+    """(system, runs, conjugated letters): systems where ``reduce_word``
+    or ``_middle`` must rewrite letter by letter."""
+    minus = -cyclotomic_context(2).one()
+    z3, z6 = (root_of_unity(cyclotomic_context(d), d) for d in (3, 6))
+    return [
+        # hp -> ph + 2h - 2h^4: the p middles fold, the a middles conjugate
+        (presentation_of(chain_root(z3, 2)), "hH", "a"),
+        # ha -> ah + h - hh: every middle folds
+        (presentation_of(chain_q1(cyclotomic_context(1), 1)), "hH", ""),
+        # ha -> 2 zeta_6 ah on the 6-cycle: (2 zeta_6)^6 != 1
+        (_hand_built([("h" * 6, [("", 1)]), ("ha", [("ah", 2 * z6)])], 6),
+         "h", ""),
+        # h -> 1 on a 2-cycle is no group-like rule h^2 -> 1
+        (_hand_built([("h", [("", 1)]), ("ha", [("ah", -1)]), ("aa", [])],
+                     2, a_bound=2), "", ""),
+        # h^2 -> 1 + 1 is not exact
+        (_trial_system(cycle_graded(2, minus), {"hh": [("", 1)]}, "mutant"),
+         "", ""),
+    ]
+
+
+@pytest.mark.parametrize("case", range(5), ids=[
+    "chain-root-lambda-2", "chain-q1-lambda-1", "ha-doubled",
+    "lhs-h-on-2-cycle", "hh-extra-term"])
+def test_without_the_rules_for_a_shortcut_the_letters_are_rewritten(case):
+    rs, runs, letters = _fallbacks()[case]
+    assert rs._run_letters() == runs
+    assert "".join(rs._conjugations()) == letters
+    rs = _fresh(rs)
+    # a middle whose letters are not conjugated keeps its prefixes, and
+    # a word that ends in h is matched against the rules when runs do
+    # not shift
+    x = next(x for x in "pa" if x in rs.letters and x not in letters)
+    j2, k = (2, 0) if x == "a" else (0, 2)
+    rs._middle(1, 1, k, j2)
+    assert (1, 1, k // 2, j2 // 2) in rs._prod
+    matched, find_match = [], rs._find_match
+    rs._find_match = lambda word: matched.append(word) or find_match(word)
+    rs.reduce_word("hah")
+    assert ("hah" in matched) == (not runs)
+    del rs._find_match
+    _check_the_middles(rs)
+    _check_the_reductions(rs)
+
+
+def _outcome(rs, word, reduce):
+    """The normal form's terms, or None when the word reaches an
+    irreducible word that is not of PBW shape."""
+    try:
+        return list(reduce(rs, word)[0].items())
+    except AssertionError:
+        return None
+
+
+def _either_engine(rs, word):
+    """The new engine's and the reference's outcome on ``word``, each on
+    a cold copy of rs."""
+    return (_outcome(_fresh(rs), word, RewriteSystem.reduce_word),
+            _outcome(_fresh(rs), word,
+                     lambda ref, w: _reference_reduce_word(ref, w, {})))
+
+
+def test_h_rules_that_are_left_hand_sides_or_stray_H_letters():
+    # a -> h makes a a left-hand side; ha -> -ah still conjugates
+    rs = _hand_built([("hh", [("", 1)]), ("ha", [("ah", -1)]),
+                      ("a", [("h", 1)])], 2)
+    assert (rs._run_letters(), list(rs._conjugations())) == ("h", ["a"])
+    _check_the_middles(rs)
+    _check_the_reductions(rs)
+    # on a cycle H is no generator, and the parse reads a tail H^t as
+    # h^-t: a stem holding H is rewritten, never shifted, since its
+    # letters may vanish between the H and the run (a a -> 1 here)
+    rs = _hand_built([("hh", [("", 1)]), ("ha", [("ah", -1)]),
+                      ("aa", [("", 1)])], 2)
+    assert rs._run_letters() == "h"
+    for word in ("Haahh", "Haah", "aHh", "Hh", "haaHaah", "aaH"):
+        new, ref = _either_engine(rs, word)
+        assert new == ref, word
+    assert _either_engine(rs, "Haahh")[0] == [((0, 0, -1), 1)]
+
+
+def test_a_conjugated_middle_reduces_no_word():
+    counted = 0
+    for rs in _presentations():
+        rs = _fresh(rs)
+        conj = rs._conjugations()
+        middles = [m for m in _middles(rs)
+                   if (not m[2] or "p" in conj) and (not m[3] or "a" in conj)]
+        for j, i, k, j2 in middles:
+            rs._middle(j, 0, k, j2)
+        before = set(rs._prod)
+        calls = []
+        reduce_word = rs.reduce_word
+        rs.reduce_word = lambda word: calls.append(word) or reduce_word(word)
+        for middle in middles:
+            if middle[1]:
+                rs._middle(*middle)
+                counted += 1
+        assert calls == [], rs.name
+        # every conjugated entry is kept alone: no prefix of it is added
+        assert rs._prod.keys() - before \
+            <= {m for m in middles if m[1]}, rs.name
+    assert counted == 4_714
+
+
+def _systems_for_words():
+    """The sweep's descriptors and every seventh one-term mutant, built
+    when drawn: a presentation built at import would outlive a cleared
+    ``presentation_of`` cache."""
+    return [*_family_sweep(), *islice(_one_term_mutants(3), 0, None, 7)]
+
+
+@given(st.data())
+def test_a_trailing_run_shifts_the_stem_like_the_rewriter(data):
+    case = data.draw(st.sampled_from(_systems_for_words()))
+    rs = presentation_of(case) if not isinstance(case, tuple) \
+        else _trial_system(*case, "mutant")
+    letters = sorted(rs.letters)
+    stem = data.draw(st.text(st.sampled_from(letters), max_size=6))
+    run = data.draw(st.sampled_from("h" if rs.h_order else "hH")) \
+        * data.draw(st.integers(1, 8))
+    word = stem + run
+    _same_terms(rs.reduce_word(word)[0],
+                _reference_reduce_word(_fresh(rs), word, {})[0])
 
 
 # -- the tensor-square product of paths ----------------------------------------------------
